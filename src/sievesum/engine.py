@@ -222,11 +222,41 @@ def float_rows(defn: SeriesDefinition, n_terms: int) -> Iterator[ReportRow]:
 def to_decimal(x: Fraction, digits: int) -> str:
     """Decimal expansion of x, correctly rounded half-even to `digits`
     significant digits.
+
+    The text is that of `Decimal(num) / Decimal(den)` at precision `digits`,
+    but only a `digits`-long quotient is divided out, so the cost does not
+    grow with the square of the operands' length.
     """
     if digits < 1:
         raise ValueError("digits must be at least 1")
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = decimal.ROUND_HALF_EVEN
-        result = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-    return str(result)
+    num, den = x.numerator, x.denominator
+    if num == 0:
+        return "0"
+    sign, num = (1, -num) if num < 0 else (0, num)
+    low, high = 10 ** (digits - 1), 10**digits
+    # first guess at the exponent putting `digits` digits before the point;
+    # the bit lengths fix log10(num/den) to within one
+    exp = math.floor((num.bit_length() - den.bit_length()) * math.log10(2)) - digits + 1
+    while True:
+        if exp < 0:
+            scaled_num, scaled_den = num * 10**-exp, den
+        else:
+            scaled_num, scaled_den = num, den * 10**exp
+        q, r = divmod(scaled_num, scaled_den)
+        if q >= high:
+            exp += 1
+        elif q < low:
+            exp -= 1
+        else:
+            break
+    if r:
+        if 2 * r > scaled_den or (2 * r == scaled_den and q & 1):
+            q += 1
+            if q == high:
+                q, exp = low, exp + 1
+    else:
+        # an exact quotient keeps the exponent nearest to Decimal's ideal, 0
+        while exp < 0 and q % 10 == 0:
+            q, exp = q // 10, exp + 1
+    coefficient = decimal.Decimal(q).as_tuple().digits
+    return str(decimal.Decimal((sign, coefficient, exp)))

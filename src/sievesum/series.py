@@ -40,6 +40,7 @@ class TotientOfPrimorial(NamedTuple):
 class BrunPartial(NamedTuple):
     limit: int
     sum: Fraction
+    terms: int
 
 
 def primorial(n: int) -> PrimorialValue:
@@ -108,12 +109,31 @@ def brun_partial(limit: int) -> BrunPartial:
     """Exact sum of 1/v over the flattened twin sequence up to `limit`.
 
     The shared member 5 contributes twice, matching the pairwise convention
-    (1/3 + 1/5) + (1/5 + 1/7) + ... of the reciprocal twin sum.
+    (1/3 + 1/5) + (1/5 + 1/7) + ... of the reciprocal twin sum. `terms` is
+    the number of values summed.
     """
-    total = Fraction(0)
-    for v in twin_sequence_up_to(limit):
-        total += Fraction(1, v)
-    return BrunPartial(limit, total)
+    values = twin_sequence_up_to(limit)
+    return BrunPartial(limit, _reciprocal_sum(values), len(values))
+
+
+def _reciprocal_sum(values: list[int]) -> Fraction:
+    """sum(1/v) by binary splitting: unreduced (p, q) pairs are merged
+    pairwise, (p1*q2 + p2*q1, q1*q2), up a balanced tree, and only the root
+    is reduced. Adding one reduced Fraction per value instead would cost a
+    gcd on the growing sum at every step.
+    """
+    pairs = [(1, v) for v in values]
+    if not pairs:
+        return Fraction(0)
+    while len(pairs) > 1:
+        merged = [
+            (p1 * q2 + p2 * q1, q1 * q2)
+            for (p1, q1), (p2, q2) in zip(pairs[0::2], pairs[1::2])
+        ]
+        if len(pairs) % 2:
+            merged.append(pairs[-1])
+        pairs = merged
+    return Fraction(*pairs[0])
 
 
 def _dominance_violation(n_terms: int) -> int | None:

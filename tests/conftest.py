@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -26,3 +27,19 @@ def trial_division_primes(limit: int) -> list[int]:
 @pytest.fixture(scope="session")
 def oracle_primes_1m() -> list[int]:
     return trial_division_primes(10**6)
+
+
+def _decimal_division(x, digits: int) -> str:
+    """x rounded half-even to `digits` significant digits by dividing the
+    full numerator by the full denominator in `decimal`: slow for huge
+    operands, but plainly correct."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = decimal.ROUND_HALF_EVEN
+        return str(decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator))
+
+
+@pytest.fixture(scope="session")
+def decimal_division():
+    """Reference for engine.to_decimal."""
+    return _decimal_division

@@ -1,13 +1,28 @@
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sievesum.cli import DEFAULT_SEED, main, parse_limit
-from sievesum.series import mertens_residual
+import sievesum.cli
+from sievesum import __version__
+from sievesum.cli import _STR_BITS, DEFAULT_SEED, _int_str, main, parse_limit
+from sievesum.engine import SeriesDefinition, report_rows
+from sievesum.series import (
+    brun_partial,
+    mertens_residual,
+    prime_definition,
+    square_free_definition,
+    twin_prime_definition,
+)
 from sievesum.sieve import primes_up_to
 
 
@@ -19,6 +34,54 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift the interpreter's cap on str() of long ints, as main() does."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def reference_json_int(value):
+    return value if -(2**63) <= value < 2**63 else str(value)
+
+
+def reference_series(kind, defn, terms, fmt):
+    """Exact `series` output rendered with plain f-strings and str()."""
+    a = defn.offset_a
+    rows = report_rows(defn, terms)
+    if fmt == "csv":
+        lines = ["n,F_n,T_num,T_den,S_num,S_den,R_num,R_den\n"]
+        for row in rows:
+            r = row.residual * a
+            lines.append(
+                f"{row.n},{row.F_n},{row.T.numerator},{row.T.denominator},"
+                f"{row.S.numerator},{row.S.denominator},{r.numerator},{r.denominator}\n"
+            )
+        return "".join(lines)
+
+    def fraction(x):
+        return {"num": reference_json_int(x.numerator), "den": reference_json_int(x.denominator)}
+
+    doc = {
+        "meta": {"kind": kind, "a": a, "terms": terms, "mode": "exact", "version": __version__},
+        "rows": [
+            {
+                "n": row.n,
+                "F_n": row.F_n,
+                "T": fraction(row.T),
+                "S": fraction(row.S),
+                "R": fraction(row.residual * a),
+            }
+            for row in rows
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 class TestParseLimit:
@@ -198,6 +261,78 @@ class TestSeriesCommand:
         assert target.read_text().startswith("n,F_n,")
 
 
+class TestIntStr:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bits=st.one_of(
+            st.integers(0, 200),
+            st.integers(_STR_BITS - 2, _STR_BITS + 2),
+            st.integers(_STR_BITS, 4 * _STR_BITS),
+        ),
+        seed=st.integers(0, 2**32),
+        negative=st.booleans(),
+    )
+    @example(bits=0, seed=0, negative=False)
+    @example(bits=_STR_BITS, seed=0, negative=True)
+    @example(bits=_STR_BITS + 1, seed=0, negative=True)
+    def test_matches_str(self, bits, seed, negative):
+        n = random.Random(seed).getrandbits(bits)
+        if bits:
+            n |= 1 << (bits - 1)  # exactly `bits` bits
+        if negative:
+            n = -n
+        with unlimited_int_str():
+            assert _int_str(n) == str(n)
+
+
+SERIES_KINDS = {
+    "prime": ((), prime_definition()),
+    "square-free": ((), square_free_definition()),
+    "twin": ((), twin_prime_definition()),
+    "custom": (
+        ("--a", "3", "--seq", "4:3"),
+        SeriesDefinition(lambda: itertools.count(4, 3), offset_a=3),
+    ),
+}
+
+
+class TestExactOutputBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", sorted(SERIES_KINDS))
+    def test_series_matches_reference(self, capsys, kind, fmt):
+        extra, defn = SERIES_KINDS[kind]
+        code, out, _ = run_cli(
+            capsys, "series", "--kind", kind, *extra, "--terms", "200", "--format", fmt
+        )
+        assert code == 0
+        assert out == reference_series(kind, defn, 200, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_brun_matches_reference(self, capsys, decimal_division, fmt):
+        limit = 10**5
+        code, out, _ = run_cli(capsys, "brun", "--limit", str(limit), "--format", fmt)
+        assert code == 0
+        result = brun_partial(limit)
+        num, den = result.sum.numerator, result.sum.denominator
+        assert den.bit_length() > _STR_BITS  # the divide-and-conquer path runs
+        decimal_text = decimal_division(result.sum, 15)
+        with unlimited_int_str():
+            if fmt == "csv":
+                expected = (
+                    "limit,terms,sum_num,sum_den,decimal\n"
+                    f"{limit},{result.terms},{num},{den},{decimal_text}\n"
+                )
+            else:
+                doc = {
+                    "limit": limit,
+                    "terms": result.terms,
+                    "sum": {"num": reference_json_int(num), "den": reference_json_int(den)},
+                    "decimal": decimal_text,
+                }
+                expected = json.dumps(doc, indent=2) + "\n"
+        assert out == expected
+
+
 class TestVerifyCommand:
     def test_prime_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--kind", "prime", "--terms", "500")
@@ -238,6 +373,16 @@ class TestVerifyCommand:
         assert doc["status"] == "fail"
         assert doc["index"] == index
         assert doc["identity"] in ("residual", "recursion", "totient-primorial")
+
+    @pytest.mark.parametrize("kind", ["prime", "twin"])
+    def test_tamper_fails_at_every_index(self, capsys, kind):
+        for index in range(1, 61):
+            code, out, _ = run_cli(
+                capsys, "verify", "--kind", kind, "--terms", "60",
+                "--tamper-index", str(index),
+            )
+            assert code == 1, index
+            assert json.loads(out)["index"] == index
 
     def test_tamper_out_of_range_is_usage_error(self, capsys):
         code, _, _ = run_cli(
@@ -338,6 +483,50 @@ class TestMertensCommand:
         assert len(doc["rows"]) == 1
         assert doc["rows"][0]["n"] == 100
         assert doc["rows"][0]["p_n"] == 541
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "--kind", "prime", "--terms", "5"),
+            ("verify", "--kind", "prime", "--terms", "5"),
+        ],
+    )
+    def test_missing_directory_is_exit_2_before_computing(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computed before checking --output")
+
+        monkeypatch.setattr(sievesum.cli, "iter_states", must_not_run)
+        monkeypatch.setattr(sievesum.cli, "report_rows", must_not_run)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert str(target) in err
+
+    def test_directory_is_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "verify", "--terms", "5", "--output", str(tmp_path)
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write")
+
+    def test_failed_run_leaves_files_as_they_were(self, capsys, tmp_path):
+        existing = tmp_path / "old.csv"
+        existing.write_text("keep me\n")
+        fresh = tmp_path / "new.csv"
+        for target in (existing, fresh):
+            code, _, _ = run_cli(
+                capsys, "series", "--kind", "prime", "--terms", "6000",
+                "--output", str(target),
+            )
+            assert code == 2  # depth guard, after the output check
+        assert existing.read_text() == "keep me\n"
+        assert not fresh.exists()
 
 
 class TestUsageErrors:

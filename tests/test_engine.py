@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sievesum.engine import (
     DepthGuardError,
@@ -245,3 +247,44 @@ class TestToDecimal:
     def test_rejects_zero_digits(self):
         with pytest.raises(ValueError):
             to_decimal(Fraction(1, 3), 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num=st.integers(-(10**40), 10**40),
+        den=st.integers(1, 10**40),
+        digits=st.integers(1, 40),
+    )
+    @example(num=0, den=7, digits=3)
+    @example(num=99999, den=100000, digits=2)  # rounds up to 10**digits
+    def test_matches_decimal_division(self, decimal_division, num, den, digits):
+        x = Fraction(num, den)
+        assert to_decimal(x, digits) == decimal_division(x, digits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(-(10**15), 10**15),
+        tens=st.integers(0, 20),
+        twos=st.integers(0, 40),
+        fives=st.integers(0, 20),
+        digits=st.integers(1, 40),
+    )
+    @example(m=100, tens=0, twos=0, fives=0, digits=1)  # exact, E+ notation
+    def test_exact_quotients_and_ties(self, decimal_division, m, tens, twos, fives, digits):
+        # a 2^a 5^b denominator terminates: the quotient is exact when it has
+        # few digits, and half-way between two candidates when it has one more
+        x = Fraction(m * 10**tens, 2**twos * 5**fives)
+        assert to_decimal(x, digits) == decimal_division(x, digits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_bits=st.integers(1, 20_000),
+        den_bits=st.integers(1, 20_000),
+        seed=st.integers(0, 2**32),
+        digits=st.integers(1, 40),
+    )
+    def test_matches_decimal_division_on_long_operands(
+        self, decimal_division, num_bits, den_bits, seed, digits
+    ):
+        rng = random.Random(seed)
+        x = Fraction(rng.getrandbits(num_bits), rng.getrandbits(den_bits) | 1)
+        assert to_decimal(x, digits) == decimal_division(x, digits)

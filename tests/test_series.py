@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievesum.series import (
     EULER_GAMMA,
@@ -251,6 +253,24 @@ class TestBrunPartial:
 
     def test_five_contributes_twice(self):
         assert brun_partial(7).sum - brun_partial(5).sum == Fraction(1, 5) + Fraction(1, 7)
+
+    @staticmethod
+    def naive(limit):
+        values = twin_sequence_up_to(limit)
+        total = Fraction(0)
+        for v in values:
+            total += Fraction(1, v)
+        return total, len(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(limit=st.integers(0, 3000))
+    def test_matches_naive_loop(self, limit):
+        result = brun_partial(limit)
+        assert (result.sum, result.terms) == self.naive(limit)
+
+    def test_matches_naive_loop_at_1e5(self):
+        result = brun_partial(10**5)
+        assert (result.sum, result.terms) == self.naive(10**5)
 
 
 class TestBrunDominance:
