@@ -24,7 +24,6 @@ from .kconst import (
     PartialProduct,
     ProductEstimate,
     TwinConstant,
-    c2_partial,
     estimate_K,
     extrapolate_aitken,
     extrapolate_hl,
@@ -59,7 +58,6 @@ from .sieve import (
     nth_primes,
     nth_twin_values,
     primes_up_to,
-    stream_segments,
     twin_pairs_up_to,
     twin_sequence_up_to,
 )

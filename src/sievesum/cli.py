@@ -218,6 +218,11 @@ def _emit(config: RunConfig, write_fn) -> None:
             stream.close()
 
 
+def _write_json(out: TextIO, doc) -> None:
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+
+
 def _parse_seq(spec: str):
     """Inline sequence: a comma list ('2,3,4,5') or 'start:step' rule."""
     spec = spec.strip()
@@ -343,8 +348,7 @@ def cmd_series(config: RunConfig) -> int:
                 "meta": _series_meta(config),
                 "rows": _series_rows_json(rows, defn.offset_a, config),
             }
-            json.dump(doc, out, indent=2)
-            out.write("\n")
+            _write_json(out, doc)
 
     _emit(config, write)
     return 0
@@ -428,11 +432,7 @@ def cmd_verify(config: RunConfig) -> int:
     else:
         report = _run_identity_checks(config)
 
-    def write(out: TextIO) -> None:
-        json.dump(report, out, indent=2)
-        out.write("\n")
-
-    _emit(config, write)
+    _emit(config, lambda out: _write_json(out, report))
     return 0 if report["status"] == "pass" else 1
 
 
@@ -454,11 +454,7 @@ def cmd_kconst(config: RunConfig) -> int:
         "assumptions": estimate.assumptions,
     }
 
-    def write(out: TextIO) -> None:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-
-    _emit(config, write)
+    _emit(config, lambda out: _write_json(out, doc))
     return 0
 
 
@@ -480,8 +476,7 @@ def cmd_brun(config: RunConfig) -> int:
                 "sum": _json_fraction(result.sum),
                 "decimal": decimal_text,
             }
-            json.dump(doc, out, indent=2)
-            out.write("\n")
+            _write_json(out, doc)
 
     _emit(config, write)
     return 0
@@ -507,8 +502,7 @@ def cmd_mertens(config: RunConfig) -> int:
                     for i, (p, ratio) in enumerate(rows, 1)
                 ],
             }
-            json.dump(doc, out, indent=2)
-            out.write("\n")
+            _write_json(out, doc)
 
     _emit(config, write)
     return 0
@@ -529,8 +523,7 @@ def cmd_primes(config: RunConfig) -> int:
                     "meta": {"limit": config.limit, "version": __version__},
                     "pairs": [[p.lesser, p.greater] for p in twin_pairs_up_to(config.limit)],
                 }
-                json.dump(doc, out, indent=2)
-                out.write("\n")
+                _write_json(out, doc)
 
         _emit(config, write)
         return 0
@@ -543,8 +536,7 @@ def cmd_primes(config: RunConfig) -> int:
                 out.write("p\n")
                 out.writelines(f"{p}\n" for p in primes)
                 return
-            json.dump({"meta": meta, "primes": primes}, out, indent=2)
-            out.write("\n")
+            _write_json(out, {"meta": meta, "primes": primes})
             return
         if config.format == "csv":
             out.write("p\n")
@@ -555,8 +547,7 @@ def cmd_primes(config: RunConfig) -> int:
             "meta": {"limit": config.limit, "version": __version__},
             "primes": primes_up_to(config.limit),
         }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        _write_json(out, doc)
 
     _emit(config, write)
     return 0

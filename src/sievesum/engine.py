@@ -99,12 +99,7 @@ class ReportRow:
 
 def init(defn: SeriesDefinition) -> SeriesState:
     """State after the first term: T_1 = 1/F_1, R_1 = (F_1 - a)/F_1."""
-    first = next(iter(defn.terms()), None)
-    if first is None:
-        raise SeriesDomainError("sequence is empty")
-    a = defn.offset_a
-    T = Fraction(1, first)
-    return SeriesState(k=1, F_k=first, a=a, T_k=T, S_k=T, R_k=Fraction(first - a, first))
+    return next(iter_states(defn, 1))
 
 
 def advance(state: SeriesState, F_next: int) -> SeriesState:
@@ -136,22 +131,15 @@ def iter_states(defn: SeriesDefinition, n_terms: int) -> Iterator[SeriesState]:
             f"{n_terms} exact terms exceed the depth guard {defn.depth_guard}; "
             "raise SeriesDefinition.depth_guard to override"
         )
-    values = defn.terms()
-    first = next(values, None)
-    if first is None:
-        raise SeriesDomainError("sequence is empty")
+    # The empty state (empty sum, empty product); advance takes every step.
     state = SeriesState(
-        k=1,
-        F_k=first,
-        a=defn.offset_a,
-        T_k=Fraction(1, first),
-        S_k=Fraction(1, first),
-        R_k=Fraction(first - defn.offset_a, first),
+        k=0, F_k=0, a=defn.offset_a, T_k=Fraction(0), S_k=Fraction(0), R_k=Fraction(1)
     )
-    yield state
-    for f in islice(values, n_terms - 1):
+    for f in islice(defn.terms(), n_terms):
         state = advance(state, f)
         yield state
+    if state.k == 0:
+        raise SeriesDomainError("sequence is empty")
     if state.k < n_terms:
         raise SeriesDomainError(
             f"sequence ended after {state.k} values, {n_terms} requested"

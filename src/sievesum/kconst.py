@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -75,41 +76,64 @@ class ProductEstimate:
     assumptions: str = field(default=HL_ASSUMPTIONS)
 
 
+def _log_sums(
+    arrays: Iterable[np.ndarray],
+    transform: Callable[[np.ndarray], np.ndarray],
+    limits: list[int],
+) -> list[tuple[float, int]]:
+    """For each ascending limit, the sum and count of transform(v) over the
+    values v <= limit of the ascending `arrays` (one sieve sweep).
+
+    `transform` maps a float64 array elementwise to finite float64 terms.
+    Each term is q * 2**(e - 53) with int64 |q| < 2**53 and np.frexp
+    exponent e >= -1073, so the exact sum is a Python int in units of
+    2**-1126. Runs of equal e are summed in int64 with q split into 26-bit
+    halves, so no sum overflows (every caller's terms are monotone, so runs
+    are few). Each sum is rounded once by true division: it equals
+    math.fsum of the same terms bit for bit, whatever the segmentation.
+    """
+    out: list[tuple[float, int]] = []
+    total = count = 0
+    for arr in arrays:
+        terms = transform(arr.astype(np.float64))
+        if not np.isfinite(terms).all():
+            raise ValueError("sieve sum term is not finite")
+        cuts = np.searchsorted(arr, limits[len(out):], side="right").tolist()
+        start = 0
+        for stop in [cut for cut in cuts if cut < arr.size] + [arr.size]:
+            if stop > start:
+                mantissas, exps = np.frexp(terms[start:stop])
+                q = (mantissas * 2.0**53).astype(np.int64)
+                runs = np.flatnonzero(np.diff(exps, prepend=exps[0] - 1))
+                his = np.add.reduceat(q >> 26, runs).tolist()
+                los = np.add.reduceat(q & (2**26 - 1), runs).tolist()
+                for hi, lo, e in zip(his, los, exps[runs].tolist()):
+                    total += ((hi << 26) + lo) << (e + 1073)
+                count += stop - start
+                start = stop
+            if stop < arr.size:
+                out.append((total / 2**1126, count))
+    return out + [(total / 2**1126, count)] * (len(limits) - len(out))
+
+
 def partial_product(
     limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> PartialProduct:
     """Accumulate log1p(-1/v) over both members of every twin pair with
     greater member <= limit (the repeated 5 contributes twice).
 
-    Per-segment contributions are computed vectorised, then reduced in
-    ascending order with exactly rounded summation (math.fsum), so the
-    result is bit-identical for any segmentation of the same limit.
-    Limits below the first pair yield the empty product (log_value 0.0).
+    Per-pair contributions are computed vectorised and reduced exactly
+    (see _log_sums), so the result is bit-identical for any segmentation
+    of the same limit. Limits below the first pair yield the empty product
+    (log_value 0.0).
     """
     config = SieveConfig(limit, segment_size)
-    chunks: list[list[float]] = []
-    pair_count = 0
-    if limit >= 5:
-        for lessers in iter_twin_lesser_arrays(config):
-            if lessers.size == 0:
-                continue
-            pair_count += int(lessers.size)
-            v = lessers.astype(np.float64)
-            per_pair = np.log1p(-1.0 / v) + np.log1p(-1.0 / (v + 2.0))
-            chunks.append(per_pair.tolist())
-    log_value = math.fsum(x for chunk in chunks for x in chunk)
+    [(log_value, pair_count)] = _log_sums(
+        iter_twin_lesser_arrays(config),
+        lambda v: np.log1p(-1.0 / v) + np.log1p(-1.0 / (v + 2.0)),
+        [limit],
+    )
     return PartialProduct(limit=limit, log_value=log_value, pair_count=pair_count)
-
-
-def c2_partial(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> float:
-    """Raw truncation prod_{2<p<=limit}(1 - 1/(p-1)^2), no tail correction."""
-    chunks: list[list[float]] = []
-    for arr in iter_prime_arrays(SieveConfig(limit, segment_size)):
-        arr = arr[arr > 2]
-        if arr.size:
-            x = arr.astype(np.float64)
-            chunks.append(np.log1p(-1.0 / ((x - 1.0) ** 2)).tolist())
-    return math.exp(math.fsum(x for chunk in chunks for x in chunk))
 
 
 def _c2_density_tail(limit: int) -> float:
@@ -125,27 +149,19 @@ def twin_constant(prime_limit: int = PAIR_DENSITY_PRIME_LIMIT) -> TwinConstant:
 
     Computed from the defining product over primes up to `prime_limit` plus a
     density-model tail bound; accepted only if the tail-corrected truncations
-    at prime_limit/2 and prime_limit agree to 1e-10. Cached per limit.
+    at prime_limit/2 and prime_limit agree to 1e-10. They differ by more at
+    least up to 3.8e6, so limits below 1e7 are rejected. Cached per limit.
     """
-    if prime_limit < 10**6:
-        raise ValueError("prime_limit too small for a 10-digit result")
+    if prime_limit < 10**7:
+        raise ValueError(
+            f"prime_limit {prime_limit} too small for a 10-digit result "
+            "(need >= 10**7)"
+        )
     half = prime_limit // 2
-    lo_chunks: list[float] = []
-    hi_chunks: list[float] = []
-    for arr in iter_prime_arrays(SieveConfig(prime_limit, DEFAULT_SEGMENT_SIZE)):
-        arr = arr[arr > 2]
-        if arr.size == 0:
-            continue
-        x = arr.astype(np.float64)
-        terms = np.log1p(-1.0 / ((x - 1.0) ** 2))
-        cut = int(np.searchsorted(arr, half, side="right"))
-        if cut:
-            lo_chunks.append(terms[:cut].tolist())
-        if cut < arr.size:
-            hi_chunks.append(terms[cut:].tolist())
-    log_half = math.fsum(x for chunk in lo_chunks for x in chunk)
-    log_full = math.fsum(
-        x for chunk in (*lo_chunks, *hi_chunks) for x in chunk
+    (log_half, _), (log_full, _) = _log_sums(
+        (arr[arr > 2] for arr in iter_prime_arrays(SieveConfig(prime_limit))),
+        lambda x: np.log1p(-1.0 / ((x - 1.0) ** 2)),
+        [half, prime_limit],
     )
     at_half = math.exp(log_half - _c2_density_tail(half))
     at_full = math.exp(log_full - _c2_density_tail(prime_limit))

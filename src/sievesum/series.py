@@ -13,8 +13,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .engine import ReportRow, SeriesDefinition, report_rows
+from .kconst import _log_sums
 from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
     SieveConfig,
     iter_prime_arrays,
     iter_primes,
@@ -178,26 +178,21 @@ def mertens_residual(n_terms: int) -> list[tuple[int, float]]:
     return list(zip((int(p) for p in ps), ratios.tolist()))
 
 
-def _prime_log_sum(limit: int, transform) -> float:
-    """Exactly rounded sum of transform(p) over primes p <= limit.
-
-    transform maps a float64 prime array to the per-prime float contributions.
-    math.fsum makes the total independent of segmentation.
-    """
-    chunks: list[list[float]] = []
-    for arr in iter_prime_arrays(SieveConfig(limit, DEFAULT_SEGMENT_SIZE)):
-        if arr.size:
-            chunks.append(transform(arr.astype(np.float64)).tolist())
-    return math.fsum(x for chunk in chunks for x in chunk)
-
-
 def square_free_sum_float(limit: int) -> float:
     """Floating S^SF using all primes <= limit: 1 - prod(1 - 1/p^2)."""
-    log_r = _prime_log_sum(limit, lambda x: np.log1p(-1.0 / (x * x)))
+    [(log_r, _)] = _log_sums(
+        iter_prime_arrays(SieveConfig(limit)),
+        lambda x: np.log1p(-1.0 / (x * x)),
+        [limit],
+    )
     return 1.0 - math.exp(log_r)
 
 
 def twin_residual_float(limit: int) -> float:
     """Floating 1/2 - S^TP using odd primes <= limit: (1/2) prod(1 - 2/p)."""
-    log_r = _prime_log_sum(limit, lambda x: np.log1p(-2.0 / x[x > 2.0]))
+    [(log_r, _)] = _log_sums(
+        (arr[arr > 2] for arr in iter_prime_arrays(SieveConfig(limit))),
+        lambda x: np.log1p(-2.0 / x),
+        [limit],
+    )
     return 0.5 * math.exp(log_r)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -205,20 +205,3 @@ def nth_twin_values(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[in
             return seq[:n]
         limit = min(limit * 4, PRIME_CAP)
 
-
-def stream_segments(
-    config: SieveConfig,
-    consumer: Callable[[int], None] | Callable[[TwinPair], None],
-    twins: bool = False,
-) -> None:
-    """Feed every prime (or twin pair, when twins=True) to `consumer` once,
-    in ascending order. Consumer exceptions propagate unchanged.
-    """
-    if twins:
-        for arr in iter_twin_lesser_arrays(config):
-            for p in arr.tolist():
-                consumer(TwinPair(p, p + 2))
-    else:
-        for arr in iter_prime_arrays(config):
-            for p in arr.tolist():
-                consumer(p)

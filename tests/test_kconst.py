@@ -1,13 +1,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sievesum.kconst import (
     DegenerateDataError,
     ExtrapolationError,
     PartialProduct,
-    c2_partial,
+    _c2_density_tail,
+    _log_sums,
     estimate_K,
     extrapolate_aitken,
     extrapolate_hl,
@@ -15,7 +19,7 @@ from sievesum.kconst import (
     partial_product,
     twin_constant,
 )
-from sievesum.sieve import twin_sequence_up_to
+from sievesum.sieve import primes_up_to, twin_pairs_up_to, twin_sequence_up_to
 
 
 def exact_partial(limit: int) -> Fraction:
@@ -60,6 +64,70 @@ class TestPartialProduct:
             assert again.pair_count == reference.pair_count
 
 
+    @pytest.mark.parametrize("limit", [5, 1000, 10**5])
+    def test_equals_fsum_of_per_pair_terms(self, limit):
+        lessers = np.array([p.lesser for p in twin_pairs_up_to(limit)], dtype=np.float64)
+        terms = np.log1p(-1.0 / lessers) + np.log1p(-1.0 / (lessers + 2.0))
+        assert partial_product(limit).log_value == math.fsum(terms.tolist())
+
+
+# Finite doubles across the whole exponent range, subnormals and both zeros
+# included, kept below 1e300 so that no partial sum of math.fsum overflows.
+_finite = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 996)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+
+
+@st.composite
+def _terms(draw):
+    """Random terms, optionally with heavy cancellation: each value joined
+    by its negation and a few small perturbations, all shuffled."""
+    values = draw(st.lists(_finite, max_size=60))
+    if draw(st.booleans()):
+        values = values + [-x for x in values] + draw(st.lists(_finite, max_size=3))
+        values = draw(st.permutations(values))
+    return np.array(values, dtype=np.float64)
+
+
+def _by_position(terms: np.ndarray):
+    """A _log_sums transform that maps sieve value i to terms[i]."""
+    return lambda x: terms[x.astype(np.int64)]
+
+
+class TestLogSums:
+    @settings(max_examples=300, deadline=None)
+    @given(terms=_terms())
+    @example(terms=np.array([], dtype=np.float64))
+    @example(terms=np.array([-0.0, -0.0]))
+    @example(terms=np.array([1e300, 1.0, -1e300, 5e-324]))
+    def test_equals_fsum_bit_for_bit(self, terms):
+        values = np.arange(terms.size, dtype=np.int64)
+        [(total, count)] = _log_sums([values], _by_position(terms), [terms.size])
+        expected = math.fsum(terms.tolist())
+        assert total.hex() == expected.hex()
+        assert count == terms.size
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms=_terms(), data=st.data())
+    def test_splits_and_limits_do_not_change_the_sums(self, terms, data):
+        n = terms.size
+        values = np.arange(n, dtype=np.int64)
+        splits = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+        arrays = np.split(values, splits)
+        limits = sorted(data.draw(st.lists(st.integers(-1, n + 1), min_size=1, max_size=5)))
+        got = _log_sums(arrays, _by_position(terms), limits)
+        for limit, (total, count) in zip(limits, got):
+            upto = min(max(limit + 1, 0), n)
+            assert total.hex() == math.fsum(terms[:upto].tolist()).hex()
+            assert count == upto
+
+    def test_rejects_non_finite_terms(self):
+        with pytest.raises(ValueError, match="not finite"):
+            _log_sums([np.array([2], dtype=np.int64)], lambda x: x * np.inf, [2])
+
+
 class TestTwinConstant:
     def test_value_window_and_self_consistency(self):
         tc = twin_constant()
@@ -70,20 +138,27 @@ class TestTwinConstant:
     def test_cached(self):
         assert twin_constant() is twin_constant()
 
-    def test_truncations_converge(self):
-        c2 = twin_constant().c2
-        at_1e3 = c2_partial(10**3)
-        at_1e6 = c2_partial(10**6)
-        assert at_1e3 != at_1e6
-        assert abs(at_1e6 - c2) < abs(at_1e3 - c2)
-
-    def test_first_factor_dominates(self):
-        # product starts at (1 - 1/(3-1)^2) = 3/4 and every factor is < 1
-        assert c2_partial(3) == pytest.approx(0.75, rel=1e-15)
-
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
             twin_constant(10**5)
+
+    @pytest.mark.parametrize("limit", [10**6, 3_500_000, 10**7 - 1])
+    def test_rejects_limits_below_the_self_check_domain(self, limit):
+        # the 1e-10 self-check fails up to at least 3.8e6; 1e7 is the documented floor
+        with pytest.raises(ValueError, match=r"need >= 10\*\*7"):
+            twin_constant(limit)
+
+    def test_minimum_limit_matches_fsum_reference(self):
+        tc = twin_constant(10**7)
+        primes = np.array(primes_up_to(10**7)[1:], dtype=np.float64)
+        terms = np.log1p(-1.0 / ((primes - 1.0) ** 2))
+        half = 10**7 // 2
+        at_half = math.exp(
+            math.fsum(terms[primes <= half].tolist()) - _c2_density_tail(half)
+        )
+        at_full = math.exp(math.fsum(terms.tolist()) - _c2_density_tail(10**7))
+        assert tc.c2 == at_full
+        assert tc.self_check_delta == abs(at_full - at_half) < 1e-10
 
 
 class TestExtrapolateHL:

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from sievesum.series import (
     twin_prime_series,
     twin_residual_float,
 )
-from sievesum.sieve import nth_primes, nth_twin_values, twin_sequence_up_to
+from sievesum.sieve import nth_primes, nth_twin_values, primes_up_to, twin_sequence_up_to
 
 PRIMES_15 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -154,6 +155,11 @@ class TestSquareFreeSeries:
         farther = abs(square_free_sum_float(10**3) - target)
         assert closer < farther < 1e-3
 
+    def test_float_sum_equals_fsum_reference(self):
+        primes = np.array(primes_up_to(10**5), dtype=np.float64)
+        log_r = math.fsum(np.log1p(-1.0 / (primes * primes)).tolist())
+        assert square_free_sum_float(10**5) == 1.0 - math.exp(log_r)
+
 
 class TestTwinPrimeSeries:
     def test_first_terms_match_displayed_fractions(self):
@@ -194,6 +200,11 @@ class TestTwinPrimeSeries:
 
     def test_float_residual_small_at_1e5(self):
         assert twin_residual_float(10**5) < 0.02
+
+    def test_float_residual_equals_fsum_reference(self):
+        odd_primes = np.array(primes_up_to(10**5)[1:], dtype=np.float64)
+        log_r = math.fsum(np.log1p(-2.0 / odd_primes).tolist())
+        assert twin_residual_float(10**5) == 0.5 * math.exp(log_r)
 
     def test_removed_pair_census_matches_terms(self):
         """Census of odd pairs (x, x+2) per period: surviving every prime

@@ -5,12 +5,10 @@ import pytest
 from sievesum.sieve import (
     CapacityError,
     SieveConfig,
-    TwinPair,
     iter_primes,
     nth_primes,
     nth_twin_values,
     primes_up_to,
-    stream_segments,
     twin_pairs_up_to,
     twin_sequence_up_to,
 )
@@ -172,23 +170,3 @@ class TestSieveConfig:
     def test_accepts_carrier_cap(self):
         SieveConfig(2**63 - 1)
 
-
-class TestStreamSegments:
-    def test_primes_delivered_once_ascending(self):
-        got: list[int] = []
-        stream_segments(SieveConfig(10**4, segment_size=128), got.append)
-        assert got == primes_up_to(10**4)
-
-    def test_twin_mode_delivers_pairs(self):
-        got: list[TwinPair] = []
-        stream_segments(SieveConfig(100, segment_size=64), got.append, twins=True)
-        assert got == twin_pairs_up_to(100)
-        assert all(isinstance(p, TwinPair) for p in got)
-
-    def test_consumer_failure_propagates(self):
-        def explode(p: int) -> None:
-            if p == 13:
-                raise RuntimeError("stop at 13")
-
-        with pytest.raises(RuntimeError, match="stop at 13"):
-            stream_segments(SieveConfig(100), explode)
