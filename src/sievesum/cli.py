@@ -18,17 +18,16 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count as _count
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .engine import (
     DepthGuardError,
     ReportRow,
     SeriesDefinition,
-    SeriesDomainError,
+    SeriesState,
     check_residual_identity,
     check_term_recursion,
     float_rows,
@@ -47,7 +46,6 @@ from .series import (
 )
 from .sieve import (
     PRIME_CAP,
-    CapacityError,
     SieveConfig,
     iter_prime_arrays,
     iter_twin_lesser_arrays,
@@ -68,29 +66,6 @@ _LEAF_BITS = 128
 
 class OutputError(Exception):
     """--output names a file that cannot be opened for writing."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag set for one invocation."""
-
-    subcommand: str
-    kind: str = "prime"
-    a: int = 1
-    terms: int = 0
-    limit: int = 0
-    format: str = "csv"
-    output: str | None = None
-    method: str = "hl-tail"
-    digits: int = 15
-    mode: str = "exact"
-    seq: str | None = None
-    seed: int = DEFAULT_SEED
-    random_instances: int = 0
-    tamper_index: int | None = None
-    count: int | None = None
-    twins: bool = False
-    last: bool = False
 
 
 def _use_color() -> bool:
@@ -173,12 +148,10 @@ def _int_str(n: int) -> str:
     return "-" + text if n < 0 else text
 
 
-def _json_int(value: int):
+def _json_int(value: int) -> int | str:
+    """value itself in the int64 range, its decimal text beyond it; str()
+    of either is the CSV cell."""
     return value if -_INT64_MAX - 1 <= value <= _INT64_MAX else _int_str(value)
-
-
-def _json_fraction(x: Fraction) -> dict:
-    return {"num": _json_int(x.numerator), "den": _json_int(x.denominator)}
 
 
 def _round_sig(x: float, digits: int) -> float:
@@ -186,41 +159,46 @@ def _round_sig(x: float, digits: int) -> float:
     return float(format(x, f".{digits}g"))
 
 
-def _open_output(config: RunConfig, mode: str = "w"):
-    if config.output in (None, "-"):
+def _open_output(args: argparse.Namespace, mode: str = "w"):
+    if args.output in (None, "-"):
         return sys.stdout, False
     try:
-        return open(config.output, mode, encoding="utf-8"), True
+        return open(args.output, mode, encoding="utf-8"), True
     except OSError as exc:
-        raise OutputError(f"cannot write {config.output}: {exc.strerror or exc}") from None
+        raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from None
 
 
-def _check_output(config: RunConfig) -> None:
+def _check_output(args: argparse.Namespace) -> None:
     """Raise OutputError now, before any computation, if --output cannot be
     opened for writing. The probe neither truncates an existing file nor
     leaves a new one behind, so a run that fails later changes nothing.
     """
-    if config.output in (None, "-"):
+    if args.output in (None, "-"):
         return
-    existed = os.path.lexists(config.output)
-    stream, _ = _open_output(config, "a")
+    existed = os.path.lexists(args.output)
+    stream, _ = _open_output(args, "a")
     stream.close()
     if not existed:
-        os.remove(config.output)
+        os.remove(args.output)
 
 
-def _emit(config: RunConfig, write_fn) -> None:
-    stream, owned = _open_output(config)
+def _emit(args: argparse.Namespace, doc: Callable[[], object],
+          header: str | None = None, lines: Iterable[str] = ()) -> None:
+    """Write `header` and then `lines` to --output if the command has
+    --format and it is csv, else the JSON document doc() builds. Lines are
+    rendered one at a time, as they are written.
+    """
+    stream, owned = _open_output(args)
     try:
-        write_fn(stream)
+        if getattr(args, "format", None) == "csv":
+            stream.write(header)
+            stream.writelines(lines)
+        else:
+            json.dump(doc(), stream, indent=2)
+            stream.write("\n")
     finally:
         if owned:
             stream.close()
-
-
-def _write_json(out: TextIO, doc) -> None:
-    json.dump(doc, out, indent=2)
-    out.write("\n")
 
 
 def _parse_seq(spec: str):
@@ -240,40 +218,30 @@ def _parse_seq(spec: str):
     return values
 
 
-def _definition_for(config: RunConfig) -> SeriesDefinition:
-    if config.kind == "prime":
+def _definition_for(args: argparse.Namespace) -> SeriesDefinition:
+    if args.kind == "prime":
         return prime_definition()
-    if config.kind == "square-free":
+    if args.kind == "square-free":
         return square_free_definition()
-    if config.kind == "twin":
+    if args.kind == "twin":
         return twin_prime_definition()
-    seq = _parse_seq(config.seq)
-    return SeriesDefinition(seq, offset_a=config.a, label="custom")
+    if not args.seq:
+        raise ValueError("custom kind requires --seq")
+    return SeriesDefinition(_parse_seq(args.seq), offset_a=args.a, label="custom")
 
 
-def _series_meta(config: RunConfig) -> dict:
-    a = {"prime": 1, "square-free": 1, "twin": 2}.get(config.kind, config.a)
-    return {
-        "kind": config.kind,
-        "a": a,
-        "terms": config.terms,
-        "mode": config.mode,
-        "version": __version__,
-    }
-
-
-def _exact_cells(rows: Iterable[ReportRow], a: int, render) -> Iterator[tuple[ReportRow, list]]:
-    """Each exact row with render() of its T, S and R = a * residual
+def _exact_cells(rows: Iterable[ReportRow], a: int) -> Iterator[tuple[ReportRow, list]]:
+    """Each exact row with _json_int of its T, S and R = a * residual
     numerators and denominators, in that order.
 
     Neighbouring rows share integers (in the prime series S_den == R_den in
     every row, and T_den usually equals both), so a value equal to one of
     the same or the previous row reuses that rendering.
     """
-    previous: dict[int, object] = {}
+    previous: dict[int, int | str] = {}
     for row in rows:
         residual_product = row.residual * a
-        current: dict[int, object] = {}
+        current: dict[int, int | str] = {}
         cells = []
         for value in (
             row.T.numerator,
@@ -284,166 +252,138 @@ def _exact_cells(rows: Iterable[ReportRow], a: int, render) -> Iterator[tuple[Re
             residual_product.denominator,
         ):
             if value not in current:
-                current[value] = previous[value] if value in previous else render(value)
+                current[value] = previous[value] if value in previous else _json_int(value)
             cells.append(current[value])
         previous = current
         yield row, cells
 
 
-def _write_series_csv(rows: Iterable[ReportRow], a: int, config: RunConfig, out: TextIO) -> None:
-    if config.mode == "exact":
-        out.write("n,F_n,T_num,T_den,S_num,S_den,R_num,R_den\n")
-        for row, cells in _exact_cells(rows, a, _int_str):
-            out.write(f"{row.n},{row.F_n},{','.join(cells)}\n")
-    else:
-        d = config.digits
-        out.write("n,F_n,T,S,residual\n")
-        for row in rows:
-            out.write(
-                f"{row.n},{row.F_n},{_round_sig(row.T, d)},"
-                f"{_round_sig(row.S, d)},{_round_sig(row.residual, d)}\n"
-            )
-
-
-def _series_rows_json(rows: Iterable[ReportRow], a: int, config: RunConfig) -> list[dict]:
-    out = []
-    if config.mode == "exact":
-        for row, (t_num, t_den, s_num, s_den, r_num, r_den) in _exact_cells(rows, a, _json_int):
-            out.append(
-                {
-                    "n": row.n,
-                    "F_n": row.F_n,
-                    "T": {"num": t_num, "den": t_den},
-                    "S": {"num": s_num, "den": s_den},
-                    "R": {"num": r_num, "den": r_den},
-                }
-            )
-    else:
-        d = config.digits
-        for row in rows:
-            out.append(
-                {
-                    "n": row.n,
-                    "F_n": row.F_n,
-                    "T": _round_sig(row.T, d),
-                    "S": _round_sig(row.S, d),
-                    "residual": _round_sig(row.residual, d),
-                }
-            )
-    return out
-
-
-def cmd_series(config: RunConfig) -> int:
-    defn = _definition_for(config)
-    if config.mode == "exact":
-        rows: Iterable[ReportRow] = report_rows(defn, config.terms)
-    else:
-        rows = list(float_rows(defn, config.terms))
-
-    def write(out: TextIO) -> None:
-        if config.format == "csv":
-            _write_series_csv(rows, defn.offset_a, config, out)
-        else:
-            doc = {
-                "meta": _series_meta(config),
-                "rows": _series_rows_json(rows, defn.offset_a, config),
+def cmd_series(args: argparse.Namespace) -> int:
+    defn = _definition_for(args)
+    a = defn.offset_a
+    meta = {"kind": args.kind, "a": a, "terms": args.terms, "mode": args.mode,
+            "version": __version__}
+    if args.mode == "exact":
+        rows = report_rows(defn, args.terms)
+        header = "n,F_n,T_num,T_den,S_num,S_den,R_num,R_den\n"
+        lines = (
+            f"{row.n},{row.F_n},{','.join(map(str, cells))}\n"
+            for row, cells in _exact_cells(rows, a)
+        )
+        records = lambda: [
+            {
+                "n": row.n,
+                "F_n": row.F_n,
+                "T": {"num": t_num, "den": t_den},
+                "S": {"num": s_num, "den": s_den},
+                "R": {"num": r_num, "den": r_den},
             }
-            _write_json(out, doc)
-
-    _emit(config, write)
+            for row, (t_num, t_den, s_num, s_den, r_num, r_den) in _exact_cells(rows, a)
+        ]
+    else:
+        try:
+            rows = list(float_rows(defn, args.terms))
+        except OverflowError as exc:
+            raise ValueError(f"{exc}; use --mode exact") from None
+        d = args.digits
+        header = "n,F_n,T,S,residual\n"
+        lines = (
+            f"{row.n},{row.F_n},{_round_sig(row.T, d)},"
+            f"{_round_sig(row.S, d)},{_round_sig(row.residual, d)}\n"
+            for row in rows
+        )
+        records = lambda: [
+            {
+                "n": row.n,
+                "F_n": row.F_n,
+                "T": _round_sig(row.T, d),
+                "S": _round_sig(row.S, d),
+                "residual": _round_sig(row.residual, d),
+            }
+            for row in rows
+        ]
+    _emit(args, lambda: {"meta": meta, "rows": records()}, header, lines)
     return 0
 
 
-def _verify_failure(identity: str, index: int, extra: dict | None = None) -> dict:
-    report = {"status": "fail", "identity": identity, "index": index}
-    if extra:
-        report.update(extra)
-    return report
+def _check_states(states: Iterable[SeriesState], **context) -> dict | None:
+    """The failure report, with `context`, for the first state that breaks
+    the residual identity or the term recursion; None if all hold."""
+    checks = (("residual", check_residual_identity), ("recursion", check_term_recursion))
+    for state in states:
+        for identity, check in checks:
+            if not check(state):
+                return {"status": "fail", "identity": identity, "index": state.k, **context}
+    return None
 
 
-def _run_identity_checks(config: RunConfig) -> dict:
-    defn = _definition_for(config)
-    states = list(iter_states(defn, config.terms))
-    if config.tamper_index is not None:
-        i = config.tamper_index - 1
+def _run_identity_checks(args: argparse.Namespace) -> dict:
+    states = list(iter_states(_definition_for(args), args.terms))
+    if args.tamper_index is not None:
+        i = args.tamper_index - 1
         if not 0 <= i < len(states):
             raise ValueError("tamper index out of range")
         bad = states[i].T_k
         states[i] = dataclasses.replace(
             states[i], T_k=Fraction(bad.numerator ^ 1, bad.denominator)
         )
+    failure = _check_states(states)
+    if failure:
+        return failure
     checks = ["residual", "recursion"]
-    for state in states:
-        if not check_residual_identity(state):
-            return _verify_failure("residual", state.k)
-        if not check_term_recursion(state):
-            return _verify_failure("recursion", state.k)
-    if config.kind == "prime":
+    if args.kind == "prime":
         checks.append("totient-primorial")
         tot, prim = 1, 1  # running prod(p_i - 1) and prod(p_i), independent route
         for state in states:
             prim *= state.F_k
             # T_k == tot/prim, cross-multiplied: no gcd to reduce tot/prim
             if state.T_k.numerator * prim != tot * state.T_k.denominator:
-                return _verify_failure("totient-primorial", state.k)
+                return {"status": "fail", "identity": "totient-primorial", "index": state.k}
             tot *= state.F_k - 1
-    if config.kind == "twin":
+    if args.kind == "twin":
         checks.append("dominance")
-        bad_index = _dominance_violation(config.terms)
+        bad_index = _dominance_violation(args.terms)
         if bad_index is not None:
-            return _verify_failure("dominance", bad_index)
-    return {
-        "status": "pass",
-        "kind": config.kind,
-        "terms": config.terms,
-        "checks": checks,
-    }
+            return {"status": "fail", "identity": "dominance", "index": bad_index}
+    return {"status": "pass", "kind": args.kind, "terms": args.terms, "checks": checks}
 
 
-def _run_random_suite(config: RunConfig) -> dict:
-    rng = random.Random(config.seed)
-    for instance in range(1, config.random_instances + 1):
+def _run_random_suite(args: argparse.Namespace) -> dict:
+    rng = random.Random(args.seed)
+    for instance in range(1, args.random_instances + 1):
         a = rng.randint(1, 50)
         length = rng.randint(1, 200)
         values = sorted(rng.sample(range(a + 1, 10**6), length))
         defn = SeriesDefinition(tuple(values), offset_a=a, label="random")
-        for state in iter_states(defn, length):
-            if not check_residual_identity(state):
-                return _verify_failure(
-                    "residual", state.k, {"instance": instance, "a": a}
-                )
-            if not check_term_recursion(state):
-                return _verify_failure(
-                    "recursion", state.k, {"instance": instance, "a": a}
-                )
-    return {
-        "status": "pass",
-        "random_instances": config.random_instances,
-        "seed": config.seed,
-        "checks": ["residual", "recursion"],
-    }
+        failure = _check_states(iter_states(defn, length), instance=instance, a=a)
+        if failure:
+            return failure
+    return {"status": "pass", "random_instances": args.random_instances, "seed": args.seed,
+            "checks": ["residual", "recursion"]}
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if config.random_instances:
-        print(f"seed: {config.seed}", file=sys.stderr)
-        report = _run_random_suite(config)
-        report.setdefault("seed", config.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.random_instances:
+        # the random suite ignores the tamper, and a tamper must never pass
+        if args.tamper_index is not None:
+            raise ValueError("--tamper-index cannot be combined with --random")
+        print(f"seed: {args.seed}", file=sys.stderr)
+        report = _run_random_suite(args)
+        report.setdefault("seed", args.seed)
     else:
-        report = _run_identity_checks(config)
-
-    _emit(config, lambda out: _write_json(out, report))
+        report = _run_identity_checks(args)
+    _emit(args, lambda: report)
     return 0 if report["status"] == "pass" else 1
 
 
-def cmd_kconst(config: RunConfig) -> int:
-    if config.limit < 10**4:
+def cmd_kconst(args: argparse.Namespace) -> int:
+    if args.limit < 10**4:
         raise ExtrapolationError("kconst needs --limit at least 1e4")
-    estimate = estimate_K(config.limit, config.method)
-    pp = partial_product(config.limit)
+    estimate = estimate_K(args.limit, args.method)
+    pp = partial_product(args.limit)
     doc = {
         "method": estimate.method,
-        "limit": config.limit,
+        "limit": args.limit,
         "partial": math.exp(pp.log_value),
         "tail_correction": estimate.tail_correction,
         "k_estimate": estimate.k_estimate,
@@ -453,103 +393,61 @@ def cmd_kconst(config: RunConfig) -> int:
         "log_partial": pp.log_value,
         "assumptions": estimate.assumptions,
     }
-
-    _emit(config, lambda out: _write_json(out, doc))
+    _emit(args, lambda: doc)
     return 0
 
 
-def cmd_brun(config: RunConfig) -> int:
-    result = brun_partial(config.limit)
-    decimal_text = to_decimal(result.sum, config.digits)
-
-    def write(out: TextIO) -> None:
-        if config.format == "csv":
-            out.write("limit,terms,sum_num,sum_den,decimal\n")
-            out.write(
-                f"{config.limit},{result.terms},{_int_str(result.sum.numerator)},"
-                f"{_int_str(result.sum.denominator)},{decimal_text}\n"
-            )
-        else:
-            doc = {
-                "limit": config.limit,
-                "terms": result.terms,
-                "sum": _json_fraction(result.sum),
-                "decimal": decimal_text,
-            }
-            _write_json(out, doc)
-
-    _emit(config, write)
+def cmd_brun(args: argparse.Namespace) -> int:
+    result = brun_partial(args.limit)
+    decimal_text = to_decimal(result.sum, args.digits)
+    num, den = _json_int(result.sum.numerator), _json_int(result.sum.denominator)
+    doc = {
+        "limit": args.limit,
+        "terms": result.terms,
+        "sum": {"num": num, "den": den},
+        "decimal": decimal_text,
+    }
+    line = f"{args.limit},{result.terms},{num},{den},{decimal_text}\n"
+    _emit(args, lambda: doc, "limit,terms,sum_num,sum_den,decimal\n", [line])
     return 0
 
 
-def cmd_mertens(config: RunConfig) -> int:
-    rows = mertens_residual(config.terms)
-    if config.last:
+def cmd_mertens(args: argparse.Namespace) -> int:
+    rows = mertens_residual(args.terms)
+    if args.last:
         rows = rows[-1:]
-    d = config.digits
-    offset = config.terms - len(rows)
-
-    def write(out: TextIO) -> None:
-        if config.format == "csv":
-            out.write("n,p_n,ratio\n")
-            for i, (p, ratio) in enumerate(rows, 1):
-                out.write(f"{offset + i},{p},{_round_sig(ratio, d)}\n")
-        else:
-            doc = {
-                "meta": {"terms": config.terms, "version": __version__},
-                "rows": [
-                    {"n": offset + i, "p_n": p, "ratio": _round_sig(ratio, d)}
-                    for i, (p, ratio) in enumerate(rows, 1)
-                ],
-            }
-            _write_json(out, doc)
-
-    _emit(config, write)
+    d = args.digits
+    offset = args.terms - len(rows)
+    doc = lambda: {
+        "meta": {"terms": args.terms, "version": __version__},
+        "rows": [
+            {"n": offset + i, "p_n": p, "ratio": _round_sig(ratio, d)}
+            for i, (p, ratio) in enumerate(rows, 1)
+        ],
+    }
+    lines = (f"{offset + i},{p},{_round_sig(ratio, d)}\n" for i, (p, ratio) in enumerate(rows, 1))
+    _emit(args, doc, "n,p_n,ratio\n", lines)
     return 0
 
 
-def cmd_primes(config: RunConfig) -> int:
-    if config.twins:
-
-        def write(out: TextIO) -> None:
-            if config.format == "csv":
-                # stream per segment; large limits never materialise in full
-                out.write("lesser,greater\n")
-                for arr in iter_twin_lesser_arrays(SieveConfig(config.limit)):
-                    for p in arr.tolist():
-                        out.write(f"{p},{p + 2}\n")
-            else:
-                doc = {
-                    "meta": {"limit": config.limit, "version": __version__},
-                    "pairs": [[p.lesser, p.greater] for p in twin_pairs_up_to(config.limit)],
-                }
-                _write_json(out, doc)
-
-        _emit(config, write)
+def cmd_primes(args: argparse.Namespace) -> int:
+    if args.count is not None:
+        if args.twins:
+            raise ValueError("--twins needs --limit, not --count")
+        primes = nth_primes(args.count)
+        doc = {"meta": {"count": args.count, "version": __version__}, "primes": primes}
+        _emit(args, lambda: doc, "p\n", (f"{p}\n" for p in primes))
         return 0
-
-    def write(out: TextIO) -> None:
-        if config.count is not None:
-            primes = nth_primes(config.count)
-            meta = {"count": config.count, "version": __version__}
-            if config.format == "csv":
-                out.write("p\n")
-                out.writelines(f"{p}\n" for p in primes)
-                return
-            _write_json(out, {"meta": meta, "primes": primes})
-            return
-        if config.format == "csv":
-            out.write("p\n")
-            for arr in iter_prime_arrays(SieveConfig(config.limit)):
-                out.writelines(f"{p}\n" for p in arr.tolist())
-            return
-        doc = {
-            "meta": {"limit": config.limit, "version": __version__},
-            "primes": primes_up_to(config.limit),
-        }
-        _write_json(out, doc)
-
-    _emit(config, write)
+    meta = {"limit": args.limit, "version": __version__}
+    config = SieveConfig(args.limit)
+    # CSV streams per segment; large limits never materialise in full
+    if args.twins:
+        pairs = lambda: [[p.lesser, p.greater] for p in twin_pairs_up_to(args.limit)]
+        lines = (f"{p},{p + 2}\n" for arr in iter_twin_lesser_arrays(config) for p in arr.tolist())
+        _emit(args, lambda: {"meta": meta, "pairs": pairs()}, "lesser,greater\n", lines)
+    else:
+        lines = (f"{p}\n" for arr in iter_prime_arrays(config) for p in arr.tolist())
+        _emit(args, lambda: {"meta": meta, "primes": primes_up_to(args.limit)}, "p\n", lines)
     return 0
 
 
@@ -577,14 +475,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("primes", help="list primes or twin pairs")
+    p.set_defaults(run=cmd_primes)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--limit", type=parse_limit, help="inclusive bound, 1e8 style accepted")
     group.add_argument("--count", type=_positive_int, help="first N primes")
-    p.add_argument("--twins", action="store_true", help="emit twin pairs instead")
+    p.add_argument("--twins", action="store_true", help="emit twin pairs instead (needs --limit)")
     add_format(p)
     add_output(p)
 
     p = sub.add_parser("series", help="emit term/sum/residual rows for a series")
+    p.set_defaults(run=cmd_series)
     p.add_argument("--kind", choices=("prime", "square-free", "twin", "custom"), required=True)
     p.add_argument("--terms", type=_positive_int, required=True)
     p.add_argument("--a", type=_positive_int, default=1, help="offset a (custom kind)")
@@ -595,6 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("verify", help="run exact identity checks; exit 0 iff all pass")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--kind", choices=("prime", "square-free", "twin", "custom"), default="prime")
     p.add_argument("--terms", type=_positive_int, default=100)
     p.add_argument("--a", type=_positive_int, default=1)
@@ -608,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("kconst", help="estimate the twin-pair product constant")
+    p.set_defaults(run=cmd_kconst)
     p.add_argument("--limit", type=parse_limit, required=True)
     p.add_argument(
         "--method",
@@ -618,12 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("brun", help="exact reciprocal sum over the twin sequence")
+    p.set_defaults(run=cmd_brun)
     p.add_argument("--limit", type=parse_limit, required=True)
     add_format(p, default="json")
     add_digits(p)
     add_output(p)
 
     p = sub.add_parser("mertens", help="residual-product ratios against e^-gamma/ln p")
+    p.set_defaults(run=cmd_mertens)
     p.add_argument("--terms", type=_positive_int, required=True)
     p.add_argument("--last", action="store_true", help="only the final row")
     add_format(p)
@@ -631,26 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    config = RunConfig(**values)
-    if config.subcommand in ("series", "verify") and config.kind == "custom":
-        if not config.seq and not config.random_instances:
-            raise ValueError("custom kind requires --seq")
-    return config
-
-
-_COMMANDS = {
-    "primes": cmd_primes,
-    "series": cmd_series,
-    "verify": cmd_verify,
-    "kconst": cmd_kconst,
-    "brun": cmd_brun,
-    "mertens": cmd_mertens,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -664,21 +548,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        _check_output(config)
-        return _COMMANDS[config.subcommand](config)
+        _check_output(args)
+        return args.run(args)
     except BrokenPipeError:
         return 0
     except DepthGuardError as exc:
-        _error(f"{exc} (or use --mode float)")
+        _error(f"{exc} (or use --mode float)" if args.subcommand == "series" else str(exc))
         return 2
-    except (
-        SeriesDomainError,
-        ExtrapolationError,
-        CapacityError,
-        OutputError,
-        ValueError,
-    ) as exc:
+    # the library's input errors (SeriesDomainError, ExtrapolationError,
+    # CapacityError) are ValueErrors
+    except (OutputError, ValueError) as exc:
         _error(str(exc))
         return 2
 

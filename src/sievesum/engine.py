@@ -184,7 +184,8 @@ def report_rows(defn: SeriesDefinition, n_terms: int) -> list[ReportRow]:
 
 def float_rows(defn: SeriesDefinition, n_terms: int) -> Iterator[ReportRow]:
     """Floating-point rows; the residual product is tracked in log space with
-    compensated accumulation, so arbitrarily many terms are cheap.
+    compensated accumulation, so arbitrarily many terms are cheap. A value
+    too large for a float raises OverflowError naming it.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
@@ -193,7 +194,10 @@ def float_rows(defn: SeriesDefinition, n_terms: int) -> Iterator[ReportRow]:
     comp = 0.0  # Kahan carry
     produced = 0
     for k, f in enumerate(islice(defn.terms(), n_terms), 1):
-        t = math.exp(log_r) / f
+        try:
+            t = math.exp(log_r) / f
+        except OverflowError:
+            raise OverflowError(f"sequence value {f} is too large for a float") from None
         y = math.log1p(-a / f) - comp
         total = log_r + y
         comp = (total - log_r) - y

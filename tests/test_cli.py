@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import sievesum.cli
 from sievesum import __version__
 from sievesum.cli import _STR_BITS, DEFAULT_SEED, _int_str, main, parse_limit
-from sievesum.engine import SeriesDefinition, report_rows
+from sievesum.engine import SeriesDefinition, float_rows, report_rows
+from sievesum.kconst import estimate_K, partial_product
 from sievesum.series import (
     brun_partial,
     mertens_residual,
@@ -23,7 +24,7 @@ from sievesum.series import (
     square_free_definition,
     twin_prime_definition,
 )
-from sievesum.sieve import primes_up_to
+from sievesum.sieve import nth_primes, primes_up_to, twin_pairs_up_to
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +85,148 @@ def reference_series(kind, defn, terms, fmt):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def expected_output(fmt, header, lines, doc):
+    """A command's output: the CSV header and lines, or the JSON document."""
+    if fmt == "csv":
+        return header + "".join(lines)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def sig(x, digits):
+    return float(f"{x:.{digits}g}")
+
+
+def reference_float_series(fmt, kind, terms, digits):
+    _, defn = SERIES_KINDS[kind]
+    rows = list(float_rows(defn, terms))
+    cells = [(r.n, r.F_n, sig(r.T, digits), sig(r.S, digits), sig(r.residual, digits)) for r in rows]
+    meta = {"kind": kind, "a": defn.offset_a, "terms": terms, "mode": "float", "version": __version__}
+    return expected_output(
+        fmt,
+        "n,F_n,T,S,residual\n",
+        [f"{n},{f},{t},{s},{r}\n" for n, f, t, s, r in cells],
+        {
+            "meta": meta,
+            "rows": [
+                {"n": n, "F_n": f, "T": t, "S": s, "residual": r} for n, f, t, s, r in cells
+            ],
+        },
+    )
+
+
+def reference_mertens(fmt, terms, last):
+    rows = [(n, p, sig(ratio, 15)) for n, (p, ratio) in enumerate(mertens_residual(terms), 1)]
+    if last:
+        rows = rows[-1:]
+    return expected_output(
+        fmt,
+        "n,p_n,ratio\n",
+        [f"{n},{p},{ratio}\n" for n, p, ratio in rows],
+        {
+            "meta": {"terms": terms, "version": __version__},
+            "rows": [{"n": n, "p_n": p, "ratio": ratio} for n, p, ratio in rows],
+        },
+    )
+
+
+def reference_primes(fmt, key, value, primes):
+    meta = {key: value, "version": __version__}
+    return expected_output(
+        fmt, "p\n", [f"{p}\n" for p in primes], {"meta": meta, "primes": primes}
+    )
+
+
+def reference_twins(fmt, limit):
+    pairs = [[p.lesser, p.greater] for p in twin_pairs_up_to(limit)]
+    return expected_output(
+        fmt,
+        "lesser,greater\n",
+        [f"{lo},{hi}\n" for lo, hi in pairs],
+        {"meta": {"limit": limit, "version": __version__}, "pairs": pairs},
+    )
+
+
+def reference_kconst(limit):
+    estimate = estimate_K(limit, "hl-tail")
+    pp = partial_product(limit)
+    return {
+        "method": "hl-tail",
+        "limit": limit,
+        "partial": math.exp(pp.log_value),
+        "tail_correction": estimate.tail_correction,
+        "k_estimate": estimate.k_estimate,
+        "error_estimate": estimate.error_estimate,
+        "c2_used": estimate.c2_used,
+        "pair_count": pp.pair_count,
+        "log_partial": pp.log_value,
+        "assumptions": estimate.assumptions,
+    }
+
+
+# argv of a command with --format, and its expected output for a format
+FORMATTED_OUTPUTS = {
+    "series-float": (
+        ("series", "--kind", "twin", "--terms", "300", "--mode", "float"),
+        lambda fmt: reference_float_series(fmt, "twin", 300, 15),
+    ),
+    "series-float-digits": (
+        ("series", "--kind", "prime", "--terms", "300", "--mode", "float", "--digits", "7"),
+        lambda fmt: reference_float_series(fmt, "prime", 300, 7),
+    ),
+    "mertens": (
+        ("mertens", "--terms", "200"),
+        lambda fmt: reference_mertens(fmt, 200, last=False),
+    ),
+    "mertens-last": (
+        ("mertens", "--terms", "200", "--last"),
+        lambda fmt: reference_mertens(fmt, 200, last=True),
+    ),
+    "primes-limit": (
+        ("primes", "--limit", "1000"),
+        lambda fmt: reference_primes(fmt, "limit", 1000, primes_up_to(1000)),
+    ),
+    "primes-count": (
+        ("primes", "--count", "100"),
+        lambda fmt: reference_primes(fmt, "count", 100, nth_primes(100)),
+    ),
+    "primes-twins": (
+        ("primes", "--limit", "1000", "--twins"),
+        lambda fmt: reference_twins(fmt, 1000),
+    ),
+}
+
+# argv of a JSON-only command, its exit code and its expected document
+JSON_OUTPUTS = {
+    "verify-pass": (
+        ("verify", "--kind", "prime", "--terms", "200"),
+        0,
+        lambda: {
+            "status": "pass",
+            "kind": "prime",
+            "terms": 200,
+            "checks": ["residual", "recursion", "totient-primorial"],
+        },
+    ),
+    "verify-tamper": (
+        ("verify", "--kind", "prime", "--terms", "200", "--tamper-index", "7"),
+        1,
+        # a tampered T_k leaves S_k and R_k, so the recursion breaks first
+        lambda: {"status": "fail", "identity": "recursion", "index": 7},
+    ),
+    "verify-random": (
+        ("verify", "--random", "5", "--seed", "99"),
+        0,
+        lambda: {
+            "status": "pass",
+            "random_instances": 5,
+            "seed": 99,
+            "checks": ["residual", "recursion"],
+        },
+    ),
+    "kconst": (("kconst", "--limit", "1e5"), 0, lambda: reference_kconst(10**5)),
+}
+
+
 class TestParseLimit:
     def test_plain_and_scientific(self):
         assert parse_limit("100") == 100
@@ -125,6 +268,14 @@ class TestPrimesCommand:
     def test_limit_and_count_conflict(self, capsys):
         code, _, _ = run_cli(capsys, "primes", "--limit", "10", "--count", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_twins_with_count_is_usage_error(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "primes", "--count", "5", "--twins", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--limit" in err
 
 
 class TestSeriesCommand:
@@ -244,6 +395,17 @@ class TestSeriesCommand:
         assert code == 2
         assert "--mode float" in err
 
+    def test_value_beyond_float_range_suggests_exact_mode(self, capsys):
+        huge = "1" * 401
+        args = ("series", "--kind", "custom", "--seq", f"2,{huge}", "--terms", "2")
+        code, out, err = run_cli(capsys, *args, "--mode", "float")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert huge in err
+        assert "--mode exact" in err
+        assert run_cli(capsys, *args, "--mode", "exact")[0] == 0
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = run_cli(
@@ -306,6 +468,21 @@ class TestExactOutputBytes:
         )
         assert code == 0
         assert out == reference_series(kind, defn, 200, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(FORMATTED_OUTPUTS))
+    def test_formatted_output_matches_reference(self, capsys, case, fmt):
+        argv, reference = FORMATTED_OUTPUTS[case]
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert out == reference(fmt)
+
+    @pytest.mark.parametrize("case", sorted(JSON_OUTPUTS))
+    def test_json_output_matches_reference(self, capsys, case):
+        argv, expected_code, doc = JSON_OUTPUTS[case]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected_code
+        assert out == json.dumps(doc(), indent=2) + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_brun_matches_reference(self, capsys, decimal_division, fmt):
@@ -403,6 +580,22 @@ class TestVerifyCommand:
         assert code == 0
         assert "seed: 99" in err
 
+    def test_tamper_with_random_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--random", "3", "--tamper-index", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_depth_guard_has_no_mode_hint(self, capsys):
+        # verify has no --mode flag to suggest
+        code, out, err = run_cli(capsys, "verify", "--terms", "5001")
+        assert code == 2
+        assert out == ""
+        assert "depth guard" in err
+        assert "--mode" not in err
+
 
 class TestKconstCommand:
     def test_small_limit_rejected(self, capsys):
@@ -491,6 +684,10 @@ class TestUnwritableOutput:
         [
             ("series", "--kind", "prime", "--terms", "5"),
             ("verify", "--kind", "prime", "--terms", "5"),
+            ("primes", "--limit", "100"),
+            ("kconst", "--limit", "1e4"),
+            ("brun", "--limit", "100"),
+            ("mertens", "--terms", "5"),
         ],
     )
     def test_missing_directory_is_exit_2_before_computing(
@@ -499,8 +696,16 @@ class TestUnwritableOutput:
         def must_not_run(*args, **kwargs):
             raise AssertionError("computed before checking --output")
 
-        monkeypatch.setattr(sievesum.cli, "iter_states", must_not_run)
-        monkeypatch.setattr(sievesum.cli, "report_rows", must_not_run)
+        # every command's compute entry
+        for name in (
+            "iter_states",
+            "report_rows",
+            "iter_prime_arrays",
+            "estimate_K",
+            "brun_partial",
+            "mertens_residual",
+        ):
+            monkeypatch.setattr(sievesum.cli, name, must_not_run)
         target = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(capsys, *argv, "--output", str(target))
         assert code == 2
