@@ -18,6 +18,7 @@ import math
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from itertools import count as _count
 from typing import Callable, Iterable, Iterator
@@ -37,7 +38,6 @@ from .engine import (
 )
 from .kconst import ExtrapolationError, estimate_K, partial_product
 from .series import (
-    _dominance_violation,
     brun_partial,
     mertens_residual,
     prime_definition,
@@ -62,6 +62,11 @@ _INT64_MAX = 2**63 - 1
 _STR_BITS = 34_000
 # Below this many bits, int -> Decimal is converted directly.
 _LEAF_BITS = 128
+# Exact integer arithmetic in decimal: no operation may round, and one that
+# would raises (an inexact division at this precision runs out of memory
+# before it could round).
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
 
 
 class OutputError(Exception):
@@ -139,11 +144,7 @@ def _int_str(n: int) -> str:
         hi = m >> half
         return convert(m - (hi << half), half) + convert(hi, w - half) * two_to(half)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
+    with decimal.localcontext(_EXACT):
         text = str(convert(abs(n), n.bit_length()))
     return "-" + text if n < 0 else text
 
@@ -168,10 +169,31 @@ def _open_output(args: argparse.Namespace, mode: str = "w"):
         raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from None
 
 
+def _temp_beside(args: argparse.Namespace) -> tuple[int, str]:
+    """A new temporary file in the directory of the --output file, as
+    tempfile.mkstemp returns it."""
+    target = os.path.realpath(args.output)
+    try:
+        return tempfile.mkstemp(
+            prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
+        )
+    except OSError as exc:
+        raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from None
+
+
+def _replaceable(args: argparse.Namespace) -> bool:
+    """--output names a file (or nothing yet), which _emit replaces whole;
+    a device or a pipe is written in place."""
+    return args.output not in (None, "-") and (
+        not os.path.exists(args.output) or os.path.isfile(args.output)
+    )
+
+
 def _check_output(args: argparse.Namespace) -> None:
     """Raise OutputError now, before any computation, if --output cannot be
-    opened for writing. The probe neither truncates an existing file nor
-    leaves a new one behind, so a run that fails later changes nothing.
+    written: it must open for appending, and its directory must take the
+    temporary file _emit writes first. The probes neither truncate an
+    existing file nor leave a new one behind.
     """
     if args.output in (None, "-"):
         return
@@ -180,6 +202,10 @@ def _check_output(args: argparse.Namespace) -> None:
     stream.close()
     if not existed:
         os.remove(args.output)
+    if _replaceable(args):
+        fd, temp = _temp_beside(args)
+        os.close(fd)
+        os.remove(temp)
 
 
 def _emit(args: argparse.Namespace, doc: Callable[[], object],
@@ -187,18 +213,44 @@ def _emit(args: argparse.Namespace, doc: Callable[[], object],
     """Write `header` and then `lines` to --output if the command has
     --format and it is csv, else the JSON document doc() builds. Lines are
     rendered one at a time, as they are written.
+
+    An --output file is written whole or not at all: the text goes to a
+    temporary file beside it, which replaces it only once complete and
+    keeps its permissions (a new file gets those open() would give it).
     """
-    stream, owned = _open_output(args)
-    try:
+
+    def write(stream) -> None:
         if getattr(args, "format", None) == "csv":
             stream.write(header)
             stream.writelines(lines)
         else:
             json.dump(doc(), stream, indent=2)
             stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
+
+    if not _replaceable(args):
+        stream, owned = _open_output(args)
+        try:
+            write(stream)
+        finally:
+            if owned:
+                stream.close()
+        return
+    target = os.path.realpath(args.output)
+    if os.path.exists(target):
+        mode = os.stat(target).st_mode & 0o7777
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, temp = _temp_beside(args)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as stream:
+            write(stream)
+        os.chmod(temp, mode)
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def _parse_seq(spec: str):
@@ -230,32 +282,46 @@ def _definition_for(args: argparse.Namespace) -> SeriesDefinition:
     return SeriesDefinition(_parse_seq(args.seq), offset_a=args.a, label="custom")
 
 
+def _decimal_json_int(value: decimal.Decimal) -> int | str:
+    """_json_int of an integer held as an exact Decimal."""
+    return _json_int(int(value)) if value.adjusted() < 19 else str(value)
+
+
 def _exact_cells(rows: Iterable[ReportRow], a: int) -> Iterator[tuple[ReportRow, list]]:
     """Each exact row with _json_int of its T, S and R = a * residual
     numerators and denominators, in that order.
 
-    Neighbouring rows share integers (in the prime series S_den == R_den in
-    every row, and T_den usually equals both), so a value equal to one of
-    the same or the previous row reuses that rendering.
+    str() of a huge int costs the square of its length, str() of a Decimal
+    only its length. So R's numerator rn and denominator rd are mirrored as
+    exact Decimals and T and S are derived from them, every step a huge
+    number times, divided by or added to a small one or another huge one:
+    with R = R_prev (F - a) / F and g0 = gcd(F, a), u = (F - a) / g0 and
+    v = F / g0,
+
+        T = rn_prev / gcd(rn_prev, F) over rd_prev F / gcd(rn_prev, F)
+        R = (rn_prev / g1)(u / g2) over (rd_prev / g2)(v / g1),
+            g1 = gcd(rn_prev, v), g2 = gcd(rd_prev, u)
+        S = (1 - R) / a = (rd - rn) / g over rd a / g, g = gcd(rd - rn, a)
+
+    which are the reduced fractions, since gcd(rn, rd) = 1. The gcds are
+    taken on the rows' own integers, each with one small operand.
     """
-    previous: dict[int, int | str] = {}
-    for row in rows:
-        residual_product = row.residual * a
-        current: dict[int, int | str] = {}
-        cells = []
-        for value in (
-            row.T.numerator,
-            row.T.denominator,
-            row.S.numerator,
-            row.S.denominator,
-            residual_product.numerator,
-            residual_product.denominator,
-        ):
-            if value not in current:
-                current[value] = previous[value] if value in previous else _json_int(value)
-            cells.append(current[value])
-        previous = current
-        yield row, cells
+    rn_int = rd_int = 1
+    with decimal.localcontext(_EXACT):
+        rn = rd = decimal.Decimal(1)
+        for row in rows:
+            f = row.F_n
+            g = math.gcd(rn_int, f)
+            t_num, t_den = rn / g, rd * (f // g)
+            g0 = math.gcd(f, a)
+            u, v = (f - a) // g0, f // g0
+            g1, g2 = math.gcd(rn_int, v), math.gcd(rd_int, u)
+            rn, rd = rn / g1 * (u // g2), rd / g2 * (v // g1)
+            residual_product = row.residual * a
+            rn_int, rd_int = residual_product.numerator, residual_product.denominator
+            g = math.gcd(rd_int - rn_int, a)
+            s_num, s_den = (rd - rn) / g, rd * (a // g)
+            yield row, [_decimal_json_int(x) for x in (t_num, t_den, s_num, s_den, rn, rd)]
 
 
 def cmd_series(args: argparse.Namespace) -> int:
@@ -306,14 +372,54 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_states(states: Iterable[SeriesState], **context) -> dict | None:
+def _totient_holds(previous: SeriesState | None, state: SeriesState) -> bool:
+    """T_k == prod_{i<k} (p_i - 1) / prod_{i<=k} p_i, by induction:
+    T_1 == 1/p_1 and T_k p_k == T_{k-1} (p_{k-1} - 1)."""
+    if previous is None:
+        return state.T_k == Fraction(1, state.F_k)
+    return state.T_k * state.F_k == previous.T_k * (previous.F_k - 1)
+
+
+def _dominance_holds(previous: SeriesState | None, state: SeriesState) -> bool:
+    """T_k F_k <= 1, and < 1 for k >= 2: the term is bounded by 1/F_k.
+
+    T_k F_k = R_{k-1}, a product of k - 1 factors 1 - a/F_i, each in (0, 1),
+    so this holds by construction for k >= 2 and catches tampered states.
+    """
+    bound = state.T_k * state.F_k
+    return bound < 1 if state.k >= 2 else bound <= 1
+
+
+def _check_states(states: list[SeriesState], extra: tuple = (), **context) -> dict | None:
     """The failure report, with `context`, for the first state that breaks
-    the residual identity or the term recursion; None if all hold."""
-    checks = (("residual", check_residual_identity), ("recursion", check_term_recursion))
+    an identity; None if all hold. Each state is checked for, in order:
+
+    - residual: check_residual_identity, and an unreduced integer sum that
+      does not come from R. With N_k = prod(F_i - a), D_k = prod F_i and
+      Sh_k = Sh_{k-1} F_k + N_{k-1}, S_k = Sh_k / D_k; a Sh_k == D_k - N_k
+      is checked at every k, and S_k == Sh_k / D_k, cross-multiplied, at
+      every power of two k and at the last state;
+    - recursion: check_term_recursion;
+    - each (identity, check) of `extra`: check(previous state or None, state).
+    """
+    s_hat, n_prod, d_prod = 0, 1, 1
+    previous = None
     for state in states:
-        for identity, check in checks:
-            if not check(state):
-                return {"status": "fail", "identity": identity, "index": state.k, **context}
+        k, f, a, s = state.k, state.F_k, state.a, state.S_k
+        s_hat, n_prod, d_prod = s_hat * f + n_prod, n_prod * (f - a), d_prod * f
+        sum_holds = a * s_hat == d_prod - n_prod and (
+            (k & (k - 1) and state is not states[-1])
+            or s.numerator * d_prod == s_hat * s.denominator
+        )
+        if not (check_residual_identity(state) and sum_holds):
+            failed = "residual"
+        elif not check_term_recursion(state):
+            failed = "recursion"
+        else:
+            failed = next((name for name, check in extra if not check(previous, state)), None)
+        if failed:
+            return {"status": "fail", "identity": failed, "index": k, **context}
+        previous = state
     return None
 
 
@@ -327,24 +433,14 @@ def _run_identity_checks(args: argparse.Namespace) -> dict:
         states[i] = dataclasses.replace(
             states[i], T_k=Fraction(bad.numerator ^ 1, bad.denominator)
         )
-    failure = _check_states(states)
+    extra = {
+        "prime": (("totient-primorial", _totient_holds),),
+        "twin": (("dominance", _dominance_holds),),
+    }.get(args.kind, ())
+    failure = _check_states(states, extra)
     if failure:
         return failure
-    checks = ["residual", "recursion"]
-    if args.kind == "prime":
-        checks.append("totient-primorial")
-        tot, prim = 1, 1  # running prod(p_i - 1) and prod(p_i), independent route
-        for state in states:
-            prim *= state.F_k
-            # T_k == tot/prim, cross-multiplied: no gcd to reduce tot/prim
-            if state.T_k.numerator * prim != tot * state.T_k.denominator:
-                return {"status": "fail", "identity": "totient-primorial", "index": state.k}
-            tot *= state.F_k - 1
-    if args.kind == "twin":
-        checks.append("dominance")
-        bad_index = _dominance_violation(args.terms)
-        if bad_index is not None:
-            return {"status": "fail", "identity": "dominance", "index": bad_index}
+    checks = ["residual", "recursion", *(name for name, _ in extra)]
     return {"status": "pass", "kind": args.kind, "terms": args.terms, "checks": checks}
 
 
@@ -355,7 +451,7 @@ def _run_random_suite(args: argparse.Namespace) -> dict:
         length = rng.randint(1, 200)
         values = sorted(rng.sample(range(a + 1, 10**6), length))
         defn = SeriesDefinition(tuple(values), offset_a=a, label="random")
-        failure = _check_states(iter_states(defn, length), instance=instance, a=a)
+        failure = _check_states(list(iter_states(defn, length)), instance=instance, a=a)
         if failure:
             return failure
     return {"status": "pass", "random_instances": args.random_instances, "seed": args.seed,
@@ -364,13 +460,22 @@ def _run_random_suite(args: argparse.Namespace) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.random_instances:
-        # the random suite ignores the tamper, and a tamper must never pass
-        if args.tamper_index is not None:
-            raise ValueError("--tamper-index cannot be combined with --random")
+        # the random suite draws its own series, and a tamper must never pass
+        for flag, value in (
+            ("--tamper-index", args.tamper_index),
+            ("--kind", args.kind),
+            ("--terms", args.terms),
+            ("--a", args.a),
+            ("--seq", args.seq),
+        ):
+            if value is not None:
+                raise ValueError(f"{flag} cannot be combined with --random")
         print(f"seed: {args.seed}", file=sys.stderr)
         report = _run_random_suite(args)
         report.setdefault("seed", args.seed)
     else:
+        # argparse leaves these None, so that --random can tell a given value from a default
+        args.kind, args.terms, args.a = args.kind or "prime", args.terms or 100, args.a or 1
         report = _run_identity_checks(args)
     _emit(args, lambda: report)
     return 0 if report["status"] == "pass" else 1
@@ -496,9 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run exact identity checks; exit 0 iff all pass")
     p.set_defaults(run=cmd_verify)
-    p.add_argument("--kind", choices=("prime", "square-free", "twin", "custom"), default="prime")
-    p.add_argument("--terms", type=_positive_int, default=100)
-    p.add_argument("--a", type=_positive_int, default=1)
+    p.add_argument("--kind", choices=("prime", "square-free", "twin", "custom"))
+    p.add_argument("--terms", type=_positive_int)
+    p.add_argument("--a", type=_positive_int)
     p.add_argument("--seq")
     p.add_argument("--random", type=_positive_int, default=0, dest="random_instances",
                    metavar="N", help="run N randomized (F, a) identity instances")

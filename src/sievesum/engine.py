@@ -5,11 +5,14 @@ R = prod(1 - a/F_i) as reduced big rationals, updated in O(1) rational
 operations per step:
 
     T_{k+1} = R_k / F_{k+1}
-    S_{k+1} = S_k + T_{k+1}
     R_{k+1} = R_k * (F_{k+1} - a) / F_{k+1}
+    S_{k+1} = 1/a - R_{k+1} / a = (1 - R_{k+1}) / a
 
-The defining identities (1/a - S_k = R_k / a, and the per-term recursion)
-then hold exactly at every step and are exposed as explicit checks.
+S comes from the telescoping identity 1/a - S_k = R_k / a rather than from
+S_k + T_{k+1}: adding two reduced fractions with huge denominators costs a
+gcd of two huge integers, while every gcd above has one small operand,
+F_{k+1}, its reduced (F_{k+1} - a)/F_{k+1} parts, or a. The identity and
+the per-term recursion are exposed as explicit checks.
 """
 
 from __future__ import annotations
@@ -111,14 +114,9 @@ def advance(state: SeriesState, F_next: int) -> SeriesState:
             f"sequence value {f} makes the term undefined or nonpositive "
             f"(requires F > a = {a})"
         )
-    T = state.R_k / f
+    R = state.R_k * Fraction(f - a, f)
     return SeriesState(
-        k=state.k + 1,
-        F_k=f,
-        a=a,
-        T_k=T,
-        S_k=state.S_k + T,
-        R_k=state.R_k * Fraction(f - a, f),
+        k=state.k + 1, F_k=f, a=a, T_k=state.R_k / f, S_k=(1 - R) / a, R_k=R
     )
 
 
@@ -157,8 +155,11 @@ def final_state(defn: SeriesDefinition, n_terms: int) -> SeriesState:
 def check_residual_identity(state: SeriesState) -> bool:
     """True iff 1/a - S_k equals R_k / a as reduced rationals.
 
-    Always true for an untampered state; exposed so harnesses can verify the
-    sum-side and product-side arithmetic against each other.
+    True by construction for a state the engine made, since `advance`
+    derives S_k from R_k through this identity; it still catches a state
+    whose S_k or R_k was altered afterwards. The independent check of the
+    sum, an unreduced integer sum built term by term, lives in the CLI's
+    `verify`.
     """
     return Fraction(1, state.a) - state.S_k == state.R_k / state.a
 

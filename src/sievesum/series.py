@@ -136,32 +136,23 @@ def _reciprocal_sum(values: list[int]) -> Fraction:
     return Fraction(*pairs[0])
 
 
-def _dominance_violation(n_terms: int) -> int | None:
-    """First index k where term k of the a=1 series over the twin sequence
-    fails (<= 1/p2_k at k=1, < 1/p2_k for k >= 2), or None.
+def brun_dominance_check(n_terms: int) -> bool:
+    """True iff every term of the a=1 series over the twin sequence is
+    bounded by the matching reciprocal 1/p2_k (strictly for k >= 2).
 
     Term k is prod_{i<k}(p2_i - 1) / (prod_{i<k} p2_i * p2_k), so the
     comparison against 1/p2_k reduces to comparing the two running integer
-    products; no rational reduction is needed.
+    products; no rational reduction is needed. It holds by construction for
+    k >= 2, where the products differ by factors p2_i - 1 < p2_i.
     """
-    values = nth_twin_values(n_terms)
     num = 1  # prod (p2_i - 1), i < k
     den = 1  # prod p2_i, i < k
-    for k, v in enumerate(values, 1):
-        if k == 1:
-            if num > den:
-                return k
-        elif num >= den:
-            return k
+    for k, v in enumerate(nth_twin_values(n_terms), 1):
+        if num > den or (k >= 2 and num == den):
+            return False
         num *= v - 1
         den *= v
-    return None
-
-
-def brun_dominance_check(n_terms: int) -> bool:
-    """True iff every term of the a=1 twin-sequence series is bounded by the
-    matching reciprocal 1/p2_k (strictly for k >= 2)."""
-    return _dominance_violation(n_terms) is None
+    return True
 
 
 def mertens_residual(n_terms: int) -> list[tuple[int, float]]:

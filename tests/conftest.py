@@ -43,3 +43,26 @@ def _decimal_division(x, digits: int) -> str:
 def decimal_division():
     """Reference for engine.to_decimal."""
     return _decimal_division
+
+
+def _running_fraction_states(values, a: int) -> list[tuple]:
+    """(T_k, S_k, R_k) for k = 1.., by the running-sum recurrence
+    T_k = R_{k-1} / F_k, S_k = S_{k-1} + T_k, R_k = R_{k-1} (F_k - a) / F_k
+    in reduced Fractions: a gcd of two huge denominators per step, but
+    plainly correct."""
+    from fractions import Fraction
+
+    R, S = Fraction(1), Fraction(0)
+    out = []
+    for f in values:
+        T = R / f
+        S = S + T
+        R = R * Fraction(f - a, f)
+        out.append((T, S, R))
+    return out
+
+
+@pytest.fixture(scope="session")
+def running_fraction_states():
+    """Reference for engine.iter_states."""
+    return _running_fraction_states

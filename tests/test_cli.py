@@ -1,5 +1,8 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
+import os
 import io
 import itertools
 import json
@@ -14,8 +17,17 @@ from hypothesis import strategies as st
 
 import sievesum.cli
 from sievesum import __version__
-from sievesum.cli import _STR_BITS, DEFAULT_SEED, _int_str, main, parse_limit
-from sievesum.engine import SeriesDefinition, float_rows, report_rows
+from sievesum.cli import (
+    _STR_BITS,
+    DEFAULT_SEED,
+    _emit,
+    _exact_cells,
+    _int_str,
+    _json_int,
+    main,
+    parse_limit,
+)
+from sievesum.engine import SeriesDefinition, float_rows, iter_states, report_rows
 from sievesum.kconst import estimate_K, partial_product
 from sievesum.series import (
     brun_partial,
@@ -447,6 +459,46 @@ class TestIntStr:
             assert _int_str(n) == str(n)
 
 
+def json_int_cells(row, a):
+    """_json_int of a row's T, S and R = a * residual numerators and
+    denominators, from its own Fractions."""
+    r = row.residual * a
+    values = (row.T.numerator, row.T.denominator, row.S.numerator, row.S.denominator,
+              r.numerator, r.denominator)
+    return [_json_int(v) for v in values]
+
+
+# where JSON switches from int to string, and the decimal lengths around it
+THRESHOLDS = (2**63 - 1, 10**18, 10**19)
+
+
+class TestExactCells:
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_matches_json_int_at_the_int64_edge(self, threshold, delta, a):
+        f = threshold + delta
+        # one value, F itself in T_den; then small factors split off, so
+        # products of several values land on the edge too
+        for values in ((f,), (6, f // 6), (7, 5, f // 35 + 1)):
+            defn = SeriesDefinition(values, offset_a=a)
+            rows = report_rows(defn, len(values))
+            cells = [cells for _, cells in _exact_cells(rows, a)]
+            assert cells == [json_int_cells(row, a) for row in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.integers(1, 50),
+        values=st.lists(st.integers(0, 10**20), min_size=1, max_size=40),
+    )
+    def test_matches_json_int(self, a, values):
+        values = [a + 1 + v for v in values]
+        rows = report_rows(SeriesDefinition(tuple(values), offset_a=a), len(values))
+        assert [cells for _, cells in _exact_cells(rows, a)] == [
+            json_int_cells(row, a) for row in rows
+        ]
+
+
 SERIES_KINDS = {
     "prime": ((), prime_definition()),
     "square-free": ((), square_free_definition()),
@@ -587,6 +639,80 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flag", [("--kind", "twin"), ("--terms", "40"), ("--a", "2"), ("--seq", "3,4"),
+                 ("--kind", "prime"), ("--terms", "100")]
+    )
+    def test_series_options_with_random_are_usage_errors(self, capsys, flag):
+        # the random suite draws its own series; even a default value is refused
+        code, out, err = run_cli(capsys, "verify", "--random", "3", *flag)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag[0]} cannot be combined with --random\n"
+
+    @pytest.mark.parametrize(
+        "kind, extra, index, identity",
+        [
+            ("prime", (), 3, "totient-primorial"),
+            ("twin", (), 3, "dominance"),
+            # a power of two: only the integer sum sees it
+            ("custom", ("--a", "3", "--seq", "4:3"), 8, "residual"),
+            ("custom", ("--a", "3", "--seq", "4:3"), 20, "residual"),
+        ],
+    )
+    def test_consistent_wrong_state_is_caught(self, capsys, monkeypatch, kind, extra, index,
+                                              identity):
+        """A state whose R_k is wrong but whose S_k and T_k follow from it
+        passes the residual identity and the term recursion, so only the
+        independent routes can catch it."""
+
+        def wrong_at_index(defn, n_terms):
+            for state in iter_states(defn, n_terms):
+                if state.k == index:
+                    a, R = state.a, Fraction(1)  # as if no factor had been taken
+                    state = dataclasses.replace(
+                        state, R_k=R, S_k=(1 - R) / a, T_k=R / (state.F_k - a)
+                    )
+                yield state
+
+        monkeypatch.setattr(sievesum.cli, "iter_states", wrong_at_index)
+        code, out, _ = run_cli(capsys, "verify", "--kind", kind, *extra, "--terms", "20")
+        assert code == 1
+        assert json.loads(out) == {"status": "fail", "identity": identity, "index": index}
+
+    def test_state_with_another_offset_fails_residual(self, capsys, monkeypatch):
+        """A state of offset a + 1, self-consistent: only the integer sum's
+        a Sh_k == D_k - N_k sees it at an index that is no power of two."""
+
+        def other_offset(defn, n_terms):
+            for state in iter_states(defn, n_terms):
+                if state.k == 3:
+                    a, R = state.a + 1, state.R_k
+                    state = dataclasses.replace(
+                        state, a=a, S_k=(1 - R) / a, T_k=R / (state.F_k - a)
+                    )
+                yield state
+
+        monkeypatch.setattr(sievesum.cli, "iter_states", other_offset)
+        code, out, _ = run_cli(
+            capsys, "verify", "--kind", "custom", "--a", "3", "--seq", "4:3", "--terms", "20"
+        )
+        assert code == 1
+        assert json.loads(out) == {"status": "fail", "identity": "residual", "index": 3}
+
+    @pytest.mark.parametrize("index", [1, 6, 20])
+    def test_state_with_wrong_sum_alone_fails_residual(self, capsys, monkeypatch, index):
+        def wrong_sum(defn, n_terms):
+            for state in iter_states(defn, n_terms):
+                if state.k == index:
+                    state = dataclasses.replace(state, S_k=state.S_k + Fraction(1, 10**9))
+                yield state
+
+        monkeypatch.setattr(sievesum.cli, "iter_states", wrong_sum)
+        code, out, _ = run_cli(capsys, "verify", "--kind", "prime", "--terms", "20")
+        assert code == 1
+        assert json.loads(out) == {"status": "fail", "identity": "residual", "index": index}
 
     def test_depth_guard_has_no_mode_hint(self, capsys):
         # verify has no --mode flag to suggest
@@ -732,6 +858,52 @@ class TestUnwritableOutput:
             assert code == 2  # depth guard, after the output check
         assert existing.read_text() == "keep me\n"
         assert not fresh.exists()
+
+
+class TestAtomicOutput:
+    @staticmethod
+    def failing_lines():
+        yield "1,2\n"
+        raise RuntimeError("row 2 failed")
+
+    def test_failed_run_leaves_existing_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "rows.csv"
+        target.write_text("keep me\n")
+        args = argparse.Namespace(output=str(target), format="csv")
+        with pytest.raises(RuntimeError, match="row 2 failed"):
+            _emit(args, dict, "a,b\n", self.failing_lines())
+        assert target.read_text() == "keep me\n"
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
+    def test_failed_run_creates_no_file(self, tmp_path):
+        args = argparse.Namespace(output=str(tmp_path / "rows.csv"), format="csv")
+        with pytest.raises(RuntimeError):
+            _emit(args, dict, "a,b\n", self.failing_lines())
+        assert os.listdir(tmp_path) == []
+
+    def test_replacement_keeps_permissions(self, tmp_path):
+        existing, fresh = tmp_path / "old.csv", tmp_path / "new.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            for target in (existing, fresh):
+                _emit(argparse.Namespace(output=str(target), format="csv"), dict, "a,b\n",
+                      ["1,2\n"])
+        finally:
+            os.umask(umask)
+        assert existing.read_text() == fresh.read_text() == "a,b\n1,2\n"
+        assert existing.stat().st_mode & 0o777 == 0o640
+        assert fresh.stat().st_mode & 0o777 == 0o644
+        assert sorted(os.listdir(tmp_path)) == ["new.csv", "old.csv"]
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        _emit(argparse.Namespace(output=str(link), format="csv"), dict, "a\n", ["1\n"])
+        assert link.is_symlink()
+        assert real.read_text() == "a\n1\n"
 
 
 class TestUsageErrors:

@@ -149,6 +149,31 @@ class TestIdentityChecks:
                 assert (state.T_k, state.S_k, state.R_k) == (T, S, R)
 
 
+@st.composite
+def offset_and_values(draw):
+    """a <= 50 and values F > a, some sharing a factor with a."""
+    a = draw(st.integers(1, 50))
+    value = st.one_of(
+        st.integers(a + 1, 10**6),
+        st.integers(1, 10**4).map(lambda m: a * m + a),  # a multiple of a
+        st.integers(1, 10**4).map(lambda m: 2 * (a + m)),  # even, as half of the a are
+    )
+    return a, draw(st.lists(value, min_size=1, max_size=60))
+
+
+class TestRunningSumReference:
+    @settings(max_examples=150, deadline=None)
+    @given(offset_and_values())
+    @example((1, [2, 3, 5, 7, 11]))
+    @example((6, [8, 9, 12, 18, 7, 30]))
+    def test_states_match_running_fraction_sum(self, running_fraction_states, case):
+        a, values = case
+        defn = SeriesDefinition(tuple(values), offset_a=a)
+        states = list(iter_states(defn, len(values)))
+        assert [(s.T_k, s.S_k, s.R_k) for s in states] == running_fraction_states(values, a)
+        assert [s.F_k for s in states] == values
+
+
 class TestInvariants:
     def test_monotonicity_and_bounds(self):
         rng = random.Random(17)
