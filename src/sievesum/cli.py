@@ -11,6 +11,7 @@ naming the first violation, 2 on usage errors. Every command exits 2 when
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import decimal
 import json
@@ -158,6 +159,32 @@ def _json_int(value: int) -> int | str:
 def _round_sig(x: float, digits: int) -> float:
     # shared by CSV and JSON so both formats parse back to identical values
     return float(format(x, f".{digits}g"))
+
+
+def _float_lines(rows: Iterable[tuple], floats: int, digits: int) -> Iterator[str]:
+    """CSV lines of `rows`, each two int cells and then `floats` float cells
+    x shown as str(_round_sig(x, digits)), the value JSON holds.
+
+    For digits <= 15 that text is the one "%.{digits}g" % x prints, in one
+    `%` per line, whenever each float cell of it has a '.' and the line no
+    'e+' and no 'e-3': a decimal of at most 15 significant digits (DBL_DIG)
+    in the normal float range survives the round trip through a double, so
+    repr prints the same shortest digits, and both texts then have the same
+    notation. Other lines (cells that print as integers, +-0, nan, inf,
+    large or near-subnormal exponents) and digits above 15 take the
+    reference text.
+    """
+    fast = "%d,%d" + f",%.{digits}g" * floats + "\n"
+    return (
+        line
+        if digits <= 15
+        and (line := fast % row).count(".") == floats
+        and "e+" not in line
+        and "e-3" not in line
+        else ",".join([str(row[0]), str(row[1]), *(str(_round_sig(x, digits)) for x in row[2:])])
+        + "\n"
+        for row in rows
+    )
 
 
 def _open_output(args: argparse.Namespace, mode: str = "w"):
@@ -347,17 +374,17 @@ def cmd_series(args: argparse.Namespace) -> int:
             for row, (t_num, t_den, s_num, s_den, r_num, r_den) in _exact_cells(rows, a)
         ]
     else:
-        try:
-            rows = list(float_rows(defn, args.terms))
-        except OverflowError as exc:
-            raise ValueError(f"{exc}; use --mode exact") from None
         d = args.digits
         header = "n,F_n,T,S,residual\n"
-        lines = (
-            f"{row.n},{row.F_n},{_round_sig(row.T, d)},"
-            f"{_round_sig(row.S, d)},{_round_sig(row.residual, d)}\n"
-            for row in rows
-        )
+        # every row is made before the first byte is written, so that an
+        # early error writes nothing; CSV keeps only the rendered lines
+        try:
+            if args.format == "csv":
+                rows, lines = (), list(_float_lines(float_rows(defn, args.terms), 3, d))
+            else:
+                rows, lines = list(float_rows(defn, args.terms)), ()
+        except OverflowError as exc:
+            raise ValueError(f"{exc}; use --mode exact") from None
         records = lambda: [
             {
                 "n": row.n,
@@ -390,15 +417,16 @@ def _dominance_holds(previous: SeriesState | None, state: SeriesState) -> bool:
     return bound < 1 if state.k >= 2 else bound <= 1
 
 
-def _check_states(states: list[SeriesState], extra: tuple = (), **context) -> dict | None:
+def _check_states(states: Iterable[SeriesState], extra: tuple = (), **context) -> dict | None:
     """The failure report, with `context`, for the first state that breaks
-    an identity; None if all hold. Each state is checked for, in order:
+    an identity; None if all hold. Only the previous state is kept. Each
+    state is checked for, in order:
 
     - residual: check_residual_identity, and an unreduced integer sum that
       does not come from R. With N_k = prod(F_i - a), D_k = prod F_i and
       Sh_k = Sh_{k-1} F_k + N_{k-1}, S_k = Sh_k / D_k; a Sh_k == D_k - N_k
       is checked at every k, and S_k == Sh_k / D_k, cross-multiplied, at
-      every power of two k and at the last state;
+      every power of two k and, after the last state, at the last one;
     - recursion: check_term_recursion;
     - each (identity, check) of `extra`: check(previous state or None, state).
     """
@@ -408,8 +436,7 @@ def _check_states(states: list[SeriesState], extra: tuple = (), **context) -> di
         k, f, a, s = state.k, state.F_k, state.a, state.S_k
         s_hat, n_prod, d_prod = s_hat * f + n_prod, n_prod * (f - a), d_prod * f
         sum_holds = a * s_hat == d_prod - n_prod and (
-            (k & (k - 1) and state is not states[-1])
-            or s.numerator * d_prod == s_hat * s.denominator
+            k & (k - 1) or s.numerator * d_prod == s_hat * s.denominator
         )
         if not (check_residual_identity(state) and sum_holds):
             failed = "residual"
@@ -420,25 +447,39 @@ def _check_states(states: list[SeriesState], extra: tuple = (), **context) -> di
         if failed:
             return {"status": "fail", "identity": failed, "index": k, **context}
         previous = state
+    if (
+        previous is not None
+        and previous.k & (previous.k - 1)
+        and previous.S_k.numerator * d_prod != s_hat * previous.S_k.denominator
+    ):
+        return {"status": "fail", "identity": "residual", "index": previous.k, **context}
     return None
 
 
+def _tamper(states: Iterable[SeriesState], index: int) -> Iterator[SeriesState]:
+    """`states` with the low bit of T_k's numerator flipped at k = index."""
+    for state in states:
+        if state.k == index:
+            bad = state.T_k
+            state = dataclasses.replace(state, T_k=Fraction(bad.numerator ^ 1, bad.denominator))
+        yield state
+
+
 def _run_identity_checks(args: argparse.Namespace) -> dict:
-    states = list(iter_states(_definition_for(args), args.terms))
+    states = iter_states(_definition_for(args), args.terms)
     if args.tamper_index is not None:
-        i = args.tamper_index - 1
-        if not 0 <= i < len(states):
+        if args.tamper_index > args.terms:
             raise ValueError("tamper index out of range")
-        bad = states[i].T_k
-        states[i] = dataclasses.replace(
-            states[i], T_k=Fraction(bad.numerator ^ 1, bad.denominator)
-        )
+        states = _tamper(states, args.tamper_index)
     extra = {
         "prime": (("totient-primorial", _totient_holds),),
         "twin": (("dominance", _dominance_holds),),
     }.get(args.kind, ())
     failure = _check_states(states, extra)
     if failure:
+        # a sequence that is too short or out of domain is a usage error,
+        # even where a state before its end failed
+        collections.deque(states, 0)
         return failure
     checks = ["residual", "recursion", *(name for name, _ in extra)]
     return {"status": "pass", "kind": args.kind, "terms": args.terms, "checks": checks}
@@ -451,7 +492,7 @@ def _run_random_suite(args: argparse.Namespace) -> dict:
         length = rng.randint(1, 200)
         values = sorted(rng.sample(range(a + 1, 10**6), length))
         defn = SeriesDefinition(tuple(values), offset_a=a, label="random")
-        failure = _check_states(list(iter_states(defn, length)), instance=instance, a=a)
+        failure = _check_states(iter_states(defn, length), instance=instance, a=a)
         if failure:
             return failure
     return {"status": "pass", "random_instances": args.random_instances, "seed": args.seed,
@@ -530,7 +571,7 @@ def cmd_mertens(args: argparse.Namespace) -> int:
             for i, (p, ratio) in enumerate(rows, 1)
         ],
     }
-    lines = (f"{offset + i},{p},{_round_sig(ratio, d)}\n" for i, (p, ratio) in enumerate(rows, 1))
+    lines = _float_lines(((offset + i, p, ratio) for i, (p, ratio) in enumerate(rows, 1)), 1, d)
     _emit(args, doc, "n,p_n,ratio\n", lines)
     return 0
 
@@ -665,6 +706,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OutputError, ValueError) as exc:
         _error(str(exc))
         return 2
+    # an internal self-check failed, such as twin_constant's
+    except ArithmeticError as exc:
+        _error(str(exc))
+        return 1
 
 
 def entrypoint() -> None:

@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_DEPTH_GUARD = 5000
 
@@ -89,9 +89,9 @@ class SeriesState:
     R_k: Fraction
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One emitted record; residual is 1/a - S_n (exact or floating)."""
+class ReportRow(NamedTuple):
+    """One emitted record; residual is 1/a - S_n (exact or floating). A
+    tuple, so a row is cheap to make and formats with one `%`."""
 
     n: int
     F_n: int

@@ -8,7 +8,9 @@ import itertools
 import json
 import math
 import random
+import struct
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from sievesum.cli import (
     DEFAULT_SEED,
     _emit,
     _exact_cells,
+    _float_lines,
     _int_str,
     _json_int,
     main,
@@ -108,8 +111,7 @@ def sig(x, digits):
     return float(f"{x:.{digits}g}")
 
 
-def reference_float_series(fmt, kind, terms, digits):
-    _, defn = SERIES_KINDS[kind]
+def reference_float_series(fmt, kind, defn, terms, digits):
     rows = list(float_rows(defn, terms))
     cells = [(r.n, r.F_n, sig(r.T, digits), sig(r.S, digits), sig(r.residual, digits)) for r in rows]
     meta = {"kind": kind, "a": defn.offset_a, "terms": terms, "mode": "float", "version": __version__}
@@ -126,8 +128,8 @@ def reference_float_series(fmt, kind, terms, digits):
     )
 
 
-def reference_mertens(fmt, terms, last):
-    rows = [(n, p, sig(ratio, 15)) for n, (p, ratio) in enumerate(mertens_residual(terms), 1)]
+def reference_mertens(fmt, terms, last, digits=15):
+    rows = [(n, p, sig(ratio, digits)) for n, (p, ratio) in enumerate(mertens_residual(terms), 1)]
     if last:
         rows = rows[-1:]
     return expected_output(
@@ -179,11 +181,27 @@ def reference_kconst(limit):
 FORMATTED_OUTPUTS = {
     "series-float": (
         ("series", "--kind", "twin", "--terms", "300", "--mode", "float"),
-        lambda fmt: reference_float_series(fmt, "twin", 300, 15),
+        lambda fmt: reference_float_series(fmt, "twin", twin_prime_definition(), 300, 15),
     ),
     "series-float-digits": (
         ("series", "--kind", "prime", "--terms", "300", "--mode", "float", "--digits", "7"),
-        lambda fmt: reference_float_series(fmt, "prime", 300, 7),
+        lambda fmt: reference_float_series(fmt, "prime", prime_definition(), 300, 7),
+    ),
+    # R halves to subnormals and then 0.0, and S rounds to 1.0
+    "series-float-subnormal": (
+        ("series", "--kind", "custom", "--seq", ",".join(["2"] * 1100), "--terms", "1100",
+         "--mode", "float"),
+        lambda fmt: reference_float_series(
+            fmt, "custom", SeriesDefinition((2,) * 1100), 1100, 15
+        ),
+    ),
+    # S is 0.0 and the residual 1.0
+    "series-float-zero-sum": (
+        ("series", "--kind", "custom", "--seq", "20000000000000000001,20000000000000000002",
+         "--terms", "2", "--mode", "float"),
+        lambda fmt: reference_float_series(
+            fmt, "custom", SeriesDefinition((20000000000000000001, 20000000000000000002)), 2, 15
+        ),
     ),
     "mertens": (
         ("mertens", "--terms", "200"),
@@ -192,6 +210,14 @@ FORMATTED_OUTPUTS = {
     "mertens-last": (
         ("mertens", "--terms", "200", "--last"),
         lambda fmt: reference_mertens(fmt, 200, last=True),
+    ),
+    "mertens-digits": (
+        ("mertens", "--terms", "200", "--digits", "2"),
+        lambda fmt: reference_mertens(fmt, 200, last=False, digits=2),
+    ),
+    "mertens-last-digits": (
+        ("mertens", "--terms", "200", "--last", "--digits", "17"),
+        lambda fmt: reference_mertens(fmt, 200, last=True, digits=17),
     ),
     "primes-limit": (
         ("primes", "--limit", "1000"),
@@ -206,6 +232,18 @@ FORMATTED_OUTPUTS = {
         lambda fmt: reference_twins(fmt, 1000),
     ),
 }
+
+# the float series at the ends of the --digits range, and at 15, the most
+# digits every double shows unchanged
+for _kind, _defn in (("prime", prime_definition()), ("twin", twin_prime_definition())):
+    for _digits in (1, 15, 16, 17):
+        FORMATTED_OUTPUTS[f"series-float-{_kind}-digits-{_digits}"] = (
+            ("series", "--kind", _kind, "--terms", "300", "--mode", "float",
+             "--digits", str(_digits)),
+            lambda fmt, kind=_kind, defn=_defn, digits=_digits: reference_float_series(
+                fmt, kind, defn, 300, digits
+            ),
+        )
 
 # argv of a JSON-only command, its exit code and its expected document
 JSON_OUTPUTS = {
@@ -499,6 +537,65 @@ class TestExactCells:
         ]
 
 
+def reference_float_line(row, digits):
+    """A CSV line of two ints and float cells, each float rounded by sig."""
+    n, f, *floats = row
+    return f"{n},{f}" + "".join(f",{sig(x, digits)}" for x in floats) + "\n"
+
+
+# any double, from its bits: every exponent, subnormals, +-0.0, nan, inf
+ANY_DOUBLE = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+)
+
+
+@st.composite
+def near_power_of_ten(draw):
+    """A few ulps from a power of ten, or from where rounding to `digits`
+    digits reaches one: 10**e (1 - 10**-digits / 2)."""
+    x = 10.0 ** draw(st.integers(-320, 308))
+    if draw(st.booleans()):
+        x *= 1 - 10.0 ** -draw(st.integers(1, 17)) / 2
+    for _ in range(draw(st.integers(0, 3))):
+        x = math.nextafter(x, draw(st.sampled_from([0.0, math.inf])))
+    return x if draw(st.booleans()) else -x
+
+
+FLOAT_CELLS = st.one_of(
+    ANY_DOUBLE,
+    st.floats(),  # weighted towards edge cases
+    near_power_of_ten(),
+    st.floats(1e15, 1e17, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(0, 1, exclude_max=True),
+)
+
+
+class TestFloatLines:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        digits=st.integers(1, 17),
+        floats=st.integers(1, 3),
+        cells=st.lists(FLOAT_CELLS, min_size=3, max_size=30),
+    )
+    @example(digits=15, floats=3, cells=[5e-324, -0.0, 0.0, 1e15, math.nan, math.inf])
+    @example(digits=15, floats=1, cells=[2.2250738585072014e-308, 1.7976931348623157e308, 1.0])
+    @example(digits=1, floats=1, cells=[1.7976931348623157e308, -math.inf, 0.96])
+    def test_matches_reference(self, digits, floats, cells):
+        rows = [
+            (n, 2 * n + 1, *cells[i : i + floats])
+            for n, i in enumerate(range(0, len(cells) - floats + 1, floats), 1)
+        ]
+        lines = list(_float_lines(rows, floats, digits))
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            assert line.split(",") == reference_float_line(row, digits).split(",")
+
+    def test_huge_int_cells(self):
+        with unlimited_int_str():
+            row = (1, 10**40 + 7, 0.125)
+            assert list(_float_lines([row], 1, 15)) == [reference_float_line(row, 15)]
+
+
 SERIES_KINDS = {
     "prime": ((), prime_definition()),
     "square-free": ((), square_free_definition()),
@@ -535,6 +632,18 @@ class TestExactOutputBytes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == expected_code
         assert out == json.dumps(doc(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_series_output_file_matches_reference(self, capsys, tmp_path, fmt):
+        target = tmp_path / f"rows.{fmt}"
+        code, out, _ = run_cli(
+            capsys, "series", "--kind", "twin", "--terms", "300", "--mode", "float",
+            "--format", fmt, "--output", str(target),
+        )
+        assert code == 0
+        assert out == ""
+        expected = reference_float_series(fmt, "twin", twin_prime_definition(), 300, 15)
+        assert target.read_text() == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_brun_matches_reference(self, capsys, decimal_division, fmt):
@@ -618,6 +727,45 @@ class TestVerifyCommand:
             capsys, "verify", "--terms", "10", "--tamper-index", "11"
         )
         assert code == 2
+
+    def test_tamper_out_of_range_computes_nothing(self, capsys, monkeypatch):
+        def must_not_run(defn, n_terms):
+            raise AssertionError("computed before checking --tamper-index")
+            yield
+
+        monkeypatch.setattr(sievesum.cli, "iter_states", must_not_run)
+        code, out, err = run_cli(capsys, "verify", "--terms", "5000", "--tamper-index", "5001")
+        assert code == 2
+        assert out == ""
+        assert err == "error: tamper index out of range\n"
+
+    def test_short_sequence_is_usage_error_despite_tamper(self, capsys):
+        # the tampered state fails first, but the sequence is too short
+        code, out, err = run_cli(
+            capsys, "verify", "--kind", "custom", "--seq", "2,3", "--terms", "5",
+            "--tamper-index", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "sequence ended after 2 values" in err
+
+    @pytest.mark.parametrize("tamper", [(), ("--tamper-index", "40")])
+    def test_checks_keep_only_the_previous_state(self, capsys, monkeypatch, tamper):
+        alive = []
+
+        def watched(defn, n_terms):
+            refs = []
+            for state in iter_states(defn, n_terms):
+                # the state being checked, the previous one, and this one
+                alive.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(state))
+                yield state
+
+        monkeypatch.setattr(sievesum.cli, "iter_states", watched)
+        code, _, _ = run_cli(capsys, "verify", "--kind", "prime", "--terms", "40", *tamper)
+        assert code == (1 if tamper else 0)
+        assert len(alive) == 40
+        assert max(alive) <= 2
 
     def test_random_suite_prints_seed(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--random", "10")
@@ -724,6 +872,16 @@ class TestVerifyCommand:
 
 
 class TestKconstCommand:
+    def test_failed_self_check_is_exit_1(self, capsys, monkeypatch):
+        def failed_self_check(*args, **kwargs):
+            raise ArithmeticError("pair-density constant failed self-consistency")
+
+        monkeypatch.setattr(sievesum.cli, "estimate_K", failed_self_check)
+        code, out, err = run_cli(capsys, "kconst", "--limit", "1e4")
+        assert code == 1
+        assert out == ""
+        assert err == "error: pair-density constant failed self-consistency\n"
+
     def test_small_limit_rejected(self, capsys):
         code, _, err = run_cli(capsys, "kconst", "--limit", "100")
         assert code == 2
