@@ -92,6 +92,10 @@ def parse_limit(text: str) -> int:
             as_float = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid limit {text!r}") from None
+        if math.isnan(as_float):
+            raise argparse.ArgumentTypeError(f"invalid limit {text!r}")
+        if math.isinf(as_float):  # such as 1e400: beyond the cap, or below zero
+            as_float = math.copysign(2.0**63, as_float)
         if not as_float.is_integer():
             raise argparse.ArgumentTypeError(f"limit {text!r} is not an integer")
         value = int(as_float)
@@ -166,21 +170,25 @@ def _float_lines(rows: Iterable[tuple], floats: int, digits: int) -> Iterator[st
     x shown as str(_round_sig(x, digits)), the value JSON holds.
 
     For digits <= 15 that text is the one "%.{digits}g" % x prints, in one
-    `%` per line, whenever each float cell of it has a '.' and the line no
-    'e+' and no 'e-3': a decimal of at most 15 significant digits (DBL_DIG)
-    in the normal float range survives the round trip through a double, so
-    repr prints the same shortest digits, and both texts then have the same
-    notation. Other lines (cells that print as integers, +-0, nan, inf,
-    large or near-subnormal exponents) and digits above 15 take the
-    reference text.
+    `%` per line, whenever each float cell of it has a '.' or an 'e-' and
+    the line no 'e+' and no 'e-3': a decimal of at most 15 significant
+    digits (DBL_DIG) in the normal float range survives the round trip
+    through a double, so repr prints the same shortest digits, and both
+    texts then have the same notation (a one-digit mantissa in e-notation,
+    such as 2e-09, has no '.' in either). Other lines (cells that print as
+    integers, +-0, nan, inf, large or near-subnormal exponents) and digits
+    above 15 take the reference text.
     """
     fast = "%d,%d" + f",%.{digits}g" * floats + "\n"
     return (
         line
         if digits <= 15
-        and (line := fast % row).count(".") == floats
-        and "e+" not in line
+        and "e+" not in (line := fast % row)
         and "e-3" not in line
+        and (
+            line.count(".") == floats
+            or all("." in cell or "e-" in cell for cell in line.split(",")[2:])
+        )
         else ",".join([str(row[0]), str(row[1]), *(str(_round_sig(x, digits)) for x in row[2:])])
         + "\n"
         for row in rows

@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, iter_prime_arrays, iter_twin_lesser_arrays
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PAIR_DENSITY_PRIME_LIMIT = 10**8
 HL_ASSUMPTIONS = (
@@ -92,6 +93,8 @@ def _log_sums(
     are few). Each sum is rounded once by true division: it equals
     math.fsum of the same terms bit for bit, whatever the segmentation.
     """
+    import numpy as np
+
     out: list[tuple[float, int]] = []
     total = count = 0
     for arr in arrays:
@@ -127,6 +130,8 @@ def partial_product(
     of the same limit. Limits below the first pair yield the empty product
     (log_value 0.0).
     """
+    import numpy as np
+
     config = SieveConfig(limit, segment_size)
     [(log_value, pair_count)] = _log_sums(
         iter_twin_lesser_arrays(config),
@@ -157,6 +162,8 @@ def twin_constant(prime_limit: int = PAIR_DENSITY_PRIME_LIMIT) -> TwinConstant:
             f"prime_limit {prime_limit} too small for a 10-digit result "
             "(need >= 10**7)"
         )
+    import numpy as np
+
     half = prime_limit // 2
     (log_half, _), (log_full, _) = _log_sums(
         (arr[arr > 2] for arr in iter_prime_arrays(SieveConfig(prime_limit))),

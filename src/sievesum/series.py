@@ -10,8 +10,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from .engine import ReportRow, SeriesDefinition, report_rows
 from .kconst import _log_sums
 from .sieve import (
@@ -23,8 +21,8 @@ from .sieve import (
     twin_sequence_up_to,
 )
 
-#: Euler-Mascheroni constant, full double precision (numpy's computed value).
-EULER_GAMMA = float(np.euler_gamma)
+#: Euler-Mascheroni constant, the double nearest to it (numpy's euler_gamma).
+EULER_GAMMA = 0.5772156649015329
 
 
 class PrimorialValue(NamedTuple):
@@ -163,6 +161,8 @@ def mertens_residual(n_terms: int) -> list[tuple[int, float]]:
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
+    import numpy as np
+
     ps = np.array(nth_primes(n_terms), dtype=np.float64)
     log_residual = np.cumsum(np.log1p(-1.0 / ps))
     ratios = np.exp(log_residual) * np.log(ps) * math.exp(EULER_GAMMA)
@@ -171,6 +171,8 @@ def mertens_residual(n_terms: int) -> list[tuple[int, float]]:
 
 def square_free_sum_float(limit: int) -> float:
     """Floating S^SF using all primes <= limit: 1 - prod(1 - 1/p^2)."""
+    import numpy as np
+
     [(log_r, _)] = _log_sums(
         iter_prime_arrays(SieveConfig(limit)),
         lambda x: np.log1p(-1.0 / (x * x)),
@@ -181,6 +183,8 @@ def square_free_sum_float(limit: int) -> float:
 
 def twin_residual_float(limit: int) -> float:
     """Floating 1/2 - S^TP using odd primes <= limit: (1/2) prod(1 - 2/p)."""
+    import numpy as np
+
     [(log_r, _)] = _log_sums(
         (arr[arr > 2] for arr in iter_prime_arrays(SieveConfig(limit))),
         lambda x: np.log1p(-2.0 / x),

@@ -1,8 +1,13 @@
 """Segmented sieve of Eratosthenes: primes and twin-prime pairs up to large limits.
 
-Only odd candidates are sieved; base primes up to sqrt(limit) are kept
-resident, so memory stays O(sqrt(limit) + segment) and limits of 1e8-1e9
-are practical on a desktop. All outputs are plain Python ints.
+Only odd candidates are sieved, one bytearray per segment; base primes up to
+sqrt(limit) are kept resident, so memory stays O(sqrt(limit) + segment) and
+limits of 1e8-1e9 are practical on a desktop. Each segment starts as a slice
+of a pattern with the multiples of 3, 5, 7, 11 and 13 already crossed off
+(a pre-sieve, as in Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014),
+so only larger base primes are struck segment by segment. The functions that
+return Python ints do without numpy; only the generators of arrays,
+iter_prime_arrays and iter_twin_lesser_arrays, import it.
 """
 
 from __future__ import annotations
@@ -10,12 +15,18 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PRIME_CAP = 2**63 - 1  # prime carrier is a 64-bit signed integer
 DEFAULT_SEGMENT_SIZE = 1 << 20  # odd candidates per segment
+# The pre-sieve primes; their pattern on the odd candidates repeats every
+# _PERIOD = 3 * 5 * 7 * 11 * 13 of them.
+_SMALL_PRIMES = (3, 5, 7, 11, 13)
+_PERIOD = 15015
 
 
 class CapacityError(ValueError):
@@ -47,41 +58,54 @@ class SieveConfig:
             raise ValueError("segment_size must be at least 64")
 
 
-def _basic_prime_flags(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
+def _presieve_pattern() -> bytes:
+    """Byte j is 1 iff the odd number 2j + 1 has no factor in _SMALL_PRIMES
+    (so the small primes themselves are 0 too)."""
+    flags = bytearray(b"\x01") * _PERIOD
+    for p in _SMALL_PRIMES:
+        flags[p // 2 :: p] = bytes(len(range(p // 2, _PERIOD, p)))
+    return bytes(flags)
+
+
+_PATTERN = _presieve_pattern()
 
 
 def _odd_base_primes(limit: int) -> list[int]:
     """Odd primes up to sqrt(limit), as Python ints (index math must not wrap)."""
     root = math.isqrt(limit)
-    if root < 3:
-        return []
-    flags = _basic_prime_flags(root)
-    return np.flatnonzero(flags).tolist()[1:]  # drop 2
+    return [
+        p
+        for low, mask in _odd_segment_masks(root, DEFAULT_SEGMENT_SIZE)
+        for p in _segment_primes(low, mask)
+    ]
 
 
 def _odd_segment_masks(
     limit: int, segment_size: int, low: int = 3
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (low, mask) per segment; mask[i] is True iff low + 2*i is prime.
+) -> Iterator[tuple[int, bytearray]]:
+    """Yield (low, mask) per segment; mask[i] is 1 iff low + 2*i is prime,
+    else 0.
 
-    Covers odd values in [low, limit], ascending. `low` must be odd.
+    Covers odd values in [low, limit], ascending, in nonempty segments of at
+    most `segment_size` values. `low` must be odd.
     """
     if limit < low:
         return
-    base = _odd_base_primes(limit)
+    base = [p for p in _odd_base_primes(limit) if p > _SMALL_PRIMES[-1]]
+    # long enough to hold the longest segment at any offset into the pattern
+    longest = min(segment_size, (limit - low) // 2 + 1)
+    tiled = memoryview(_PATTERN * (longest // _PERIOD + 2))
     span = 2 * segment_size
     while low <= limit:
         hi = min(low + span, limit + 1)  # exclusive
         n_odd = (hi - low + 1) // 2
-        mask = np.ones(n_odd, dtype=bool)
+        offset = (low // 2) % _PERIOD
+        mask = bytearray(tiled[offset : offset + n_odd])
         if low == 1:
-            mask[0] = False
+            mask[0] = 0
+        for p in _SMALL_PRIMES:
+            if low <= p < hi:
+                mask[(p - low) // 2] = 1
         for p in base:
             start = p * p
             if start >= hi:
@@ -90,19 +114,52 @@ def _odd_segment_masks(
                 start = ((low + p - 1) // p) * p
                 if start % 2 == 0:
                     start += p
-            if start >= hi:
-                continue
-            mask[(start - low) // 2 :: p] = False
+            i = (start - low) // 2  # < p if start was < low: the count is >= 0
+            mask[i::p] = bytes((n_odd - 1 - i) // p + 1)
         yield low, mask
         low += span
 
 
+def _segment_primes(low: int, mask: bytearray) -> Iterator[int]:
+    """The primes a (low, mask) segment marks, ascending."""
+    return compress(range(low, low + 2 * len(mask), 2), mask)
+
+
+def _unbounded_masks(segment_size: int) -> Iterator[tuple[int, bytearray]]:
+    """_odd_segment_masks from 3 on, without end, in windows growing fourfold."""
+    low = 3
+    limit = 1 << 16
+    while True:
+        yield from _odd_segment_masks(limit, segment_size, low=low)
+        if limit >= PRIME_CAP:
+            raise CapacityError("prime generator exhausted the supported range")
+        low = limit + 1 + (limit % 2)
+        limit = min(limit * 4, PRIME_CAP)
+
+
+def _twin_lessers(masks: Iterable[tuple[int, bytearray]]) -> Iterator[list[int]]:
+    """Per segment of the contiguous `masks`, the lesser members p of the twin
+    pairs (p, p + 2) whose p + 2 it covers, ascending. A pair straddling a
+    segment boundary is attributed to the later segment."""
+    carry = False  # the value just below the segment is prime
+    for low, mask in masks:
+        lessers = [low - 2] if carry and mask[0] else []
+        i = mask.find(b"\x01\x01")
+        while i >= 0:
+            lessers.append(low + 2 * i)
+            i = mask.find(b"\x01\x01", i + 1)
+        yield lessers
+        carry = mask[-1]
+
+
 def iter_prime_arrays(config: SieveConfig) -> Iterator[np.ndarray]:
     """Yield ascending int64 arrays of primes, one array per segment."""
+    import numpy as np
+
     if config.limit >= 2:
         yield np.array([2], dtype=np.int64)
     for low, mask in _odd_segment_masks(config.limit, config.segment_size):
-        yield low + 2 * np.flatnonzero(mask)
+        yield low + 2 * np.flatnonzero(np.frombuffer(mask, dtype=bool))
 
 
 def iter_twin_lesser_arrays(config: SieveConfig) -> Iterator[np.ndarray]:
@@ -111,25 +168,24 @@ def iter_twin_lesser_arrays(config: SieveConfig) -> Iterator[np.ndarray]:
     A pair (p, p+2) is reported only when p+2 <= limit. Pairs straddling a
     segment boundary are attributed to the later segment.
     """
-    prev_val = -1
-    prev_prime = False
+    import numpy as np
+
+    carry = False  # the value just below the segment is prime
     for low, mask in _odd_segment_masks(config.limit, config.segment_size):
-        adjacent = mask[:-1] & mask[1:]
-        lessers = low + 2 * np.flatnonzero(adjacent)
-        if prev_prime and mask.size and mask[0] and low == prev_val + 2:
-            lessers = np.concatenate([np.array([prev_val], dtype=np.int64), lessers])
+        flags = np.frombuffer(mask, dtype=bool)
+        lessers = low + 2 * np.flatnonzero(flags[:-1] & flags[1:])
+        if carry and mask[0]:
+            lessers = np.concatenate([np.array([low - 2], dtype=np.int64), lessers])
         yield lessers
-        if mask.size:
-            prev_val = low + 2 * (mask.size - 1)
-            prev_prime = bool(mask[-1])
+        carry = mask[-1]
 
 
 def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
     """All primes p <= limit, ascending."""
     config = SieveConfig(limit, segment_size)
-    out: list[int] = []
-    for arr in iter_prime_arrays(config):
-        out.extend(arr.tolist())
+    out = [2] if limit >= 2 else []
+    for low, mask in _odd_segment_masks(config.limit, config.segment_size):
+        out.extend(_segment_primes(low, mask))
     return out
 
 
@@ -152,16 +208,8 @@ def nth_primes(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
 def iter_primes(segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
     """Unbounded ascending prime generator (sieves in growing windows)."""
     yield 2
-    low = 3
-    limit = 1 << 16
-    while True:
-        for seg_low, mask in _odd_segment_masks(limit, segment_size, low=low):
-            for p in (seg_low + 2 * np.flatnonzero(mask)).tolist():
-                yield p
-        if limit >= PRIME_CAP:
-            raise CapacityError("prime generator exhausted the supported range")
-        low = limit + 1 + (limit % 2)
-        limit = min(limit * 4, PRIME_CAP)
+    for low, mask in _unbounded_masks(segment_size):
+        yield from _segment_primes(low, mask)
 
 
 def twin_pairs_up_to(
@@ -169,10 +217,11 @@ def twin_pairs_up_to(
 ) -> list[TwinPair]:
     """All twin pairs (p, p+2) with p+2 <= limit, ascending by lesser member."""
     config = SieveConfig(limit, segment_size)
-    pairs: list[TwinPair] = []
-    for arr in iter_twin_lesser_arrays(config):
-        pairs.extend(TwinPair(p, p + 2) for p in arr.tolist())
-    return pairs
+    return [
+        TwinPair(p, p + 2)
+        for lessers in _twin_lessers(_odd_segment_masks(config.limit, config.segment_size))
+        for p in lessers
+    ]
 
 
 def twin_sequence_up_to(
@@ -184,13 +233,8 @@ def twin_sequence_up_to(
     """
     config = SieveConfig(limit, segment_size)
     out: list[int] = []
-    for arr in iter_twin_lesser_arrays(config):
-        if arr.size == 0:
-            continue
-        flat = np.empty(2 * arr.size, dtype=np.int64)
-        flat[0::2] = arr
-        flat[1::2] = arr + 2
-        out.extend(flat.tolist())
+    for lessers in _twin_lessers(_odd_segment_masks(config.limit, config.segment_size)):
+        out.extend(v for p in lessers for v in (p, p + 2))
     return out
 
 
@@ -198,10 +242,9 @@ def nth_twin_values(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[in
     """First n values of the flattened twin sequence."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    limit = 1 << 14
-    while True:
-        seq = twin_sequence_up_to(limit, segment_size)
-        if len(seq) >= n:
-            return seq[:n]
-        limit = min(limit * 4, PRIME_CAP)
-
+    SieveConfig(0, segment_size)  # rejects a segment_size below 64, as the other functions do
+    out: list[int] = []
+    for lessers in _twin_lessers(_unbounded_masks(segment_size)):
+        out.extend(v for p in lessers for v in (p, p + 2))
+        if len(out) >= n:
+            return out[:n]

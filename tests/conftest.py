@@ -29,6 +29,47 @@ def oracle_primes_1m() -> list[int]:
     return trial_division_primes(10**6)
 
 
+def _numpy_segment_masks(limit: int, segment_size: int, low: int = 3):
+    """(low, mask) per segment, mask[i] True iff low + 2*i is prime, as the
+    numpy sieve kernel made them before the bytearray one: every segment
+    starts all True, and each odd base prime up to sqrt(limit), from an
+    unsegmented sieve, strikes its odd multiples from p*p on."""
+    if limit < low:
+        return []
+    root = math.isqrt(limit)
+    flags = np.ones(root + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    base = np.flatnonzero(flags).tolist()[1:]
+    out = []
+    span = 2 * segment_size
+    while low <= limit:
+        hi = min(low + span, limit + 1)
+        mask = np.ones((hi - low + 1) // 2, dtype=bool)
+        if low == 1:
+            mask[0] = False
+        for p in base:
+            start = p * p
+            if start >= hi:
+                break
+            if start < low:
+                start = ((low + p - 1) // p) * p
+                if start % 2 == 0:
+                    start += p
+            mask[(start - low) // 2 :: p] = False
+        out.append((low, mask))
+        low += span
+    return out
+
+
+@pytest.fixture(scope="session")
+def numpy_segment_masks():
+    """Reference for sieve._odd_segment_masks."""
+    return _numpy_segment_masks
+
+
 def _decimal_division(x, digits: int) -> str:
     """x rounded half-even to `digits` significant digits by dividing the
     full numerator by the full denominator in `decimal`: slow for huge

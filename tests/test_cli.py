@@ -290,6 +290,24 @@ class TestParseLimit:
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_limit(bad)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1e400", "exceeds supported cap"),
+            ("inf", "exceeds supported cap"),
+            ("-1e400", "must be nonnegative"),
+            ("-inf", "must be nonnegative"),
+            ("nan", "invalid limit 'nan'"),
+            ("-NaN", "invalid limit '-NaN'"),
+        ],
+    )
+    def test_non_finite_float_values(self, capsys, text, message):
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            parse_limit(text)
+        code, out, err = run_cli(capsys, "primes", f"--limit={text}")
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestPrimesCommand:
     def test_csv_limit(self, capsys):
@@ -580,6 +598,8 @@ class TestFloatLines:
     @example(digits=15, floats=3, cells=[5e-324, -0.0, 0.0, 1e15, math.nan, math.inf])
     @example(digits=15, floats=1, cells=[2.2250738585072014e-308, 1.7976931348623157e308, 1.0])
     @example(digits=1, floats=1, cells=[1.7976931348623157e308, -math.inf, 0.96])
+    @example(digits=1, floats=3, cells=[2e-09, 0.3, 0.2, -7.4e-05, 1.5e-100, 9.96e-30, 3e-300])
+    @example(digits=2, floats=3, cells=[2e-09, 1.5e-09, 0.25, 1e-05, -1.04e-19, 9.99e-05, 1e-29])
     def test_matches_reference(self, digits, floats, cells):
         rows = [
             (n, 2 * n + 1, *cells[i : i + floats])
@@ -589,6 +609,21 @@ class TestFloatLines:
         assert len(lines) == len(rows)
         for line, row in zip(lines, rows):
             assert line.split(",") == reference_float_line(row, digits).split(",")
+
+    @pytest.mark.parametrize(
+        "digits, row",
+        [
+            (1, (7, 19, 2e-09, 0.3, 0.2)),
+            (1, (8, 23, -7.4e-05, 1.5e-100, 0.5)),
+            (2, (9, 29, 1.5e-09, 2.04e-12, 0.25)),
+        ],
+    )
+    def test_one_digit_exponent_cells_take_one_format(self, monkeypatch, digits, row):
+        # the reference text is built from _round_sig; the one-% line is not
+        monkeypatch.setattr(sievesum.cli, "_round_sig", None)
+        expected = reference_float_line(row, digits)
+        assert list(_float_lines([row], 3, digits)) == [expected]
+        assert any("." not in cell for cell in expected.split(",")[2:])
 
     def test_huge_int_cells(self):
         with unlimited_int_str():

@@ -1,0 +1,51 @@
+"""numpy stays off the start-up path: importing the package and running the
+commands that need only Python ints must not load it (it costs about as
+much as the rest of start-up together). Each check runs in a fresh
+interpreter, since this test process has numpy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# After `import sievesum`, each command runs in turn through cli.main, and
+# whether numpy is loaded is recorded after each one. kconst comes last: it
+# builds arrays, so it must load numpy.
+PROBE = """
+import contextlib, io, json, sys
+import sievesum
+loaded = {"import sievesum": "numpy" in sys.modules}
+import sievesum.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = sievesum.cli.main(argv)
+    loaded[" ".join(argv)] = (code, "numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+NUMPY_FREE = [
+    ["series", "--kind", "prime", "--terms", "30"],
+    ["series", "--kind", "twin", "--terms", "200", "--mode", "float"],
+    ["verify", "--terms", "30"],
+    ["verify", "--random", "3"],
+    ["brun", "--limit", "10000"],
+    ["primes", "--count", "10"],
+]
+KCONST = ["kconst", "--limit", "1e4"]
+
+
+def test_numpy_loaded_only_by_array_code():
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(NUMPY_FREE + [KCONST])],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    loaded = json.loads(result.stdout)
+    assert loaded.pop("import sievesum") is False
+    assert loaded.pop(" ".join(KCONST)) == [0, True]
+    assert loaded == {" ".join(argv): [0, False] for argv in NUMPY_FREE}

@@ -1,11 +1,18 @@
 import math
+from itertools import chain, islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import trial_division_primes
 from sievesum.sieve import (
+    _PERIOD,
     CapacityError,
     SieveConfig,
+    _odd_segment_masks,
     iter_primes,
+    iter_twin_lesser_arrays,
     nth_primes,
     nth_twin_values,
     primes_up_to,
@@ -152,6 +159,101 @@ class TestTwinSequence:
         values = nth_twin_values(1000)
         assert len(values) == 1000
         assert values == twin_sequence_up_to(10**6)[:1000]
+
+
+SEGMENT_SIZES = st.sampled_from([64, 101, _PERIOD, 1 << 20])
+
+
+# primes to 2e5 + 2 by trial division, as a set
+ORACLE_LIMIT = 200_002
+ORACLE = set(trial_division_primes(ORACLE_LIMIT))
+
+
+class TestSegmentKernel:
+    """The bytearray kernel with its pre-sieve against the numpy kernel it
+    replaced and against trial division."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(0, 12),
+        delta=st.integers(-3, 3),
+        segment_size=SEGMENT_SIZES,
+        low=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]),
+    )
+    @example(k=1, delta=-2, segment_size=64, low=3)
+    @example(k=2, delta=3, segment_size=_PERIOD, low=13)
+    def test_masks_match_numpy_kernel_near_pattern_periods(
+        self, numpy_segment_masks, k, delta, segment_size, low
+    ):
+        limit = max(k * _PERIOD + delta, 0)
+        got = [
+            (seg_low, list(mask)) for seg_low, mask in _odd_segment_masks(limit, segment_size, low)
+        ]
+        want = [
+            (seg_low, mask.astype(int).tolist())
+            for seg_low, mask in numpy_segment_masks(limit, segment_size, low)
+        ]
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, 13), delta=st.integers(-3, 3), segment_size=SEGMENT_SIZES)
+    def test_primes_match_trial_division(self, k, delta, segment_size):
+        limit = max(k * _PERIOD + delta, 0)
+        assert primes_up_to(limit, segment_size) == sorted(p for p in ORACLE if p <= limit)
+
+    @pytest.mark.parametrize("low", [3, 5, 7, 9, 11, 13])
+    @pytest.mark.parametrize("segment_size", [64, 101, _PERIOD])
+    def test_windows_from_each_small_low(self, low, segment_size):
+        limit = 3 * _PERIOD + 3
+        got = list(
+            chain.from_iterable(
+                (seg_low + 2 * i for i, flag in enumerate(mask) if flag)
+                for seg_low, mask in _odd_segment_masks(limit, segment_size, low)
+            )
+        )
+        assert got == [n for n in range(low, limit + 1, 2) if n in ORACLE]
+
+    def test_iter_primes_across_windows_and_segments(self):
+        expected = primes_up_to(300_000)
+        for segment_size in (64, 101, _PERIOD):
+            assert list(islice(iter_primes(segment_size), len(expected))) == expected
+
+
+def _straddling_pairs(limit: int, segment_size: int) -> list[int]:
+    """Lesser members p <= limit - 2 of twin pairs whose p is the last value
+    of a segment of the sieve from 3 and p + 2 the first of the next."""
+    span = 2 * segment_size
+    return [p for p in range(1 + span, limit - 1, span) if p in ORACLE and p + 2 in ORACLE]
+
+
+class TestTwinBoundaries:
+    # A pair straddles a boundary when p = 2 * segment_size * j + 1, j >= 1;
+    # never for a segment_size divisible by 3, since 3 then divides p + 2.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        segment_size=st.sampled_from([64, 65, 101, 105, 1 << 10, _PERIOD]),
+        limit=st.integers(1_000, ORACLE_LIMIT),
+    )
+    @example(segment_size=105, limit=213)
+    def test_three_twin_views_agree(self, segment_size, limit):
+        pairs = twin_pairs_up_to(limit, segment_size)
+        lessers = [p.lesser for p in pairs]
+        arrays = [
+            a.tolist() for a in iter_twin_lesser_arrays(SieveConfig(limit, segment_size))
+        ]
+        assert list(chain.from_iterable(arrays)) == lessers
+        assert twin_sequence_up_to(limit, segment_size) == [
+            v for p in lessers for v in (p, p + 2)
+        ]
+        assert lessers == [p for p in range(3, limit - 1, 2) if p in ORACLE and p + 2 in ORACLE]
+        for p in _straddling_pairs(limit, segment_size):
+            # attributed to the segment holding p + 2
+            segment = (p + 2 - 3) // (2 * segment_size)
+            assert p in arrays[segment]
+
+    @pytest.mark.parametrize("segment_size", [64, 65, 101, 1 << 10])
+    def test_some_pair_straddles(self, segment_size):
+        assert _straddling_pairs(ORACLE_LIMIT, segment_size)
 
 
 class TestSieveConfig:
