@@ -193,10 +193,11 @@ def float_rows(defn: SeriesDefinition, n_terms: int) -> Iterator[ReportRow]:
     a = defn.offset_a
     log_r = 0.0
     comp = 0.0  # Kahan carry
+    r = 1.0  # exp(log_r), the previous row's residual product
     produced = 0
     for k, f in enumerate(islice(defn.terms(), n_terms), 1):
         try:
-            t = math.exp(log_r) / f
+            t = r / f
         except OverflowError:
             raise OverflowError(f"sequence value {f} is too large for a float") from None
         y = math.log1p(-a / f) - comp

@@ -115,12 +115,23 @@ def brun_partial(limit: int) -> BrunPartial:
 
 
 def _reciprocal_sum(values: list[int]) -> Fraction:
-    """sum(1/v) by binary splitting: unreduced (p, q) pairs are merged
-    pairwise, (p1*q2 + p2*q1, q1*q2), up a balanced tree, and only the root
-    is reduced. Adding one reduced Fraction per value instead would cost a
-    gcd on the growing sum at every step.
+    """sum(1/v) over ascending primes v > 2, each at most twice, as a
+    reduced Fraction.
+
+    Equal neighbours merge into one leaf (count, v). The leaves are merged
+    pairwise up a balanced tree as unreduced (p, q) pairs,
+    (p1*q2 + p2*q1, q1*q2) (binary splitting), so no step pays a gcd on the
+    growing sum. The root N/D needs no final gcd either: D is the product
+    of the distinct primes v, and for each of them N = count_v * D/v
+    (mod v), which is nonzero since count_v <= 2 < v and D/v is a product
+    of other primes. So gcd(N, D) = 1 by construction.
     """
-    pairs = [(1, v) for v in values]
+    pairs: list[tuple[int, int]] = []  # the leaves (count, v)
+    for v in values:
+        if pairs and pairs[-1][1] == v:
+            pairs[-1] = (pairs[-1][0] + 1, v)
+        else:
+            pairs.append((1, v))
     if not pairs:
         return Fraction(0)
     while len(pairs) > 1:
@@ -131,7 +142,15 @@ def _reciprocal_sum(values: list[int]) -> Fraction:
         if len(pairs) % 2:
             merged.append(pairs[-1])
         pairs = merged
-    return Fraction(*pairs[0])
+    return _coprime_fraction(*pairs[0])
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) without the gcd, for num and den already coprime
+    with den > 0; the caller guarantees this, nothing checks it."""
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+        return Fraction._from_coprime_ints(num, den)
+    return Fraction(num, den, _normalize=False)
 
 
 def brun_dominance_check(n_terms: int) -> bool:

@@ -107,3 +107,29 @@ def _running_fraction_states(values, a: int) -> list[tuple]:
 def running_fraction_states():
     """Reference for engine.iter_states."""
     return _running_fraction_states
+
+
+def _normalising_reciprocal_sum(values):
+    """sum(1/v) by binary splitting over one (1, v) leaf per value, the
+    root reduced by Fraction's gcd: the sum as series._reciprocal_sum made
+    it before its root came out reduced by construction."""
+    from fractions import Fraction
+
+    pairs = [(1, v) for v in values]
+    if not pairs:
+        return Fraction(0)
+    while len(pairs) > 1:
+        merged = [
+            (p1 * q2 + p2 * q1, q1 * q2)
+            for (p1, q1), (p2, q2) in zip(pairs[0::2], pairs[1::2])
+        ]
+        if len(pairs) % 2:
+            merged.append(pairs[-1])
+        pairs = merged
+    return Fraction(*pairs[0])
+
+
+@pytest.fixture(scope="session")
+def normalising_reciprocal_sum():
+    """Reference for series.brun_partial."""
+    return _normalising_reciprocal_sum

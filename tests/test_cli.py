@@ -33,13 +33,12 @@ from sievesum.cli import (
 from sievesum.engine import SeriesDefinition, float_rows, iter_states, report_rows
 from sievesum.kconst import estimate_K, partial_product
 from sievesum.series import (
-    brun_partial,
     mertens_residual,
     prime_definition,
     square_free_definition,
     twin_prime_definition,
 )
-from sievesum.sieve import nth_primes, primes_up_to, twin_pairs_up_to
+from sievesum.sieve import nth_primes, primes_up_to, twin_pairs_up_to, twin_sequence_up_to
 
 
 def run_cli(capsys, *argv):
@@ -680,25 +679,28 @@ class TestExactOutputBytes:
         expected = reference_float_series(fmt, "twin", twin_prime_definition(), 300, 15)
         assert target.read_text() == expected
 
+    @pytest.mark.parametrize("limit", [10**5, 10**6])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_brun_matches_reference(self, capsys, decimal_division, fmt):
-        limit = 10**5
+    def test_brun_matches_reference(
+        self, capsys, decimal_division, normalising_reciprocal_sum, fmt, limit
+    ):
         code, out, _ = run_cli(capsys, "brun", "--limit", str(limit), "--format", fmt)
         assert code == 0
-        result = brun_partial(limit)
-        num, den = result.sum.numerator, result.sum.denominator
+        values = twin_sequence_up_to(limit)
+        total = normalising_reciprocal_sum(values)
+        num, den = total.numerator, total.denominator
         assert den.bit_length() > _STR_BITS  # the divide-and-conquer path runs
-        decimal_text = decimal_division(result.sum, 15)
+        decimal_text = decimal_division(total, 15)
         with unlimited_int_str():
             if fmt == "csv":
                 expected = (
                     "limit,terms,sum_num,sum_den,decimal\n"
-                    f"{limit},{result.terms},{num},{den},{decimal_text}\n"
+                    f"{limit},{len(values)},{num},{den},{decimal_text}\n"
                 )
             else:
                 doc = {
                     "limit": limit,
-                    "terms": result.terms,
+                    "terms": len(values),
                     "sum": {"num": reference_json_int(num), "den": reference_json_int(den)},
                     "decimal": decimal_text,
                 }

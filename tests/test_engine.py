@@ -247,6 +247,17 @@ class TestFloatRows:
             assert f.S == pytest.approx(float(e.S), rel=1e-12)
             assert f.residual == pytest.approx(float(e.residual), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "defn", [prime_definition(), twin_prime_definition()], ids=["a=1", "a=2"]
+    )
+    def test_term_is_previous_residual_product_over_f(self, defn):
+        # T_k = R_{k-1} / F_k to the bit, R_0 = 1; a is 1 or 2, so
+        # residual * a gives back R_k exactly
+        a = defn.offset_a
+        rows = list(float_rows(defn, 2000))
+        previous = [1.0] + [row.residual * a for row in rows[:-1]]
+        assert [row.T for row in rows] == [r / row.F_n for r, row in zip(previous, rows)]
+
     def test_no_depth_guard_in_float_mode(self):
         rows = list(float_rows(prime_definition(), 6000))
         assert len(rows) == 6000

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievesum.engine import to_decimal
 from sievesum.series import (
     EULER_GAMMA,
+    _coprime_fraction,
+    _reciprocal_sum,
     brun_dominance_check,
     brun_partial,
     mertens_residual,
@@ -282,6 +285,67 @@ class TestBrunPartial:
     def test_matches_naive_loop_at_1e5(self):
         result = brun_partial(10**5)
         assert (result.sum, result.terms) == self.naive(10**5)
+
+    @staticmethod
+    def assert_reduced_as_reference(limit, reference):
+        result = brun_partial(limit)
+        expected = reference(twin_sequence_up_to(limit))
+        num, den = result.sum.numerator, result.sum.denominator
+        assert (num, den) == (expected.numerator, expected.denominator)
+        assert gcd(num, den) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(limit=st.integers(0, 3000))
+    def test_root_is_reduced_as_reference(self, normalising_reciprocal_sum, limit):
+        self.assert_reduced_as_reference(limit, normalising_reciprocal_sum)
+
+    @pytest.mark.parametrize("limit", [5, 7, 10**5, 10**6])
+    def test_root_is_reduced_as_reference_at(self, normalising_reciprocal_sum, limit):
+        self.assert_reduced_as_reference(limit, normalising_reciprocal_sum)
+
+    @pytest.mark.parametrize("limit", [7, 100, 10**5])
+    def test_only_five_repeats(self, limit):
+        # the leaf merge meets one repeated value: 5, shared by (3, 5) and (5, 7)
+        values = twin_sequence_up_to(limit)
+        assert [v for v, w in zip(values, values[1:]) if v == w] == [5]
+        assert values == sorted(values)
+
+    def test_repeated_value_merges_into_one_leaf(self):
+        # one leaf per value would leave the root 460/525, gcd 5
+        for values, expected in [([3, 5, 5, 7], (92, 105)), ([5, 5], (2, 5))]:
+            total = _reciprocal_sum(values)
+            assert (total.numerator, total.denominator) == expected
+
+
+class TestCoprimeFraction:
+    CASES = [
+        (0, 1),
+        (1, 1),
+        (92, 105),
+        (-7, 3),
+        (2**521 - 1, 3**200),
+        (-(10**400 + 1), 2**1000),
+    ]
+
+    @pytest.mark.parametrize("num,den", CASES)
+    def test_equals_normalised_fraction(self, num, den):
+        assert gcd(num, den) == 1
+        x, y = _coprime_fraction(num, den), Fraction(num, den)
+        assert type(x) is Fraction
+        assert (x.numerator, x.denominator) == (num, den)
+        assert x == y and hash(x) == hash(y)
+
+    @pytest.mark.parametrize("num,den", CASES)
+    def test_arithmetic_and_rendering(self, num, den):
+        x, y = _coprime_fraction(num, den), Fraction(num, den)
+        third = Fraction(1, 3)
+        assert x + third == y + third
+        assert x * x == y * y
+        assert x - y == 0
+        assert (x < third) == (y < third)
+        assert {x: 1}[y] == 1
+        for digits in (1, 15, 40):
+            assert to_decimal(x, digits) == to_decimal(y, digits)
 
 
 class TestBrunDominance:
