@@ -52,7 +52,6 @@ from .series import (
 )
 from .sieve import (
     CapacityError,
-    SieveConfig,
     TwinPair,
     iter_primes,
     nth_primes,

@@ -45,15 +45,7 @@ from .series import (
     square_free_definition,
     twin_prime_definition,
 )
-from .sieve import (
-    PRIME_CAP,
-    SieveConfig,
-    iter_prime_arrays,
-    iter_twin_lesser_arrays,
-    nth_primes,
-    primes_up_to,
-    twin_pairs_up_to,
-)
+from .sieve import PRIME_CAP, nth_primes, prime_lists, twin_lesser_lists
 
 DEFAULT_SEED = 1000003
 _INT64_MAX = 2**63 - 1
@@ -83,22 +75,31 @@ def _error(message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
+def _parse_int(text: str, invalid: str, fractional: str) -> int:
+    """The integer `text` writes in decimal or in scientific notation such
+    as 1e8; an infinity stands for +-2**63, beyond every bound. Text that is
+    no number, or a number with a fraction, raises ArgumentTypeError with
+    `invalid` or `fractional` formatted with text."""
+    try:
+        return int(text, 10)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(invalid.format(text))
+    if math.isinf(value):
+        value = math.copysign(2.0**63, value)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(fractional.format(text))
+    return int(value)
+
+
 def parse_limit(text: str) -> int:
     """Integer limit; scientific notation such as 1e8 is accepted."""
-    try:
-        value = int(text, 10)
-    except ValueError:
-        try:
-            as_float = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid limit {text!r}") from None
-        if math.isnan(as_float):
-            raise argparse.ArgumentTypeError(f"invalid limit {text!r}")
-        if math.isinf(as_float):  # such as 1e400: beyond the cap, or below zero
-            as_float = math.copysign(2.0**63, as_float)
-        if not as_float.is_integer():
-            raise argparse.ArgumentTypeError(f"limit {text!r} is not an integer")
-        value = int(as_float)
+    value = _parse_int(text, "invalid limit {!r}", "limit {!r} is not an integer")
     if value < 0:
         raise argparse.ArgumentTypeError("limit must be nonnegative")
     if value > PRIME_CAP:
@@ -107,10 +108,8 @@ def parse_limit(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    """Integer of at least 1; scientific notation such as 2e5 is accepted."""
+    value = _parse_int(text, "invalid integer {!r}", "invalid integer {!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("value must be at least 1")
     return value
@@ -245,9 +244,9 @@ def _check_output(args: argparse.Namespace) -> None:
 
 def _emit(args: argparse.Namespace, doc: Callable[[], object],
           header: str | None = None, lines: Iterable[str] = ()) -> None:
-    """Write `header` and then `lines` to --output if the command has
-    --format and it is csv, else the JSON document doc() builds. Lines are
-    rendered one at a time, as they are written.
+    """Write `header` and then the text chunks `lines` to --output if the
+    command has --format and it is csv, else the JSON document doc() builds.
+    Chunks (a line or many) are rendered one at a time, as they are written.
 
     An --output file is written whole or not at all: the text goes to a
     temporary file beside it, which replaces it only once complete and
@@ -588,20 +587,20 @@ def cmd_primes(args: argparse.Namespace) -> int:
     if args.count is not None:
         if args.twins:
             raise ValueError("--twins needs --limit, not --count")
-        primes = nth_primes(args.count)
-        doc = {"meta": {"count": args.count, "version": __version__}, "primes": primes}
-        _emit(args, lambda: doc, "p\n", (f"{p}\n" for p in primes))
-        return 0
-    meta = {"limit": args.limit, "version": __version__}
-    config = SieveConfig(args.limit)
-    # CSV streams per segment; large limits never materialise in full
+        meta = {"count": args.count, "version": __version__}
+        chunks = [nth_primes(args.count)]
+    else:
+        meta = {"limit": args.limit, "version": __version__}
+        # one list per sieve segment; CSV never holds more than one
+        chunks = (twin_lesser_lists if args.twins else prime_lists)(args.limit)
     if args.twins:
-        pairs = lambda: [[p.lesser, p.greater] for p in twin_pairs_up_to(args.limit)]
-        lines = (f"{p},{p + 2}\n" for arr in iter_twin_lesser_arrays(config) for p in arr.tolist())
+        pairs = lambda: [[p, p + 2] for chunk in chunks for p in chunk]
+        lines = ("".join([f"{p},{p + 2}\n" for p in chunk]) for chunk in chunks)
         _emit(args, lambda: {"meta": meta, "pairs": pairs()}, "lesser,greater\n", lines)
     else:
-        lines = (f"{p}\n" for arr in iter_prime_arrays(config) for p in arr.tolist())
-        _emit(args, lambda: {"meta": meta, "primes": primes_up_to(args.limit)}, "p\n", lines)
+        primes = lambda: [p for chunk in chunks for p in chunk]
+        lines = ("%d\n" * len(chunk) % tuple(chunk) for chunk in chunks)
+        _emit(args, lambda: {"meta": meta, "primes": primes()}, "p\n", lines)
     return 0
 
 

@@ -20,11 +20,11 @@ carry an explicit error estimate; they are not proof-grade bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .sieve import DEFAULT_SEGMENT_SIZE, SieveConfig, iter_prime_arrays, iter_twin_lesser_arrays
+from .sieve import iter_prime_arrays, iter_twin_lesser_arrays
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,9 +119,7 @@ def _log_sums(
     return out + [(total / 2**1126, count)] * (len(limits) - len(out))
 
 
-def partial_product(
-    limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> PartialProduct:
+def partial_product(limit: int) -> PartialProduct:
     """Accumulate log1p(-1/v) over both members of every twin pair with
     greater member <= limit (the repeated 5 contributes twice).
 
@@ -132,9 +130,8 @@ def partial_product(
     """
     import numpy as np
 
-    config = SieveConfig(limit, segment_size)
     [(log_value, pair_count)] = _log_sums(
-        iter_twin_lesser_arrays(config),
+        iter_twin_lesser_arrays(limit),
         lambda v: np.log1p(-1.0 / v) + np.log1p(-1.0 / (v + 2.0)),
         [limit],
     )
@@ -166,7 +163,7 @@ def twin_constant(prime_limit: int = PAIR_DENSITY_PRIME_LIMIT) -> TwinConstant:
 
     half = prime_limit // 2
     (log_half, _), (log_full, _) = _log_sums(
-        (arr[arr > 2] for arr in iter_prime_arrays(SieveConfig(prime_limit))),
+        (arr[arr > 2] for arr in iter_prime_arrays(prime_limit)),
         lambda x: np.log1p(-1.0 / ((x - 1.0) ** 2)),
         [half, prime_limit],
     )
@@ -258,11 +255,7 @@ def extrapolate_aitken(partials: list[PartialProduct]) -> ProductEstimate:
     )
 
 
-def estimate_K(
-    limit: int,
-    method: str = "both",
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> ProductEstimate:
+def estimate_K(limit: int, method: str = "both") -> ProductEstimate:
     """Dispatch to one or both estimators at the given sieve limit.
 
     ``aitken`` uses partial products at limit/100, limit/10 and limit.
@@ -272,28 +265,22 @@ def estimate_K(
     if method not in ("hl-tail", "aitken", "both"):
         raise ValueError(f"unknown method {method!r}")
     if method == "hl-tail":
-        return extrapolate_hl(partial_product(limit, segment_size))
+        return extrapolate_hl(partial_product(limit))
     if limit < 10**6:
         raise ExtrapolationError(
             f"limit {limit} too small for aitken sub-limits (need >= 1e6)"
         )
     partials = [
-        partial_product(limit // 100, segment_size),
-        partial_product(limit // 10, segment_size),
-        partial_product(limit, segment_size),
+        partial_product(limit // 100),
+        partial_product(limit // 10),
+        partial_product(limit),
     ]
     aitken = extrapolate_aitken(partials)
     if method == "aitken":
         return aitken
     hl = extrapolate_hl(partials[-1])
-    return ProductEstimate(
-        method=hl.method,
-        k_estimate=hl.k_estimate,
-        limit_used=hl.limit_used,
-        tail_correction=hl.tail_correction,
-        error_estimate=max(
-            hl.error_estimate, abs(hl.k_estimate - aitken.k_estimate)
-        ),
-        c2_used=hl.c2_used,
+    return replace(
+        hl,
+        error_estimate=max(hl.error_estimate, abs(hl.k_estimate - aitken.k_estimate)),
         assumptions=HL_ASSUMPTIONS + "; error covers the inter-method spread",
     )

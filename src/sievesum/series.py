@@ -13,7 +13,6 @@ from typing import Iterator, NamedTuple
 from .engine import ReportRow, SeriesDefinition, report_rows
 from .kconst import _log_sums
 from .sieve import (
-    SieveConfig,
     iter_prime_arrays,
     iter_primes,
     nth_primes,
@@ -62,33 +61,27 @@ def totient_primorial(n: int) -> TotientOfPrimorial:
     return TotientOfPrimorial(n, value)
 
 
-def prime_definition(depth_guard: int | None = None) -> SeriesDefinition:
+def prime_definition() -> SeriesDefinition:
     """F_i = p_i with a = 1: term n is totient(p_{n-1}#) / p_n#."""
-    kwargs = {"depth_guard": depth_guard} if depth_guard else {}
-    return SeriesDefinition(iter_primes, offset_a=1, label="prime", **kwargs)
+    return SeriesDefinition(iter_primes, offset_a=1, label="prime")
 
 
-def square_free_definition(depth_guard: int | None = None) -> SeriesDefinition:
+def square_free_definition() -> SeriesDefinition:
     """F_i = p_i^2 with a = 1: term n is the fraction of integers whose first
     squared-prime divisor is p_n^2."""
-    kwargs = {"depth_guard": depth_guard} if depth_guard else {}
     return SeriesDefinition(
-        lambda: (p * p for p in iter_primes()),
-        offset_a=1,
-        label="square-free",
-        **kwargs,
+        lambda: (p * p for p in iter_primes()), offset_a=1, label="square-free"
     )
 
 
-def twin_prime_definition(depth_guard: int | None = None) -> SeriesDefinition:
+def twin_prime_definition() -> SeriesDefinition:
     """F = odd primes (3, 5, 7, ...) with a = 2: term n is the fraction of
     odd pairs (x, x+2) first hit when sieving by the n-th odd prime."""
-    kwargs = {"depth_guard": depth_guard} if depth_guard else {}
 
     def odd_primes() -> Iterator[int]:
         return islice(iter_primes(), 1, None)
 
-    return SeriesDefinition(odd_primes, offset_a=2, label="twin-prime", **kwargs)
+    return SeriesDefinition(odd_primes, offset_a=2, label="twin-prime")
 
 
 def prime_series(n_terms: int) -> list[ReportRow]:
@@ -193,7 +186,7 @@ def square_free_sum_float(limit: int) -> float:
     import numpy as np
 
     [(log_r, _)] = _log_sums(
-        iter_prime_arrays(SieveConfig(limit)),
+        iter_prime_arrays(limit),
         lambda x: np.log1p(-1.0 / (x * x)),
         [limit],
     )
@@ -205,7 +198,7 @@ def twin_residual_float(limit: int) -> float:
     import numpy as np
 
     [(log_r, _)] = _log_sums(
-        (arr[arr > 2] for arr in iter_prime_arrays(SieveConfig(limit))),
+        (arr[arr > 2] for arr in iter_prime_arrays(limit)),
         lambda x: np.log1p(-2.0 / x),
         [limit],
     )

@@ -7,22 +7,22 @@ of a pattern with the multiples of 3, 5, 7, 11 and 13 already crossed off
 (a pre-sieve, as in Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014),
 so only larger base primes are struck segment by segment. The functions that
 return Python ints do without numpy; only the generators of arrays,
-iter_prime_arrays and iter_twin_lesser_arrays, import it.
+iter_prime_arrays and iter_twin_lesser_arrays, import it. Every function
+reads SEGMENT_SIZE when it is called, and its results do not depend on it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 PRIME_CAP = 2**63 - 1  # prime carrier is a 64-bit signed integer
-DEFAULT_SEGMENT_SIZE = 1 << 20  # odd candidates per segment
+SEGMENT_SIZE = 1 << 20  # odd candidates per segment
 # The pre-sieve primes; their pattern on the odd candidates repeats every
 # _PERIOD = 3 * 5 * 7 * 11 * 13 of them.
 _SMALL_PRIMES = (3, 5, 7, 11, 13)
@@ -36,26 +36,6 @@ class CapacityError(ValueError):
 class TwinPair(NamedTuple):
     lesser: int
     greater: int
-
-
-@dataclass(frozen=True)
-class SieveConfig:
-    """Bounds for a segmented sieve run.
-
-    `limit` is inclusive; `segment_size` counts odd candidates per segment.
-    """
-
-    limit: int
-    segment_size: int = DEFAULT_SEGMENT_SIZE
-
-    def __post_init__(self) -> None:
-        limit = operator.index(self.limit)
-        if limit < 0:
-            raise ValueError("limit must be nonnegative")
-        if limit > PRIME_CAP:
-            raise CapacityError(f"limit {limit} exceeds supported cap {PRIME_CAP}")
-        if operator.index(self.segment_size) < 64:
-            raise ValueError("segment_size must be at least 64")
 
 
 def _presieve_pattern() -> bytes:
@@ -75,7 +55,7 @@ def _odd_base_primes(limit: int) -> list[int]:
     root = math.isqrt(limit)
     return [
         p
-        for low, mask in _odd_segment_masks(root, DEFAULT_SEGMENT_SIZE)
+        for low, mask in _odd_segment_masks(root, SEGMENT_SIZE)
         for p in _segment_primes(low, mask)
     ]
 
@@ -125,16 +105,27 @@ def _segment_primes(low: int, mask: bytearray) -> Iterator[int]:
     return compress(range(low, low + 2 * len(mask), 2), mask)
 
 
-def _unbounded_masks(segment_size: int) -> Iterator[tuple[int, bytearray]]:
+def _unbounded_masks() -> Iterator[tuple[int, bytearray]]:
     """_odd_segment_masks from 3 on, without end, in windows growing fourfold."""
     low = 3
     limit = 1 << 16
     while True:
-        yield from _odd_segment_masks(limit, segment_size, low=low)
+        yield from _odd_segment_masks(limit, SEGMENT_SIZE, low=low)
         if limit >= PRIME_CAP:
             raise CapacityError("prime generator exhausted the supported range")
         low = limit + 1 + (limit % 2)
         limit = min(limit * 4, PRIME_CAP)
+
+
+def _masks(limit: int) -> Iterator[tuple[int, bytearray]]:
+    """_odd_segment_masks over every odd candidate up to the inclusive
+    `limit`, once it is checked to be an int in [0, PRIME_CAP]."""
+    limit = operator.index(limit)
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    if limit > PRIME_CAP:
+        raise CapacityError(f"limit {limit} exceeds supported cap {PRIME_CAP}")
+    return _odd_segment_masks(limit, SEGMENT_SIZE)
 
 
 def _twin_lessers(masks: Iterable[tuple[int, bytearray]]) -> Iterator[list[int]]:
@@ -152,17 +143,33 @@ def _twin_lessers(masks: Iterable[tuple[int, bytearray]]) -> Iterator[list[int]]
         carry = mask[-1]
 
 
-def iter_prime_arrays(config: SieveConfig) -> Iterator[np.ndarray]:
-    """Yield ascending int64 arrays of primes, one array per segment."""
+def prime_lists(limit: int) -> Iterator[list[int]]:
+    """The primes p <= limit, ascending, as one list per sieve segment."""
+    masks = _masks(limit)
+    if limit >= 2:
+        yield [2]
+    for low, mask in masks:
+        yield list(_segment_primes(low, mask))
+
+
+def twin_lesser_lists(limit: int) -> Iterator[list[int]]:
+    """The lesser members p of the twin pairs (p, p + 2) with p + 2 <= limit,
+    ascending, as one list per sieve segment (see _twin_lessers)."""
+    yield from _twin_lessers(_masks(limit))
+
+
+def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:
+    """Yield ascending int64 arrays of primes p <= limit, one array per segment."""
     import numpy as np
 
-    if config.limit >= 2:
+    masks = _masks(limit)
+    if limit >= 2:
         yield np.array([2], dtype=np.int64)
-    for low, mask in _odd_segment_masks(config.limit, config.segment_size):
+    for low, mask in masks:
         yield low + 2 * np.flatnonzero(np.frombuffer(mask, dtype=bool))
 
 
-def iter_twin_lesser_arrays(config: SieveConfig) -> Iterator[np.ndarray]:
+def iter_twin_lesser_arrays(limit: int) -> Iterator[np.ndarray]:
     """Yield ascending int64 arrays of lesser twin members, per segment.
 
     A pair (p, p+2) is reported only when p+2 <= limit. Pairs straddling a
@@ -171,7 +178,7 @@ def iter_twin_lesser_arrays(config: SieveConfig) -> Iterator[np.ndarray]:
     import numpy as np
 
     carry = False  # the value just below the segment is prime
-    for low, mask in _odd_segment_masks(config.limit, config.segment_size):
+    for low, mask in _masks(limit):
         flags = np.frombuffer(mask, dtype=bool)
         lessers = low + 2 * np.flatnonzero(flags[:-1] & flags[1:])
         if carry and mask[0]:
@@ -180,16 +187,12 @@ def iter_twin_lesser_arrays(config: SieveConfig) -> Iterator[np.ndarray]:
         carry = mask[-1]
 
 
-def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
+def primes_up_to(limit: int) -> list[int]:
     """All primes p <= limit, ascending."""
-    config = SieveConfig(limit, segment_size)
-    out = [2] if limit >= 2 else []
-    for low, mask in _odd_segment_masks(config.limit, config.segment_size):
-        out.extend(_segment_primes(low, mask))
-    return out
+    return list(chain.from_iterable(prime_lists(limit)))
 
 
-def nth_primes(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
+def nth_primes(n: int) -> list[int]:
     """The first n primes."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -199,52 +202,41 @@ def nth_primes(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
         # Rosser's bound keeps a single sieve pass sufficient in practice.
         limit = int(n * (math.log(n) + math.log(math.log(n)))) + 10
     while True:
-        primes = primes_up_to(limit, segment_size)
+        primes = primes_up_to(limit)
         if len(primes) >= n:
             return primes[:n]
         limit = min(limit * 2, PRIME_CAP)
 
 
-def iter_primes(segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
+def iter_primes() -> Iterator[int]:
     """Unbounded ascending prime generator (sieves in growing windows)."""
     yield 2
-    for low, mask in _unbounded_masks(segment_size):
+    for low, mask in _unbounded_masks():
         yield from _segment_primes(low, mask)
 
 
-def twin_pairs_up_to(
-    limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> list[TwinPair]:
+def twin_pairs_up_to(limit: int) -> list[TwinPair]:
     """All twin pairs (p, p+2) with p+2 <= limit, ascending by lesser member."""
-    config = SieveConfig(limit, segment_size)
-    return [
-        TwinPair(p, p + 2)
-        for lessers in _twin_lessers(_odd_segment_masks(config.limit, config.segment_size))
-        for p in lessers
-    ]
+    return [TwinPair(p, p + 2) for lessers in _twin_lessers(_masks(limit)) for p in lessers]
 
 
-def twin_sequence_up_to(
-    limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> list[int]:
+def twin_sequence_up_to(limit: int) -> list[int]:
     """Consecutive twin pairs flattened into one list, pair order preserved.
 
     A prime shared by two pairs (only 5: from (3,5) and (5,7)) appears twice.
     """
-    config = SieveConfig(limit, segment_size)
     out: list[int] = []
-    for lessers in _twin_lessers(_odd_segment_masks(config.limit, config.segment_size)):
+    for lessers in _twin_lessers(_masks(limit)):
         out.extend(v for p in lessers for v in (p, p + 2))
     return out
 
 
-def nth_twin_values(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
+def nth_twin_values(n: int) -> list[int]:
     """First n values of the flattened twin sequence."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    SieveConfig(0, segment_size)  # rejects a segment_size below 64, as the other functions do
     out: list[int] = []
-    for lessers in _twin_lessers(_unbounded_masks(segment_size)):
+    for lessers in _twin_lessers(_unbounded_masks()):
         out.extend(v for p in lessers for v in (p, p + 2))
         if len(out) >= n:
             return out[:n]

@@ -1,8 +1,12 @@
+import contextlib
 import decimal
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+
+import sievesum.sieve
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -27,6 +31,12 @@ def trial_division_primes(limit: int) -> list[int]:
 @pytest.fixture(scope="session")
 def oracle_primes_1m() -> list[int]:
     return trial_division_primes(10**6)
+
+
+def patched_segment_size(size: int) -> contextlib.AbstractContextManager:
+    """sievesum.sieve.SEGMENT_SIZE set to `size` (odd candidates per segment)
+    for the body of a with statement; the sieve reads it at each call."""
+    return mock.patch.object(sievesum.sieve, "SEGMENT_SIZE", size)
 
 
 def _numpy_segment_masks(limit: int, segment_size: int, low: int = 3):

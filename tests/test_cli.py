@@ -27,6 +27,7 @@ from sievesum.cli import (
     _float_lines,
     _int_str,
     _json_int,
+    build_parser,
     main,
     parse_limit,
 )
@@ -38,6 +39,7 @@ from sievesum.series import (
     square_free_definition,
     twin_prime_definition,
 )
+from conftest import patched_segment_size, trial_division_primes
 from sievesum.sieve import nth_primes, primes_up_to, twin_pairs_up_to, twin_sequence_up_to
 
 
@@ -308,6 +310,39 @@ class TestParseLimit:
         assert message in err
 
 
+class TestIntegerFlags:
+    """The integer flags (--terms, --count, --a, --digits, --random,
+    --tamper-index) read text as --limit does."""
+
+    def test_scientific_terms_and_count(self, capsys):
+        args = build_parser().parse_args(["series", "--kind", "twin", "--terms", "2e5"])
+        assert args.terms == 200_000
+        code, out, _ = run_cli(capsys, "primes", "--count", "1e1")
+        assert (code, out) == run_cli(capsys, "primes", "--count", "10")[:2]
+        code, out, err = run_cli(capsys, "series", "--kind", "prime", "--terms", "2e5")
+        assert (code, out) == (2, "")
+        assert "200000 exact terms exceed the depth guard" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("abc", "invalid integer 'abc'"),
+            ("2.5", "invalid integer '2.5'"),
+            ("nan", "invalid integer 'nan'"),
+            ("0", "value must be at least 1"),
+            ("-1e3", "value must be at least 1"),
+        ],
+    )
+    def test_rejected_text_keeps_its_message(self, capsys, text, message):
+        code, out, err = run_cli(capsys, "series", "--kind", "prime", f"--terms={text}")
+        assert (code, out) == (2, "")
+        assert f"argument --terms: {message}" in err
+
+
+PRIMES_ORACLE_LIMIT = 3000
+PRIMES_ORACLE = trial_division_primes(PRIMES_ORACLE_LIMIT)
+
+
 class TestPrimesCommand:
     def test_csv_limit(self, capsys):
         code, out, _ = run_cli(capsys, "primes", "--limit", "30", "--format", "csv")
@@ -335,6 +370,28 @@ class TestPrimesCommand:
     def test_limit_and_count_conflict(self, capsys):
         code, _, _ = run_cli(capsys, "primes", "--limit", "10", "--count", "3")
         assert code == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        limit=st.integers(0, PRIMES_ORACLE_LIMIT),
+        segment_size=st.sampled_from([64, 65, 101]),
+        twins=st.booleans(),
+    )
+    @example(limit=643, segment_size=64, twins=True)  # (641, 643) straddles a boundary
+    @example(limit=523, segment_size=65, twins=True)  # (521, 523) too
+    def test_csv_chunks_across_segments_match_reference(self, limit, segment_size, twins):
+        primes = [p for p in PRIMES_ORACLE if p <= limit]
+        if twins:
+            twin = set(primes)
+            expected = "lesser,greater\n" + "".join(
+                f"{p},{p + 2}\n" for p in primes if p + 2 in twin
+            )
+        else:
+            expected = "p\n" + "".join(f"{p}\n" for p in primes)
+        argv = ["primes", "--limit", str(limit), *(["--twins"] if twins else [])]
+        with patched_segment_size(segment_size), contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue() == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_twins_with_count_is_usage_error(self, capsys, fmt):
@@ -1006,6 +1063,8 @@ class TestUnwritableOutput:
             ("series", "--kind", "prime", "--terms", "5"),
             ("verify", "--kind", "prime", "--terms", "5"),
             ("primes", "--limit", "100"),
+            ("primes", "--limit", "100", "--twins"),
+            ("primes", "--count", "5"),
             ("kconst", "--limit", "1e4"),
             ("brun", "--limit", "100"),
             ("mertens", "--terms", "5"),
@@ -1021,7 +1080,9 @@ class TestUnwritableOutput:
         for name in (
             "iter_states",
             "report_rows",
-            "iter_prime_arrays",
+            "prime_lists",
+            "twin_lesser_lists",
+            "nth_primes",
             "estimate_K",
             "brun_partial",
             "mertens_residual",

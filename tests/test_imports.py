@@ -34,6 +34,10 @@ NUMPY_FREE = [
     ["verify", "--random", "3"],
     ["brun", "--limit", "10000"],
     ["primes", "--count", "10"],
+    ["primes", "--limit", "30"],
+    ["primes", "--limit", "30", "--format", "json"],
+    ["primes", "--limit", "100", "--twins"],
+    ["primes", "--limit", "100", "--twins", "--format", "json"],
 ]
 KCONST = ["kconst", "--limit", "1e4"]
 

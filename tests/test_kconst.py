@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import patched_segment_size
 from sievesum.kconst import (
     DegenerateDataError,
     ExtrapolationError,
@@ -59,7 +60,8 @@ class TestPartialProduct:
         reference = partial_product(10**5)
         assert partial_product(10**5) == reference
         for segment_size in (64, 999, 1 << 14):
-            again = partial_product(10**5, segment_size)
+            with patched_segment_size(segment_size):
+                again = partial_product(10**5)
             assert again.log_value == reference.log_value  # bit-for-bit
             assert again.pair_count == reference.pair_count
 

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import trial_division_primes
+from conftest import patched_segment_size, trial_division_primes
 from sievesum.sieve import (
     _PERIOD,
+    PRIME_CAP,
     CapacityError,
-    SieveConfig,
     _odd_segment_masks,
+    iter_prime_arrays,
     iter_primes,
     iter_twin_lesser_arrays,
     nth_primes,
     nth_twin_values,
+    prime_lists,
     primes_up_to,
+    twin_lesser_lists,
     twin_pairs_up_to,
     twin_sequence_up_to,
 )
@@ -59,7 +62,8 @@ class TestPrimesUpTo:
     def test_segment_size_independence(self):
         reference = primes_up_to(10**5)
         for segment_size in (64, 101, 1 << 12, 1 << 20):
-            assert primes_up_to(10**5, segment_size) == reference
+            with patched_segment_size(segment_size):
+                assert primes_up_to(10**5) == reference
 
 
 class TestNthPrimes:
@@ -122,7 +126,8 @@ class TestTwinPairs:
     def test_segment_size_independence_catches_boundary_pairs(self):
         reference = twin_pairs_up_to(10**4)
         for segment_size in (64, 65, 997, 1 << 20):
-            assert twin_pairs_up_to(10**4, segment_size) == reference
+            with patched_segment_size(segment_size):
+                assert twin_pairs_up_to(10**4) == reference
 
 
 class TestTwinSequence:
@@ -199,7 +204,8 @@ class TestSegmentKernel:
     @given(k=st.integers(0, 13), delta=st.integers(-3, 3), segment_size=SEGMENT_SIZES)
     def test_primes_match_trial_division(self, k, delta, segment_size):
         limit = max(k * _PERIOD + delta, 0)
-        assert primes_up_to(limit, segment_size) == sorted(p for p in ORACLE if p <= limit)
+        with patched_segment_size(segment_size):
+            assert primes_up_to(limit) == sorted(p for p in ORACLE if p <= limit)
 
     @pytest.mark.parametrize("low", [3, 5, 7, 9, 11, 13])
     @pytest.mark.parametrize("segment_size", [64, 101, _PERIOD])
@@ -216,7 +222,8 @@ class TestSegmentKernel:
     def test_iter_primes_across_windows_and_segments(self):
         expected = primes_up_to(300_000)
         for segment_size in (64, 101, _PERIOD):
-            assert list(islice(iter_primes(segment_size), len(expected))) == expected
+            with patched_segment_size(segment_size):
+                assert list(islice(iter_primes(), len(expected))) == expected
 
 
 def _straddling_pairs(limit: int, segment_size: int) -> list[int]:
@@ -236,15 +243,13 @@ class TestTwinBoundaries:
     )
     @example(segment_size=105, limit=213)
     def test_three_twin_views_agree(self, segment_size, limit):
-        pairs = twin_pairs_up_to(limit, segment_size)
+        with patched_segment_size(segment_size):
+            pairs = twin_pairs_up_to(limit)
+            arrays = [a.tolist() for a in iter_twin_lesser_arrays(limit)]
+            sequence = twin_sequence_up_to(limit)
         lessers = [p.lesser for p in pairs]
-        arrays = [
-            a.tolist() for a in iter_twin_lesser_arrays(SieveConfig(limit, segment_size))
-        ]
         assert list(chain.from_iterable(arrays)) == lessers
-        assert twin_sequence_up_to(limit, segment_size) == [
-            v for p in lessers for v in (p, p + 2)
-        ]
+        assert sequence == [v for p in lessers for v in (p, p + 2)]
         assert lessers == [p for p in range(3, limit - 1, 2) if p in ORACLE and p + 2 in ORACLE]
         for p in _straddling_pairs(limit, segment_size):
             # attributed to the segment holding p + 2
@@ -256,19 +261,61 @@ class TestTwinBoundaries:
         assert _straddling_pairs(ORACLE_LIMIT, segment_size)
 
 
-class TestSieveConfig:
-    def test_rejects_small_segment(self):
-        with pytest.raises(ValueError):
-            SieveConfig(100, segment_size=63)
+class TestPrimeViews:
+    @settings(max_examples=40, deadline=None)
+    @given(segment_size=st.sampled_from([64, 65, 101, _PERIOD]), limit=st.integers(0, 20_000))
+    def test_lists_and_arrays_agree_per_segment(self, segment_size, limit):
+        with patched_segment_size(segment_size):
+            lists = list(prime_lists(limit))
+            arrays = [a.tolist() for a in iter_prime_arrays(limit)]
+            flat = primes_up_to(limit)
+        # [2], then one list per segment of the patched size
+        assert len(lists) == (limit >= 2) + len(range(3, limit + 1, 2 * segment_size))
+        assert lists == arrays
+        assert list(chain.from_iterable(lists)) == flat == sorted(p for p in ORACLE if p <= limit)
 
-    def test_rejects_negative_limit(self):
-        with pytest.raises(ValueError):
-            SieveConfig(-1)
+    @settings(max_examples=40, deadline=None)
+    @given(segment_size=st.sampled_from([64, 65, 101, 105]), limit=st.integers(0, 20_000))
+    @example(segment_size=64, limit=643)  # (641, 643) straddles the fifth boundary
+    def test_twin_lists_and_arrays_agree_per_segment(self, segment_size, limit):
+        with patched_segment_size(segment_size):
+            lists = list(twin_lesser_lists(limit))
+            arrays = [a.tolist() for a in iter_twin_lesser_arrays(limit)]
+            pairs = twin_pairs_up_to(limit)
+        assert len(lists) == len(range(3, limit + 1, 2 * segment_size))
+        assert lists == arrays
+        assert list(chain.from_iterable(lists)) == [p.lesser for p in pairs]
 
-    def test_rejects_limit_beyond_carrier(self):
-        with pytest.raises(CapacityError):
-            SieveConfig(2**63)
+
+# every public function that takes a limit, each run to its end
+LIMIT_TAKERS = [
+    primes_up_to,
+    twin_pairs_up_to,
+    twin_sequence_up_to,
+    lambda limit: list(prime_lists(limit)),
+    lambda limit: list(twin_lesser_lists(limit)),
+    lambda limit: list(iter_prime_arrays(limit)),
+    lambda limit: list(iter_twin_lesser_arrays(limit)),
+]
+
+
+class TestLimitChecks:
+    @pytest.mark.parametrize("take", LIMIT_TAKERS)
+    def test_rejects_negative_limit(self, take):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            take(-1)
+
+    @pytest.mark.parametrize("take", LIMIT_TAKERS)
+    def test_rejects_limit_beyond_carrier(self, take):
+        with pytest.raises(CapacityError, match=f"limit {2**63} exceeds supported cap"):
+            take(2**63)
+
+    @pytest.mark.parametrize("take", LIMIT_TAKERS)
+    def test_rejects_a_float_limit(self, take):
+        with pytest.raises(TypeError):
+            take(100.0)
 
     def test_accepts_carrier_cap(self):
-        SieveConfig(2**63 - 1)
-
+        # the check comes before the first segment, which is never sieved here
+        assert next(prime_lists(PRIME_CAP)) == [2]
+        assert next(iter_prime_arrays(PRIME_CAP)).tolist() == [2]
