@@ -70,7 +70,9 @@ def square_free_definition() -> SeriesDefinition:
     """F_i = p_i^2 with a = 1: term n is the fraction of integers whose first
     squared-prime divisor is p_n^2."""
     return SeriesDefinition(
-        lambda: (p * p for p in iter_primes()), offset_a=1, label="square-free"
+        lambda: (p * p for p in iter_primes()),
+        offset_a=1,
+        label="square-free",
     )
 
 
