@@ -18,11 +18,12 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 from fractions import Fraction
 from itertools import count as _count
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import __version__
 from .engine import (
@@ -49,6 +50,8 @@ from .sieve import PRIME_CAP, nth_primes, prime_lists, twin_lesser_lists
 
 DEFAULT_SEED = 1000003
 _INT64_MAX = 2**63 - 1
+# between two elements of a list in a top-level object, as json.dumps(indent=2) writes it
+_JSON_SEP = ",\n    "
 # Above this many bits, _int_str's divide-and-conquer conversion beats str(),
 # whose cost grows with the square of the length (measured crossover: about
 # 34k bits, 10k digits, on Python 3.11).
@@ -107,9 +110,14 @@ def parse_limit(text: str) -> int:
     return value
 
 
+def _integer(text: str) -> int:
+    """Integer; scientific notation such as 1e3 is accepted."""
+    return _parse_int(text, "invalid integer {!r}", "invalid integer {!r}")
+
+
 def _positive_int(text: str) -> int:
     """Integer of at least 1; scientific notation such as 2e5 is accepted."""
-    value = _parse_int(text, "invalid integer {!r}", "invalid integer {!r}")
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("value must be at least 1")
     return value
@@ -159,14 +167,24 @@ def _json_int(value: int) -> int | str:
     return value if -_INT64_MAX - 1 <= value <= _INT64_MAX else _int_str(value)
 
 
-def _round_sig(x: float, digits: int) -> float:
-    # shared by CSV and JSON so both formats parse back to identical values
-    return float(format(x, f".{digits}g"))
+def _row_template(fmt: str, shape) -> str:
+    """A `%` template of one output row: the fields of `shape` (a `%` field,
+    or a list or dict of them, nested) as a CSV line, or the text that
+    json.dumps(doc, indent=2) writes for `shape` as an element of a list in
+    the top-level object doc, its fields bare. _emit joins such elements
+    with _JSON_SEP."""
+    text = json.dumps(shape, indent=2).replace("\n", "\n    ")
+    if fmt == "csv":
+        return ",".join(re.findall(r'"(%[^"]*)"', text)) + "\n"
+    return re.sub(r'"(%[^"]*)"', r"\1", text)
 
 
-def _float_lines(rows: Iterable[tuple], floats: int, digits: int) -> Iterator[str]:
-    """CSV lines of `rows`, each two int cells and then `floats` float cells
-    x shown as str(_round_sig(x, digits)), the value JSON holds.
+def _float_lines(rows: Iterable[tuple], keys: tuple[str, ...], fmt: str,
+                 digits: int) -> Iterator[str]:
+    """The CSV lines, or the JSON list elements, of `rows` as records with
+    `keys`: two int cells and then float cells x, each rounded to `digits`
+    significant digits and shown as str() (CSV) or json.dumps() (JSON) of
+    the rounded float, the same text but for nan and the infinities.
 
     For digits <= 15 that text is the one "%.{digits}g" % x prints, in one
     `%` per line, whenever each float cell of it has a '.' or an 'e-' and
@@ -176,20 +194,23 @@ def _float_lines(rows: Iterable[tuple], floats: int, digits: int) -> Iterator[st
     texts then have the same notation (a one-digit mantissa in e-notation,
     such as 2e-09, has no '.' in either). Other lines (cells that print as
     integers, +-0, nan, inf, large or near-subnormal exponents) and digits
-    above 15 take the reference text.
+    above 15 take the reference text. The gate reads the keys too, so no
+    key may contain ',', '.', 'e+' or 'e-'.
     """
-    fast = "%d,%d" + f",%.{digits}g" * floats + "\n"
+    spec = f"%.{digits}g"
+    fast, slow = (_row_template(fmt, dict(zip(keys, ["%d", "%d", *[field] * (len(keys) - 2)])))
+                  for field in (spec, "%s"))
+    show = str if fmt == "csv" else json.dumps
     return (
         line
         if digits <= 15
         and "e+" not in (line := fast % row)
         and "e-3" not in line
         and (
-            line.count(".") == floats
+            line.count(".") == len(keys) - 2
             or all("." in cell or "e-" in cell for cell in line.split(",")[2:])
         )
-        else ",".join([str(row[0]), str(row[1]), *(str(_round_sig(x, digits)) for x in row[2:])])
-        + "\n"
+        else slow % (row[0], row[1], *(show(float(spec % x)) for x in row[2:]))
         for row in rows
     )
 
@@ -242,11 +263,12 @@ def _check_output(args: argparse.Namespace) -> None:
         os.remove(temp)
 
 
-def _emit(args: argparse.Namespace, doc: Callable[[], object],
-          header: str | None = None, lines: Iterable[str] = ()) -> None:
-    """Write `header` and then the text chunks `lines` to --output if the
-    command has --format and it is csv, else the JSON document doc() builds.
-    Chunks (a line or many) are rendered one at a time, as they are written.
+def _emit(args: argparse.Namespace, doc: dict, key: str | None = None,
+          header: str | None = None, chunks: Iterable[str] = ()) -> None:
+    """Write `header` and then the text chunks `chunks` to --output if the
+    command has --format and it is csv, else the JSON document `doc`, with
+    the list whose elements `chunks` hold (see _row_template) added last,
+    under `key`. Chunks are rendered one at a time, as they are written.
 
     An --output file is written whole or not at all: the text goes to a
     temporary file beside it, which replaces it only once complete and
@@ -256,10 +278,18 @@ def _emit(args: argparse.Namespace, doc: Callable[[], object],
     def write(stream) -> None:
         if getattr(args, "format", None) == "csv":
             stream.write(header)
-            stream.writelines(lines)
+            stream.writelines(chunks)
+            return
+        parts = filter(None, chunks if key else ())
+        first = next(parts, None)
+        if first is None:
+            stream.write(json.dumps({**doc, key: []} if key else doc, indent=2))
         else:
-            json.dump(doc(), stream, indent=2)
-            stream.write("\n")
+            head, _, tail = json.dumps({**doc, key: [0]}, indent=2).rpartition("0")
+            stream.write(head + first)
+            stream.writelines(_JSON_SEP + chunk for chunk in parts)
+            stream.write(tail)
+        stream.write("\n")
 
     if not _replaceable(args):
         stream, owned = _open_output(args)
@@ -288,20 +318,20 @@ def _emit(args: argparse.Namespace, doc: Callable[[], object],
 
 
 def _parse_seq(spec: str):
-    """Inline sequence: a comma list ('2,3,4,5') or 'start:step' rule."""
-    spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 2:
-            raise ValueError("arithmetic rule must be start:step")
-        start, step = (int(p, 10) for p in parts)
-        if step < 1:
-            raise ValueError("step must be a positive integer")
-        return lambda: _count(start, step)
-    values = tuple(int(p, 10) for p in spec.split(","))
-    if not values:
-        raise ValueError("empty sequence")
-    return values
+    """Inline sequence: a comma list ('2,3,4,5') or 'start:step' rule, of
+    exact decimal integers (no 1e2: through a float, 1e30 would round)."""
+    rule = ":" in spec
+    values = []
+    for item in spec.split(":" if rule else ","):
+        try:
+            values.append(int(item, 10))
+        except ValueError:
+            raise ValueError(f"--seq item {item.strip()!r} is not a decimal integer") from None
+    if not rule:
+        return tuple(values)
+    if len(values) != 2 or values[1] < 1:
+        raise ValueError("--seq rule must be start:step with a step of at least 1")
+    return lambda: _count(*values)
 
 
 def _definition_for(args: argparse.Namespace) -> SeriesDefinition:
@@ -364,45 +394,26 @@ def cmd_series(args: argparse.Namespace) -> int:
     meta = {"kind": args.kind, "a": a, "terms": args.terms, "mode": args.mode,
             "version": __version__}
     if args.mode == "exact":
-        rows = report_rows(defn, args.terms)
         header = "n,F_n,T_num,T_den,S_num,S_den,R_num,R_den\n"
-        lines = (
-            f"{row.n},{row.F_n},{','.join(map(str, cells))}\n"
-            for row, cells in _exact_cells(rows, a)
+        fraction = {"num": "%s", "den": "%s"}
+        shape = {"n": "%d", "F_n": "%d", "T": fraction, "S": fraction, "R": fraction}
+        template = _row_template(args.format, shape)
+        show = str if args.format == "csv" else json.dumps
+        chunks = (
+            template % (row.n, row.F_n, *map(show, cells))
+            for row, cells in _exact_cells(report_rows(defn, args.terms), a)
         )
-        records = lambda: [
-            {
-                "n": row.n,
-                "F_n": row.F_n,
-                "T": {"num": t_num, "den": t_den},
-                "S": {"num": s_num, "den": s_den},
-                "R": {"num": r_num, "den": r_den},
-            }
-            for row, (t_num, t_den, s_num, s_den, r_num, r_den) in _exact_cells(rows, a)
-        ]
     else:
-        d = args.digits
-        header = "n,F_n,T,S,residual\n"
-        # every row is made before the first byte is written, so that an
-        # early error writes nothing; CSV keeps only the rendered lines
+        keys = ("n", "F_n", "T", "S", "residual")
+        header = ",".join(keys) + "\n"
+        # every row is rendered before the first byte is written, so that
+        # an early error writes nothing
         try:
-            if args.format == "csv":
-                rows, lines = (), list(_float_lines(float_rows(defn, args.terms), 3, d))
-            else:
-                rows, lines = list(float_rows(defn, args.terms)), ()
+            rows = float_rows(defn, args.terms)
+            chunks = list(_float_lines(rows, keys, args.format, args.digits))
         except OverflowError as exc:
             raise ValueError(f"{exc}; use --mode exact") from None
-        records = lambda: [
-            {
-                "n": row.n,
-                "F_n": row.F_n,
-                "T": _round_sig(row.T, d),
-                "S": _round_sig(row.S, d),
-                "residual": _round_sig(row.residual, d),
-            }
-            for row in rows
-        ]
-    _emit(args, lambda: {"meta": meta, "rows": records()}, header, lines)
+    _emit(args, {"meta": meta}, "rows", header, chunks)
     return 0
 
 
@@ -525,7 +536,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # argparse leaves these None, so that --random can tell a given value from a default
         args.kind, args.terms, args.a = args.kind or "prime", args.terms or 100, args.a or 1
         report = _run_identity_checks(args)
-    _emit(args, lambda: report)
+    _emit(args, report)
     return 0 if report["status"] == "pass" else 1
 
 
@@ -546,7 +557,7 @@ def cmd_kconst(args: argparse.Namespace) -> int:
         "log_partial": pp.log_value,
         "assumptions": estimate.assumptions,
     }
-    _emit(args, lambda: doc)
+    _emit(args, doc)
     return 0
 
 
@@ -561,7 +572,7 @@ def cmd_brun(args: argparse.Namespace) -> int:
         "decimal": decimal_text,
     }
     line = f"{args.limit},{result.terms},{num},{den},{decimal_text}\n"
-    _emit(args, lambda: doc, "limit,terms,sum_num,sum_den,decimal\n", [line])
+    _emit(args, doc, None, "limit,terms,sum_num,sum_den,decimal\n", [line])
     return 0
 
 
@@ -569,17 +580,11 @@ def cmd_mertens(args: argparse.Namespace) -> int:
     rows = mertens_residual(args.terms)
     if args.last:
         rows = rows[-1:]
-    d = args.digits
     offset = args.terms - len(rows)
-    doc = lambda: {
-        "meta": {"terms": args.terms, "version": __version__},
-        "rows": [
-            {"n": offset + i, "p_n": p, "ratio": _round_sig(ratio, d)}
-            for i, (p, ratio) in enumerate(rows, 1)
-        ],
-    }
-    lines = _float_lines(((offset + i, p, ratio) for i, (p, ratio) in enumerate(rows, 1)), 1, d)
-    _emit(args, doc, "n,p_n,ratio\n", lines)
+    meta = {"terms": args.terms, "version": __version__}
+    chunks = _float_lines(((offset + i, p, ratio) for i, (p, ratio) in enumerate(rows, 1)),
+                          ("n", "p_n", "ratio"), args.format, args.digits)
+    _emit(args, {"meta": meta}, "rows", "n,p_n,ratio\n", chunks)
     return 0
 
 
@@ -588,19 +593,21 @@ def cmd_primes(args: argparse.Namespace) -> int:
         if args.twins:
             raise ValueError("--twins needs --limit, not --count")
         meta = {"count": args.count, "version": __version__}
-        chunks = [nth_primes(args.count)]
+        lists = [nth_primes(args.count)]
     else:
         meta = {"limit": args.limit, "version": __version__}
         # one list per sieve segment; CSV never holds more than one
-        chunks = (twin_lesser_lists if args.twins else prime_lists)(args.limit)
+        lists = (twin_lesser_lists if args.twins else prime_lists)(args.limit)
     if args.twins:
-        pairs = lambda: [[p, p + 2] for chunk in chunks for p in chunk]
-        lines = ("".join([f"{p},{p + 2}\n" for p in chunk]) for chunk in chunks)
-        _emit(args, lambda: {"meta": meta, "pairs": pairs()}, "lesser,greater\n", lines)
+        key, header, shape = "pairs", "lesser,greater\n", ["%d", "%d"]
+        lists = ([v for p in lesser for v in (p, p + 2)] for lesser in lists)
     else:
-        primes = lambda: [p for chunk in chunks for p in chunk]
-        lines = ("%d\n" * len(chunk) % tuple(chunk) for chunk in chunks)
-        _emit(args, lambda: {"meta": meta, "primes": primes()}, "p\n", lines)
+        key, header, shape = "primes", "p\n", "%d"
+    template = _row_template(args.format, shape)
+    sep, width = "" if args.format == "csv" else _JSON_SEP, template.count("%")
+    # one `%` per list: the template of each element, joined
+    chunks = (sep.join([template] * (len(values) // width)) % tuple(values) for values in lists)
+    _emit(args, {"meta": meta}, key, header, chunks)
     return 0
 
 
@@ -655,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq")
     p.add_argument("--random", type=_positive_int, default=0, dest="random_instances",
                    metavar="N", help="run N randomized (F, a) identity instances")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
                    help=f"seed for --random (default {DEFAULT_SEED})")
     p.add_argument("--tamper-index", type=_positive_int, default=None,
                    help=argparse.SUPPRESS)

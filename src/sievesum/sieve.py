@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
@@ -196,16 +196,7 @@ def nth_primes(n: int) -> list[int]:
     """The first n primes."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n < 6:
-        limit = 13
-    else:
-        # Rosser's bound keeps a single sieve pass sufficient in practice.
-        limit = int(n * (math.log(n) + math.log(math.log(n)))) + 10
-    while True:
-        primes = primes_up_to(limit)
-        if len(primes) >= n:
-            return primes[:n]
-        limit = min(limit * 2, PRIME_CAP)
+    return list(islice(iter_primes(), n))
 
 
 def iter_primes() -> Iterator[int]:

@@ -232,6 +232,15 @@ FORMATTED_OUTPUTS = {
         ("primes", "--limit", "1000", "--twins"),
         lambda fmt: reference_twins(fmt, 1000),
     ),
+    # empty lists, which JSON writes as []
+    "primes-limit-empty": (
+        ("primes", "--limit", "1"),
+        lambda fmt: reference_primes(fmt, "limit", 1, []),
+    ),
+    "primes-twins-empty": (
+        ("primes", "--limit", "4", "--twins"),
+        lambda fmt: reference_twins(fmt, 4),
+    ),
 }
 
 # the float series at the ends of the --digits range, and at 15, the most
@@ -506,6 +515,14 @@ class TestSeriesCommand:
         assert code == 2
         assert "--seq" in err
 
+    @pytest.mark.parametrize("seq, item", [("2,,3", "''"), ("3:1e2", "'1e2'")])
+    def test_bad_seq_item_is_named(self, capsys, seq, item):
+        code, out, err = run_cli(capsys, "series", "--kind", "custom", "--seq", seq, "--terms", "2")
+        assert code == 2
+        assert out == ""
+        assert f"--seq item {item} is not a decimal integer" in err
+        assert "invalid literal" not in err
+
     def test_sequence_shorter_than_terms(self, capsys):
         code, _, _ = run_cli(
             capsys, "series", "--kind", "custom", "--seq", "2,3", "--terms", "5"
@@ -644,6 +661,29 @@ FLOAT_CELLS = st.one_of(
 )
 
 
+# the keys of a record of two int cells and one to three float cells
+FLOAT_KEYS = ("n", "F_n", "T", "S", "residual")
+
+
+def float_rows_of(cells, floats):
+    """Rows of two ints and `floats` of `cells` each, as many as fit."""
+    return [
+        (n, 2 * n + 1, *cells[i : i + floats])
+        for n, i in enumerate(range(0, len(cells) - floats + 1, floats), 1)
+    ]
+
+
+def reference_float_element(row, digits):
+    """The text json.dumps(indent=2) writes for `row`'s record, each float
+    rounded by sig, as an element of a list under a top-level key."""
+    n, f, *floats = row
+    record = dict(zip(FLOAT_KEYS, (n, f, *(sig(x, digits) for x in floats))))
+    text = json.dumps({"rows": [record]}, indent=2)
+    prefix, suffix = '{\n  "rows": [\n    ', "\n  ]\n}"
+    assert text.startswith(prefix) and text.endswith(suffix)
+    return text[len(prefix) : -len(suffix)]
+
+
 class TestFloatLines:
     @settings(max_examples=600, deadline=None)
     @given(
@@ -657,14 +697,26 @@ class TestFloatLines:
     @example(digits=1, floats=3, cells=[2e-09, 0.3, 0.2, -7.4e-05, 1.5e-100, 9.96e-30, 3e-300])
     @example(digits=2, floats=3, cells=[2e-09, 1.5e-09, 0.25, 1e-05, -1.04e-19, 9.99e-05, 1e-29])
     def test_matches_reference(self, digits, floats, cells):
-        rows = [
-            (n, 2 * n + 1, *cells[i : i + floats])
-            for n, i in enumerate(range(0, len(cells) - floats + 1, floats), 1)
-        ]
-        lines = list(_float_lines(rows, floats, digits))
+        rows = float_rows_of(cells, floats)
+        lines = list(_float_lines(rows, FLOAT_KEYS[: 2 + floats], "csv", digits))
         assert len(lines) == len(rows)
         for line, row in zip(lines, rows):
             assert line.split(",") == reference_float_line(row, digits).split(",")
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        digits=st.integers(1, 17),
+        floats=st.integers(1, 3),
+        cells=st.lists(FLOAT_CELLS, min_size=3, max_size=30),
+    )
+    @example(digits=15, floats=3, cells=[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
+    @example(digits=17, floats=3, cells=[-5e-324, 2.225073858507201e-308, -2.2250738585072014e-308])
+    @example(digits=1, floats=3, cells=[2e-09, 0.3, 0.2, -7.4e-05, 1.5e-100, 9.96e-30, 3e-300])
+    @example(digits=16, floats=1, cells=[1.7976931348623157e308, 1e16, 0.0938595867742349])
+    def test_json_matches_json_dumps(self, digits, floats, cells):
+        rows = float_rows_of(cells, floats)
+        elements = list(_float_lines(rows, FLOAT_KEYS[: 2 + floats], "json", digits))
+        assert elements == [reference_float_element(row, digits) for row in rows]
 
     @pytest.mark.parametrize(
         "digits, row",
@@ -675,16 +727,25 @@ class TestFloatLines:
         ],
     )
     def test_one_digit_exponent_cells_take_one_format(self, monkeypatch, digits, row):
-        # the reference text is built from _round_sig; the one-% line is not
-        monkeypatch.setattr(sievesum.cli, "_round_sig", None)
-        expected = reference_float_line(row, digits)
-        assert list(_float_lines([row], 3, digits)) == [expected]
-        assert any("." not in cell for cell in expected.split(",")[2:])
+        expected = {
+            "csv": reference_float_line(row, digits),
+            "json": reference_float_element(row, digits),
+        }
+        # the reference text parses the rounded cell back with float();
+        # the one-% line does not
+        monkeypatch.setattr(sievesum.cli, "float", None, raising=False)
+        for fmt, text in expected.items():
+            assert list(_float_lines([row], FLOAT_KEYS, fmt, digits)) == [text]
+            assert any("." not in cell for cell in text.split(",")[2:])
 
     def test_huge_int_cells(self):
         with unlimited_int_str():
             row = (1, 10**40 + 7, 0.125)
-            assert list(_float_lines([row], 1, 15)) == [reference_float_line(row, 15)]
+            keys = FLOAT_KEYS[:3]
+            assert list(_float_lines([row], keys, "csv", 15)) == [reference_float_line(row, 15)]
+            assert list(_float_lines([row], keys, "json", 15)) == [
+                reference_float_element(row, 15)
+            ]
 
 
 SERIES_KINDS = {
@@ -708,6 +769,25 @@ class TestExactOutputBytes:
         )
         assert code == 0
         assert out == reference_series(kind, defn, 200, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_exact_record_matches_reference_at_the_int64_edge(
+        self, capsys, threshold, delta, a, fmt
+    ):
+        # cells on both sides of the int/string switch fill one record template
+        f = threshold + delta
+        for values in ((f,), (6, f // 6), (7, 5, f // 35 + 1)):
+            seq = ",".join(map(str, values))
+            code, out, _ = run_cli(
+                capsys, "series", "--kind", "custom", "--a", str(a), "--seq", seq,
+                "--terms", str(len(values)), "--format", fmt,
+            )
+            assert code == 0
+            defn = SeriesDefinition(values, offset_a=a)
+            assert out == reference_series("custom", defn, len(values), fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("case", sorted(FORMATTED_OUTPUTS))
@@ -873,6 +953,13 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--random", "5", "--seed", "99")
         assert code == 0
         assert "seed: 99" in err
+
+    @pytest.mark.parametrize("seed, same_as", [("1e3", "1000"), ("-5", "-5")])
+    def test_seed_takes_e_notation_and_negatives(self, capsys, seed, same_as):
+        code, out, err = run_cli(capsys, "verify", "--random", "2", "--seed", seed)
+        assert code == 0
+        assert (code, out, err) == run_cli(capsys, "verify", "--random", "2", "--seed", same_as)
+        assert json.loads(out)["seed"] == int(same_as)
 
     def test_tamper_with_random_is_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -1125,17 +1212,19 @@ class TestAtomicOutput:
     def test_failed_run_leaves_existing_file_and_no_temp(self, tmp_path):
         target = tmp_path / "rows.csv"
         target.write_text("keep me\n")
-        args = argparse.Namespace(output=str(target), format="csv")
-        with pytest.raises(RuntimeError, match="row 2 failed"):
-            _emit(args, dict, "a,b\n", self.failing_lines())
-        assert target.read_text() == "keep me\n"
-        assert os.listdir(tmp_path) == ["rows.csv"]
+        for fmt in ("csv", "json"):
+            args = argparse.Namespace(output=str(target), format=fmt)
+            with pytest.raises(RuntimeError, match="row 2 failed"):
+                _emit(args, {}, "rows", "a,b\n", self.failing_lines())
+            assert target.read_text() == "keep me\n"
+            assert os.listdir(tmp_path) == ["rows.csv"]
 
     def test_failed_run_creates_no_file(self, tmp_path):
-        args = argparse.Namespace(output=str(tmp_path / "rows.csv"), format="csv")
-        with pytest.raises(RuntimeError):
-            _emit(args, dict, "a,b\n", self.failing_lines())
-        assert os.listdir(tmp_path) == []
+        for fmt in ("csv", "json"):
+            args = argparse.Namespace(output=str(tmp_path / "rows.csv"), format=fmt)
+            with pytest.raises(RuntimeError):
+                _emit(args, {}, "rows", "a,b\n", self.failing_lines())
+            assert os.listdir(tmp_path) == []
 
     def test_replacement_keeps_permissions(self, tmp_path):
         existing, fresh = tmp_path / "old.csv", tmp_path / "new.csv"
@@ -1144,7 +1233,7 @@ class TestAtomicOutput:
         umask = os.umask(0o022)
         try:
             for target in (existing, fresh):
-                _emit(argparse.Namespace(output=str(target), format="csv"), dict, "a,b\n",
+                _emit(argparse.Namespace(output=str(target), format="csv"), {}, "rows", "a,b\n",
                       ["1,2\n"])
         finally:
             os.umask(umask)
@@ -1157,7 +1246,7 @@ class TestAtomicOutput:
         real, link = tmp_path / "real.csv", tmp_path / "link.csv"
         real.write_text("old\n")
         link.symlink_to(real)
-        _emit(argparse.Namespace(output=str(link), format="csv"), dict, "a\n", ["1\n"])
+        _emit(argparse.Namespace(output=str(link), format="csv"), {}, "rows", "a\n", ["1\n"])
         assert link.is_symlink()
         assert real.read_text() == "a\n1\n"
 

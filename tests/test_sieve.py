@@ -90,7 +90,9 @@ class TestIterPrimes:
     def test_matches_nth_primes_across_window_growth(self):
         from itertools import islice
 
-        assert list(islice(iter_primes(), 10000)) == nth_primes(10000)
+        # the 10000th prime, 104729, lies beyond the first window (2**16);
+        # primes_up_to sieves one bounded range, without windows
+        assert list(islice(iter_primes(), 10000)) == nth_primes(10000) == primes_up_to(104729)
 
 
 class TestTwinPairs:
