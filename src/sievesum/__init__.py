@@ -16,7 +16,6 @@ from .engine import (
     init,
     iter_states,
     report_rows,
-    to_decimal,
 )
 from .kconst import (
     DegenerateDataError,

@@ -28,15 +28,12 @@ from typing import Iterable, Iterator
 from . import __version__
 from .engine import (
     DepthGuardError,
-    ReportRow,
     SeriesDefinition,
     SeriesState,
     check_residual_identity,
     check_term_recursion,
     float_rows,
     iter_states,
-    report_rows,
-    to_decimal,
 )
 from .kconst import ExtrapolationError, estimate_K, partial_product
 from .series import (
@@ -52,10 +49,6 @@ DEFAULT_SEED = 1000003
 _INT64_MAX = 2**63 - 1
 # between two elements of a list in a top-level object, as json.dumps(indent=2) writes it
 _JSON_SEP = ",\n    "
-# Above this many bits, _int_str's divide-and-conquer conversion beats str(),
-# whose cost grows with the square of the length (measured crossover: about
-# 34k bits, 10k digits, on Python 3.11).
-_STR_BITS = 34_000
 # Below this many bits, int -> Decimal is converted directly.
 _LEAF_BITS = 128
 # Exact integer arithmetic in decimal: no operation may round, and one that
@@ -123,16 +116,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_str(n: int) -> str:
-    """str(n), in time below quadratic for huge n.
+def _digits(text: str) -> int:
+    """Significant digits, from 1 to decimal.MAX_PREC; scientific notation
+    such as 1e3 is accepted."""
+    value = _positive_int(text)
+    if value > decimal.MAX_PREC:
+        raise argparse.ArgumentTypeError(f"digits exceed the maximum {decimal.MAX_PREC}")
+    return value
 
-    Huge n is split in halves by bits, recursively, and rebuilt as a
-    Decimal, whose multiplication is fast at this size, from the exact
-    halves and powers of two: hi * 2**w + lo. This is the algorithm of
-    CPython 3.12's _pylong.int_to_decimal_string.
+
+def _exact_decimal(n: int) -> decimal.Decimal:
+    """n >= 0 as an exact Decimal, in time below quadratic for huge n (and
+    str() of a Decimal costs only its length, str() of an int its square).
+
+    n is split in halves by bits, recursively, and rebuilt as a Decimal,
+    whose multiplication is fast at this size, from the exact halves and
+    powers of two: hi * 2**w + lo. This is the algorithm of CPython 3.12's
+    _pylong.int_to_decimal_string.
     """
-    if n.bit_length() <= _STR_BITS:
-        return str(n)
     two_powers: dict[int, decimal.Decimal] = {}
 
     def two_to(w: int) -> decimal.Decimal:
@@ -157,14 +158,16 @@ def _int_str(n: int) -> str:
         return convert(m - (hi << half), half) + convert(hi, w - half) * two_to(half)
 
     with decimal.localcontext(_EXACT):
-        text = str(convert(abs(n), n.bit_length()))
-    return "-" + text if n < 0 else text
+        return convert(n, n.bit_length())
 
 
-def _json_int(value: int) -> int | str:
-    """value itself in the int64 range, its decimal text beyond it; str()
-    of either is the CSV cell."""
-    return value if -_INT64_MAX - 1 <= value <= _INT64_MAX else _int_str(value)
+def _decimal_json_int(value: decimal.Decimal) -> int | str:
+    """A nonnegative integer held as an exact Decimal: the int itself up to
+    the int64 maximum, its decimal text beyond it; str() of either is the
+    CSV cell."""
+    if value.adjusted() < 19 and (n := int(value)) <= _INT64_MAX:
+        return n
+    return str(value)
 
 
 def _row_template(fmt: str, shape) -> str:
@@ -343,17 +346,12 @@ def _definition_for(args: argparse.Namespace) -> SeriesDefinition:
         return twin_prime_definition()
     if not args.seq:
         raise ValueError("custom kind requires --seq")
-    return SeriesDefinition(_parse_seq(args.seq), offset_a=args.a, label="custom")
+    return SeriesDefinition(_parse_seq(args.seq), offset_a=args.a)
 
 
-def _decimal_json_int(value: decimal.Decimal) -> int | str:
-    """_json_int of an integer held as an exact Decimal."""
-    return _json_int(int(value)) if value.adjusted() < 19 else str(value)
-
-
-def _exact_cells(rows: Iterable[ReportRow], a: int) -> Iterator[tuple[ReportRow, list]]:
-    """Each exact row with _json_int of its T, S and R = a * residual
-    numerators and denominators, in that order.
+def _exact_cells(rows: Iterable[tuple[int, int, Fraction]], a: int) -> Iterator[list]:
+    """For each exact row (k, F_k, R_k), the numerators and denominators of
+    T_k, S_k and R_k, in that order, as _decimal_json_int cells.
 
     str() of a huge int costs the square of its length, str() of a Decimal
     only its length. So R's numerator rn and denominator rd are mirrored as
@@ -373,19 +371,17 @@ def _exact_cells(rows: Iterable[ReportRow], a: int) -> Iterator[tuple[ReportRow,
     rn_int = rd_int = 1
     with decimal.localcontext(_EXACT):
         rn = rd = decimal.Decimal(1)
-        for row in rows:
-            f = row.F_n
+        for _, f, r in rows:
             g = math.gcd(rn_int, f)
             t_num, t_den = rn / g, rd * (f // g)
             g0 = math.gcd(f, a)
             u, v = (f - a) // g0, f // g0
             g1, g2 = math.gcd(rn_int, v), math.gcd(rd_int, u)
             rn, rd = rn / g1 * (u // g2), rd / g2 * (v // g1)
-            residual_product = row.residual * a
-            rn_int, rd_int = residual_product.numerator, residual_product.denominator
+            rn_int, rd_int = r.numerator, r.denominator
             g = math.gcd(rd_int - rn_int, a)
             s_num, s_den = (rd - rn) / g, rd * (a // g)
-            yield row, [_decimal_json_int(x) for x in (t_num, t_den, s_num, s_den, rn, rd)]
+            yield [_decimal_json_int(x) for x in (t_num, t_den, s_num, s_den, rn, rd)]
 
 
 def cmd_series(args: argparse.Namespace) -> int:
@@ -399,9 +395,12 @@ def cmd_series(args: argparse.Namespace) -> int:
         shape = {"n": "%d", "F_n": "%d", "T": fraction, "S": fraction, "R": fraction}
         template = _row_template(args.format, shape)
         show = str if args.format == "csv" else json.dumps
+        # every state is computed before the first byte is written, so that
+        # a bad custom --seq or the depth guard writes nothing
+        rows = [(s.k, s.F_k, s.R_k) for s in iter_states(defn, args.terms)]
         chunks = (
-            template % (row.n, row.F_n, *map(show, cells))
-            for row, cells in _exact_cells(report_rows(defn, args.terms), a)
+            template % (k, f, *map(show, cells))
+            for (k, f, _), cells in zip(rows, _exact_cells(rows, a))
         )
     else:
         keys = ("n", "F_n", "T", "S", "residual")
@@ -509,7 +508,7 @@ def _run_random_suite(args: argparse.Namespace) -> dict:
         a = rng.randint(1, 50)
         length = rng.randint(1, 200)
         values = sorted(rng.sample(range(a + 1, 10**6), length))
-        defn = SeriesDefinition(tuple(values), offset_a=a, label="random")
+        defn = SeriesDefinition(tuple(values), offset_a=a)
         failure = _check_states(iter_states(defn, length), instance=instance, a=a)
         if failure:
             return failure
@@ -563,8 +562,10 @@ def cmd_kconst(args: argparse.Namespace) -> int:
 
 def cmd_brun(args: argparse.Namespace) -> int:
     result = brun_partial(args.limit)
-    decimal_text = to_decimal(result.sum, args.digits)
-    num, den = _json_int(result.sum.numerator), _json_int(result.sum.denominator)
+    num, den = _exact_decimal(result.sum.numerator), _exact_decimal(result.sum.denominator)
+    context = decimal.Context(prec=args.digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    decimal_text = str(context.divide(num, den))
+    num, den = _decimal_json_int(num), _decimal_json_int(den)
     doc = {
         "limit": args.limit,
         "terms": result.terms,
@@ -629,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_digits(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--digits",
-            type=_positive_int,
+            type=_digits,
             default=15,
             help="significant digits for decimal rendering (default 15)",
         )

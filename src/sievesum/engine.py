@@ -17,7 +17,6 @@ the per-term recursion are exposed as explicit checks.
 
 from __future__ import annotations
 
-import decimal
 import math
 import operator
 from dataclasses import dataclass
@@ -52,7 +51,6 @@ class SeriesDefinition:
 
     sequence: Sequence[int] | Callable[[], Iterable[int]]
     offset_a: int = 1
-    label: str = ""
     depth_guard: int = DEFAULT_DEPTH_GUARD
 
     def __post_init__(self) -> None:
@@ -211,46 +209,3 @@ def float_rows(defn: SeriesDefinition, n_terms: int) -> Iterator[ReportRow]:
         raise SeriesDomainError(
             f"sequence ended after {produced} values, {n_terms} requested"
         )
-
-
-def to_decimal(x: Fraction, digits: int) -> str:
-    """Decimal expansion of x, correctly rounded half-even to `digits`
-    significant digits.
-
-    The text is that of `Decimal(num) / Decimal(den)` at precision `digits`,
-    but only a `digits`-long quotient is divided out, so the cost does not
-    grow with the square of the operands' length.
-    """
-    if digits < 1:
-        raise ValueError("digits must be at least 1")
-    num, den = x.numerator, x.denominator
-    if num == 0:
-        return "0"
-    sign, num = (1, -num) if num < 0 else (0, num)
-    low, high = 10 ** (digits - 1), 10**digits
-    # first guess at the exponent putting `digits` digits before the point;
-    # the bit lengths fix log10(num/den) to within one
-    exp = math.floor((num.bit_length() - den.bit_length()) * math.log10(2)) - digits + 1
-    while True:
-        if exp < 0:
-            scaled_num, scaled_den = num * 10**-exp, den
-        else:
-            scaled_num, scaled_den = num, den * 10**exp
-        q, r = divmod(scaled_num, scaled_den)
-        if q >= high:
-            exp += 1
-        elif q < low:
-            exp -= 1
-        else:
-            break
-    if r:
-        if 2 * r > scaled_den or (2 * r == scaled_den and q & 1):
-            q += 1
-            if q == high:
-                q, exp = low, exp + 1
-    else:
-        # an exact quotient keeps the exponent nearest to Decimal's ideal, 0
-        while exp < 0 and q % 10 == 0:
-            q, exp = q // 10, exp + 1
-    coefficient = decimal.Decimal(q).as_tuple().digits
-    return str(decimal.Decimal((sign, coefficient, exp)))

@@ -189,14 +189,14 @@ def hl_tail_correction(limit: int, c2: float) -> float:
     return -4.0 * c2 / ln - 2.0 * c2 / (limit * ln * ln)
 
 
-def extrapolate_hl(pp: PartialProduct, c2: float | None = None) -> ProductEstimate:
-    """Tail-correct a single partial product using the pair-density model."""
+def extrapolate_hl(pp: PartialProduct) -> ProductEstimate:
+    """Tail-correct a single partial product using the pair-density model
+    with the computed twin_constant()."""
     if pp.limit < 10**4:
         raise ExtrapolationError(
             f"limit {pp.limit} too small for the density tail model (need >= 1e4)"
         )
-    if c2 is None:
-        c2 = twin_constant().c2
+    c2 = twin_constant().c2
     tail = hl_tail_correction(pp.limit, c2)
     k = math.exp(pp.log_value + tail)
     ln = math.log(pp.limit)

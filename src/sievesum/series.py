@@ -63,17 +63,13 @@ def totient_primorial(n: int) -> TotientOfPrimorial:
 
 def prime_definition() -> SeriesDefinition:
     """F_i = p_i with a = 1: term n is totient(p_{n-1}#) / p_n#."""
-    return SeriesDefinition(iter_primes, offset_a=1, label="prime")
+    return SeriesDefinition(iter_primes, offset_a=1)
 
 
 def square_free_definition() -> SeriesDefinition:
     """F_i = p_i^2 with a = 1: term n is the fraction of integers whose first
     squared-prime divisor is p_n^2."""
-    return SeriesDefinition(
-        lambda: (p * p for p in iter_primes()),
-        offset_a=1,
-        label="square-free",
-    )
+    return SeriesDefinition(lambda: (p * p for p in iter_primes()), offset_a=1)
 
 
 def twin_prime_definition() -> SeriesDefinition:
@@ -83,7 +79,7 @@ def twin_prime_definition() -> SeriesDefinition:
     def odd_primes() -> Iterator[int]:
         return islice(iter_primes(), 1, None)
 
-    return SeriesDefinition(odd_primes, offset_a=2, label="twin-prime")
+    return SeriesDefinition(odd_primes, offset_a=2)
 
 
 def prime_series(n_terms: int) -> list[ReportRow]:
@@ -177,10 +173,11 @@ def mertens_residual(n_terms: int) -> list[tuple[int, float]]:
         raise ValueError("n_terms must be at least 1")
     import numpy as np
 
-    ps = np.array(nth_primes(n_terms), dtype=np.float64)
+    primes = nth_primes(n_terms)
+    ps = np.array(primes, dtype=np.float64)
     log_residual = np.cumsum(np.log1p(-1.0 / ps))
     ratios = np.exp(log_residual) * np.log(ps) * math.exp(EULER_GAMMA)
-    return list(zip((int(p) for p in ps), ratios.tolist()))
+    return list(zip(primes, ratios.tolist()))
 
 
 def square_free_sum_float(limit: int) -> float:

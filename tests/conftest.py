@@ -92,7 +92,7 @@ def _decimal_division(x, digits: int) -> str:
 
 @pytest.fixture(scope="session")
 def decimal_division():
-    """Reference for engine.to_decimal."""
+    """Reference for the decimal of the `brun` command."""
     return _decimal_division
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import decimal
 import os
 import io
 import itertools
@@ -20,13 +21,12 @@ from hypothesis import strategies as st
 import sievesum.cli
 from sievesum import __version__
 from sievesum.cli import (
-    _STR_BITS,
     DEFAULT_SEED,
+    _decimal_json_int,
     _emit,
     _exact_cells,
+    _exact_decimal,
     _float_lines,
-    _int_str,
-    _json_int,
     build_parser,
     main,
     parse_limit,
@@ -347,6 +347,31 @@ class TestIntegerFlags:
         assert (code, out) == (2, "")
         assert f"argument --terms: {message}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("brun", "--limit", "10"),
+            ("series", "--kind", "prime", "--terms", "3", "--mode", "float"),
+            ("mertens", "--terms", "3"),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["1e30", str(decimal.MAX_PREC + 1)])
+    def test_digits_above_max_prec_rejected_before_computing(
+        self, capsys, monkeypatch, argv, text
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computed with an unusable --digits")
+
+        for name in ("brun_partial", "float_rows", "mertens_residual"):
+            monkeypatch.setattr(sievesum.cli, name, must_not_run)
+        code, out, err = run_cli(capsys, *argv, "--digits", text)
+        assert (code, out) == (2, "")
+        assert f"argument --digits: digits exceed the maximum {decimal.MAX_PREC}" in err
+
+    def test_digits_accepts_max_prec(self):
+        argv = ["brun", "--limit", "10", "--digits", str(decimal.MAX_PREC)]
+        assert build_parser().parse_args(argv).digits == decimal.MAX_PREC
+
 
 PRIMES_ORACLE_LIMIT = 3000
 PRIMES_ORACLE = trial_division_primes(PRIMES_ORACLE_LIMIT)
@@ -564,41 +589,52 @@ class TestSeriesCommand:
         assert target.read_text().startswith("n,F_n,")
 
 
-class TestIntStr:
+# n of exactly `bits` bits, random below the top bit
+WIDE_INTS = st.builds(
+    lambda bits, seed: random.Random(seed).getrandbits(bits) | 1 << (bits - 1),
+    st.integers(200, 300_000),
+    st.integers(0, 2**32),
+)
+
+
+class TestExactDecimal:
     @settings(max_examples=40, deadline=None)
-    @given(
-        bits=st.one_of(
-            st.integers(0, 200),
-            st.integers(_STR_BITS - 2, _STR_BITS + 2),
-            st.integers(_STR_BITS, 4 * _STR_BITS),
-        ),
-        seed=st.integers(0, 2**32),
-        negative=st.booleans(),
-    )
-    @example(bits=0, seed=0, negative=False)
-    @example(bits=_STR_BITS, seed=0, negative=True)
-    @example(bits=_STR_BITS + 1, seed=0, negative=True)
-    def test_matches_str(self, bits, seed, negative):
-        n = random.Random(seed).getrandbits(bits)
-        if bits:
-            n |= 1 << (bits - 1)  # exactly `bits` bits
-        if negative:
-            n = -n
+    @given(n=st.one_of(st.integers(0, 2**260), WIDE_INTS))
+    @example(n=0)
+    @example(n=2**128 - 1)
+    @example(n=2**128)
+    @example(n=2**128 + 1)
+    @example(n=2**300_000 - 1)
+    def test_str_matches_str_of_the_int(self, n):
         with unlimited_int_str():
-            assert _int_str(n) == str(n)
+            assert str(_exact_decimal(n)) == str(n)
 
 
-def json_int_cells(row, a):
-    """_json_int of a row's T, S and R = a * residual numerators and
+def json_int_cells(state):
+    """reference_json_int of a state's T, S and R numerators and
     denominators, from its own Fractions."""
-    r = row.residual * a
-    values = (row.T.numerator, row.T.denominator, row.S.numerator, row.S.denominator,
-              r.numerator, r.denominator)
-    return [_json_int(v) for v in values]
+    values = (state.T_k, state.S_k, state.R_k)
+    return [reference_json_int(v) for x in values for v in (x.numerator, x.denominator)]
 
 
 # where JSON switches from int to string, and the decimal lengths around it
 THRESHOLDS = (2**63 - 1, 10**18, 10**19)
+
+
+class TestDecimalJsonInt:
+    @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_matches_reference_at_the_int64_edge(self, threshold, delta):
+        n = threshold + delta
+        cell = _decimal_json_int(_exact_decimal(n))
+        assert cell == reference_json_int(n) and type(cell) is type(reference_json_int(n))
+
+
+def exact_cells_of(values, a):
+    """_exact_cells of the (k, F_k, R_k) rows of `values`, and the states."""
+    states = list(iter_states(SeriesDefinition(tuple(values), offset_a=a), len(values)))
+    rows = [(state.k, state.F_k, state.R_k) for state in states]
+    return list(_exact_cells(rows, a)), states
 
 
 class TestExactCells:
@@ -610,10 +646,8 @@ class TestExactCells:
         # one value, F itself in T_den; then small factors split off, so
         # products of several values land on the edge too
         for values in ((f,), (6, f // 6), (7, 5, f // 35 + 1)):
-            defn = SeriesDefinition(values, offset_a=a)
-            rows = report_rows(defn, len(values))
-            cells = [cells for _, cells in _exact_cells(rows, a)]
-            assert cells == [json_int_cells(row, a) for row in rows]
+            cells, states = exact_cells_of(values, a)
+            assert cells == [json_int_cells(state) for state in states]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -621,11 +655,8 @@ class TestExactCells:
         values=st.lists(st.integers(0, 10**20), min_size=1, max_size=40),
     )
     def test_matches_json_int(self, a, values):
-        values = [a + 1 + v for v in values]
-        rows = report_rows(SeriesDefinition(tuple(values), offset_a=a), len(values))
-        assert [cells for _, cells in _exact_cells(rows, a)] == [
-            json_int_cells(row, a) for row in rows
-        ]
+        cells, states = exact_cells_of([a + 1 + v for v in values], a)
+        assert cells == [json_int_cells(state) for state in states]
 
 
 def reference_float_line(row, digits):
@@ -816,18 +847,20 @@ class TestExactOutputBytes:
         expected = reference_float_series(fmt, "twin", twin_prime_definition(), 300, 15)
         assert target.read_text() == expected
 
-    @pytest.mark.parametrize("limit", [10**5, 10**6])
+    @pytest.mark.parametrize("digits", [1, 12, 15, 40])
+    @pytest.mark.parametrize("limit", [0, 4, 5, 7, 10**5, 10**6])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_brun_matches_reference(
-        self, capsys, decimal_division, normalising_reciprocal_sum, fmt, limit
+        self, capsys, decimal_division, normalising_reciprocal_sum, fmt, limit, digits
     ):
-        code, out, _ = run_cli(capsys, "brun", "--limit", str(limit), "--format", fmt)
+        code, out, _ = run_cli(
+            capsys, "brun", "--limit", str(limit), "--format", fmt, "--digits", str(digits)
+        )
         assert code == 0
         values = twin_sequence_up_to(limit)
         total = normalising_reciprocal_sum(values)
         num, den = total.numerator, total.denominator
-        assert den.bit_length() > _STR_BITS  # the divide-and-conquer path runs
-        decimal_text = decimal_division(total, 15)
+        decimal_text = decimal_division(total, digits)
         with unlimited_int_str():
             if fmt == "csv":
                 expected = (
@@ -1166,7 +1199,6 @@ class TestUnwritableOutput:
         # every command's compute entry
         for name in (
             "iter_states",
-            "report_rows",
             "prime_lists",
             "twin_lesser_lists",
             "nth_primes",

@@ -17,7 +17,6 @@ from sievesum.engine import (
     init,
     iter_states,
     report_rows,
-    to_decimal,
 )
 from sievesum.series import prime_definition, twin_prime_definition
 
@@ -261,66 +260,3 @@ class TestFloatRows:
     def test_no_depth_guard_in_float_mode(self):
         rows = list(float_rows(prime_definition(), 6000))
         assert len(rows) == 6000
-
-
-class TestToDecimal:
-    def test_basic_expansions(self):
-        assert to_decimal(Fraction(1, 3), 5) == "0.33333"
-        assert to_decimal(Fraction(2, 3), 5) == "0.66667"
-        assert to_decimal(Fraction(1, 2), 3) == "0.5"  # exact, no padding
-        assert to_decimal(Fraction(355, 113), 10) == "3.141592920"
-
-    def test_half_even_ties(self):
-        assert to_decimal(Fraction(1, 8), 2) == "0.12"
-        assert to_decimal(Fraction(3, 8), 2) == "0.38"
-        assert to_decimal(Fraction(5, 4), 2) == "1.2"
-        assert to_decimal(Fraction(7, 4), 2) == "1.8"
-
-    def test_negative_and_integer_values(self):
-        assert to_decimal(Fraction(-1, 3), 4) == "-0.3333"
-        assert to_decimal(Fraction(4, 2), 3) == "2"
-
-    def test_rejects_zero_digits(self):
-        with pytest.raises(ValueError):
-            to_decimal(Fraction(1, 3), 0)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        num=st.integers(-(10**40), 10**40),
-        den=st.integers(1, 10**40),
-        digits=st.integers(1, 40),
-    )
-    @example(num=0, den=7, digits=3)
-    @example(num=99999, den=100000, digits=2)  # rounds up to 10**digits
-    def test_matches_decimal_division(self, decimal_division, num, den, digits):
-        x = Fraction(num, den)
-        assert to_decimal(x, digits) == decimal_division(x, digits)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        m=st.integers(-(10**15), 10**15),
-        tens=st.integers(0, 20),
-        twos=st.integers(0, 40),
-        fives=st.integers(0, 20),
-        digits=st.integers(1, 40),
-    )
-    @example(m=100, tens=0, twos=0, fives=0, digits=1)  # exact, E+ notation
-    def test_exact_quotients_and_ties(self, decimal_division, m, tens, twos, fives, digits):
-        # a 2^a 5^b denominator terminates: the quotient is exact when it has
-        # few digits, and half-way between two candidates when it has one more
-        x = Fraction(m * 10**tens, 2**twos * 5**fives)
-        assert to_decimal(x, digits) == decimal_division(x, digits)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        num_bits=st.integers(1, 20_000),
-        den_bits=st.integers(1, 20_000),
-        seed=st.integers(0, 2**32),
-        digits=st.integers(1, 40),
-    )
-    def test_matches_decimal_division_on_long_operands(
-        self, decimal_division, num_bits, den_bits, seed, digits
-    ):
-        rng = random.Random(seed)
-        x = Fraction(rng.getrandbits(num_bits), rng.getrandbits(den_bits) | 1)
-        assert to_decimal(x, digits) == decimal_division(x, digits)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievesum.engine import to_decimal
 from sievesum.series import (
     EULER_GAMMA,
     _coprime_fraction,
@@ -336,7 +335,7 @@ class TestCoprimeFraction:
         assert x == y and hash(x) == hash(y)
 
     @pytest.mark.parametrize("num,den", CASES)
-    def test_arithmetic_and_rendering(self, num, den):
+    def test_arithmetic_and_rendering(self, decimal_division, num, den):
         x, y = _coprime_fraction(num, den), Fraction(num, den)
         third = Fraction(1, 3)
         assert x + third == y + third
@@ -345,7 +344,7 @@ class TestCoprimeFraction:
         assert (x < third) == (y < third)
         assert {x: 1}[y] == 1
         for digits in (1, 15, 40):
-            assert to_decimal(x, digits) == to_decimal(y, digits)
+            assert decimal_division(x, digits) == decimal_division(y, digits)
 
 
 class TestBrunDominance:
@@ -394,6 +393,11 @@ class TestMertensResidual:
         assert 0.97 < rows[-1][1] < 1.03
         # drift shrinks with n
         assert abs(rows[-1][1] - 1) < abs(rows[99][1] - 1) < abs(rows[9][1] - 1)
+
+    def test_primes_are_the_nth_primes_ints(self):
+        rows = mertens_residual(1000)
+        assert [p for p, _ in rows] == nth_primes(1000)
+        assert all(type(p) is int for p, _ in rows)
 
     def test_rejects_zero_terms(self):
         with pytest.raises(ValueError):
