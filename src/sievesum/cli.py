@@ -11,7 +11,6 @@ naming the first violation, 2 on usage errors. Every command exits 2 when
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import decimal
 import json
@@ -22,7 +21,7 @@ import re
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import count as _count
+from itertools import count as _count, tee
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -116,13 +115,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _digits(text: str) -> int:
-    """Significant digits, from 1 to decimal.MAX_PREC; scientific notation
-    such as 1e3 is accepted."""
-    value = _positive_int(text)
-    if value > decimal.MAX_PREC:
-        raise argparse.ArgumentTypeError(f"digits exceed the maximum {decimal.MAX_PREC}")
-    return value
+def _up_to(maximum: int, exceeds: str):
+    """The argparse type of integers from 1 to `maximum`, scientific notation
+    such as 1e3 accepted; a larger value is refused as `exceeds` the maximum."""
+
+    def parse(text: str) -> int:
+        value = _positive_int(text)
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"{exceeds} the maximum {maximum}")
+        return value
+
+    return parse
+
+
+# significant digits; counts of terms or primes, which islice takes up to sys.maxsize
+_digits = _up_to(decimal.MAX_PREC, "digits exceed")
+_count_arg = _up_to(sys.maxsize, "count exceeds")
 
 
 def _exact_decimal(n: int) -> decimal.Decimal:
@@ -200,7 +208,7 @@ def _float_lines(rows: Iterable[tuple], keys: tuple[str, ...], fmt: str,
     above 15 take the reference text. The gate reads the keys too, so no
     key may contain ',', '.', 'e+' or 'e-'.
     """
-    spec = f"%.{digits}g"
+    spec = f"%.{min(digits, 17)}g"  # 17 digits give back every double
     fast, slow = (_row_template(fmt, dict(zip(keys, ["%d", "%d", *[field] * (len(keys) - 2)])))
                   for field in (spec, "%s"))
     show = str if fmt == "csv" else json.dumps
@@ -271,7 +279,8 @@ def _emit(args: argparse.Namespace, doc: dict, key: str | None = None,
     """Write `header` and then the text chunks `chunks` to --output if the
     command has --format and it is csv, else the JSON document `doc`, with
     the list whose elements `chunks` hold (see _row_template) added last,
-    under `key`. Chunks are rendered one at a time, as they are written.
+    under `key`. Chunks are rendered one at a time, as they are written, the
+    first before any byte, so that an error in the first row writes nothing.
 
     An --output file is written whole or not at all: the text goes to a
     temporary file beside it, which replaces it only once complete and
@@ -279,12 +288,13 @@ def _emit(args: argparse.Namespace, doc: dict, key: str | None = None,
     """
 
     def write(stream) -> None:
-        if getattr(args, "format", None) == "csv":
-            stream.write(header)
-            stream.writelines(chunks)
-            return
-        parts = filter(None, chunks if key else ())
+        csv = getattr(args, "format", None) == "csv"
+        parts = filter(None, chunks if csv or key else ())
         first = next(parts, None)
+        if csv:
+            stream.write(header + (first or ""))
+            stream.writelines(parts)
+            return
         if first is None:
             stream.write(json.dumps({**doc, key: []} if key else doc, indent=2))
         else:
@@ -338,15 +348,16 @@ def _parse_seq(spec: str):
 
 
 def _definition_for(args: argparse.Namespace) -> SeriesDefinition:
-    if args.kind == "prime":
-        return prime_definition()
-    if args.kind == "square-free":
-        return square_free_definition()
-    if args.kind == "twin":
-        return twin_prime_definition()
-    if not args.seq:
-        raise ValueError("custom kind requires --seq")
-    return SeriesDefinition(_parse_seq(args.seq), offset_a=args.a)
+    if args.kind == "custom":
+        if not args.seq:
+            raise ValueError("custom kind requires --seq")
+        return SeriesDefinition(_parse_seq(args.seq), offset_a=args.a or 1)
+    for flag, value in (("--seq", args.seq), ("--a", args.a)):
+        if value is not None:
+            raise ValueError(f"{flag} needs --kind custom")
+    definitions = {"prime": prime_definition, "square-free": square_free_definition,
+                   "twin": twin_prime_definition}
+    return definitions[args.kind]()
 
 
 def _exact_cells(rows: Iterable[tuple[int, int, Fraction]], a: int) -> Iterator[list]:
@@ -395,23 +406,22 @@ def cmd_series(args: argparse.Namespace) -> int:
         shape = {"n": "%d", "F_n": "%d", "T": fraction, "S": fraction, "R": fraction}
         template = _row_template(args.format, shape)
         show = str if args.format == "csv" else json.dumps
-        # every state is computed before the first byte is written, so that
-        # a bad custom --seq or the depth guard writes nothing
-        rows = [(s.k, s.F_k, s.R_k) for s in iter_states(defn, args.terms)]
+        rows, cell_rows = tee((s.k, s.F_k, s.R_k) for s in iter_states(defn, args.terms))
         chunks = (
             template % (k, f, *map(show, cells))
-            for (k, f, _), cells in zip(rows, _exact_cells(rows, a))
+            for (k, f, _), cells in zip(rows, _exact_cells(cell_rows, a))
         )
     else:
         keys = ("n", "F_n", "T", "S", "residual")
         header = ",".join(keys) + "\n"
-        # every row is rendered before the first byte is written, so that
-        # an early error writes nothing
-        try:
-            rows = float_rows(defn, args.terms)
-            chunks = list(_float_lines(rows, keys, args.format, args.digits))
-        except OverflowError as exc:
-            raise ValueError(f"{exc}; use --mode exact") from None
+        chunks = _float_lines(float_rows(defn, args.terms), keys, args.format, args.digits)
+        if args.kind == "custom":
+            # a custom value beyond the float range shows only as it is
+            # drawn, so these rows are all rendered before the first byte
+            try:
+                chunks = list(chunks)
+            except OverflowError as exc:
+                raise ValueError(f"{exc}; use --mode exact") from None
     _emit(args, {"meta": meta}, "rows", header, chunks)
     return 0
 
@@ -494,9 +504,6 @@ def _run_identity_checks(args: argparse.Namespace) -> dict:
     }.get(args.kind, ())
     failure = _check_states(states, extra)
     if failure:
-        # a sequence that is too short or out of domain is a usage error,
-        # even where a state before its end failed
-        collections.deque(states, 0)
         return failure
     checks = ["residual", "recursion", *(name for name, _ in extra)]
     return {"status": "pass", "kind": args.kind, "terms": args.terms, "checks": checks}
@@ -533,7 +540,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report.setdefault("seed", args.seed)
     else:
         # argparse leaves these None, so that --random can tell a given value from a default
-        args.kind, args.terms, args.a = args.kind or "prime", args.terms or 100, args.a or 1
+        args.kind, args.terms = args.kind or "prime", args.terms or 100
         report = _run_identity_checks(args)
     _emit(args, report)
     return 0 if report["status"] == "pass" else 1
@@ -639,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_primes)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--limit", type=parse_limit, help="inclusive bound, 1e8 style accepted")
-    group.add_argument("--count", type=_positive_int, help="first N primes")
+    group.add_argument("--count", type=_count_arg, help="first N primes")
     p.add_argument("--twins", action="store_true", help="emit twin pairs instead (needs --limit)")
     add_format(p)
     add_output(p)
@@ -647,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="emit term/sum/residual rows for a series")
     p.set_defaults(run=cmd_series)
     p.add_argument("--kind", choices=("prime", "square-free", "twin", "custom"), required=True)
-    p.add_argument("--terms", type=_positive_int, required=True)
-    p.add_argument("--a", type=_positive_int, default=1, help="offset a (custom kind)")
+    p.add_argument("--terms", type=_count_arg, required=True)
+    p.add_argument("--a", type=_positive_int, help="offset a (custom kind, default 1)")
     p.add_argument("--seq", help="custom sequence: comma list or start:step rule")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     add_format(p)
@@ -658,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run exact identity checks; exit 0 iff all pass")
     p.set_defaults(run=cmd_verify)
     p.add_argument("--kind", choices=("prime", "square-free", "twin", "custom"))
-    p.add_argument("--terms", type=_positive_int)
+    p.add_argument("--terms", type=_count_arg)
     p.add_argument("--a", type=_positive_int)
     p.add_argument("--seq")
     p.add_argument("--random", type=_positive_int, default=0, dest="random_instances",
@@ -689,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mertens", help="residual-product ratios against e^-gamma/ln p")
     p.set_defaults(run=cmd_mertens)
-    p.add_argument("--terms", type=_positive_int, required=True)
+    p.add_argument("--terms", type=_count_arg, required=True)
     p.add_argument("--last", action="store_true", help="only the final row")
     add_format(p)
     add_digits(p)

@@ -25,6 +25,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_DEPTH_GUARD = 5000
+_OUT_OF_DOMAIN = "sequence value {} makes the term undefined or nonpositive (requires F > a = {})"
 
 
 class SeriesDomainError(ValueError):
@@ -45,8 +46,7 @@ class SeriesDefinition:
 
     `sequence` is either a concrete sequence or a zero-argument callable
     returning a fresh iterator, so evaluation can restart from scratch.
-    Every value must be an integer greater than `offset_a`; this is
-    enforced as values are drawn.
+    Every value must be an integer greater than `offset_a` (see `terms`).
     """
 
     sequence: Sequence[int] | Callable[[], Iterable[int]]
@@ -59,18 +59,26 @@ class SeriesDefinition:
         if self.depth_guard < 1:
             raise ValueError("depth_guard must be positive")
 
-    def terms(self) -> Iterator[int]:
-        """Fresh validated iterator over the sequence values."""
-        raw = self.sequence() if callable(self.sequence) else iter(self.sequence)
-        a = self.offset_a
-        for value in raw:
+    def terms(self, n: int) -> Iterator[int]:
+        """The first n values, as ints. A value not greater than offset_a, or
+        a sequence of fewer than n values, raises SeriesDomainError: a
+        concrete sequence is checked whole before its first value is
+        returned, a callable's values as they are drawn."""
+        if n < 1:
+            raise ValueError("n_terms must be at least 1")
+        a, source = self.offset_a, self.sequence
+        concrete = not callable(source)
+        k = 0
+        for k, value in enumerate(islice(source if concrete else source(), n), 1):
             f = operator.index(value)
             if f <= a:
-                raise SeriesDomainError(
-                    f"sequence value {f} makes the term undefined or nonpositive "
-                    f"(requires F > a = {a})"
-                )
-            yield f
+                raise SeriesDomainError(_OUT_OF_DOMAIN.format(f, a))
+            if not concrete:
+                yield f
+        if k < n:
+            raise SeriesDomainError(f"sequence ended after {k} values, {n} requested")
+        if concrete:  # checked whole above; now read again
+            yield from map(operator.index, islice(source, n))
 
 
 @dataclass(frozen=True)
@@ -108,10 +116,7 @@ def advance(state: SeriesState, F_next: int) -> SeriesState:
     f = operator.index(F_next)
     a = state.a
     if f <= a:
-        raise SeriesDomainError(
-            f"sequence value {f} makes the term undefined or nonpositive "
-            f"(requires F > a = {a})"
-        )
+        raise SeriesDomainError(_OUT_OF_DOMAIN.format(f, a))
     R = state.R_k * Fraction(f - a, f)
     return SeriesState(
         k=state.k + 1, F_k=f, a=a, T_k=state.R_k / f, S_k=(1 - R) / a, R_k=R
@@ -120,8 +125,6 @@ def advance(state: SeriesState, F_next: int) -> SeriesState:
 
 def iter_states(defn: SeriesDefinition, n_terms: int) -> Iterator[SeriesState]:
     """Yield the states for k = 1..n_terms, enforcing the depth guard."""
-    if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
     if n_terms > defn.depth_guard:
         raise DepthGuardError(
             f"{n_terms} exact terms exceed the depth guard {defn.depth_guard}; "
@@ -131,15 +134,9 @@ def iter_states(defn: SeriesDefinition, n_terms: int) -> Iterator[SeriesState]:
     state = SeriesState(
         k=0, F_k=0, a=defn.offset_a, T_k=Fraction(0), S_k=Fraction(0), R_k=Fraction(1)
     )
-    for f in islice(defn.terms(), n_terms):
+    for f in defn.terms(n_terms):
         state = advance(state, f)
         yield state
-    if state.k == 0:
-        raise SeriesDomainError("sequence is empty")
-    if state.k < n_terms:
-        raise SeriesDomainError(
-            f"sequence ended after {state.k} values, {n_terms} requested"
-        )
 
 
 def final_state(defn: SeriesDefinition, n_terms: int) -> SeriesState:
@@ -186,14 +183,11 @@ def float_rows(defn: SeriesDefinition, n_terms: int) -> Iterator[ReportRow]:
     compensated accumulation, so arbitrarily many terms are cheap. A value
     too large for a float raises OverflowError naming it.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
     a = defn.offset_a
     log_r = 0.0
     comp = 0.0  # Kahan carry
     r = 1.0  # exp(log_r), the previous row's residual product
-    produced = 0
-    for k, f in enumerate(islice(defn.terms(), n_terms), 1):
+    for k, f in enumerate(defn.terms(n_terms), 1):
         try:
             t = r / f
         except OverflowError:
@@ -204,8 +198,3 @@ def float_rows(defn: SeriesDefinition, n_terms: int) -> Iterator[ReportRow]:
         log_r = total
         r = math.exp(log_r)
         yield ReportRow(k, f, t, (1.0 - r) / a, r / a)
-        produced = k
-    if produced < n_terms:
-        raise SeriesDomainError(
-            f"sequence ended after {produced} values, {n_terms} requested"
-        )

@@ -70,7 +70,6 @@ class TwinConstant:
 class ProductEstimate:
     method: str
     k_estimate: float
-    limit_used: int
     tail_correction: float
     error_estimate: float
     c2_used: float | None = None
@@ -205,7 +204,6 @@ def extrapolate_hl(pp: PartialProduct) -> ProductEstimate:
     return ProductEstimate(
         method="hl-tail",
         k_estimate=k,
-        limit_used=pp.limit,
         tail_correction=tail,
         error_estimate=error,
         c2_used=c2,
@@ -247,7 +245,6 @@ def extrapolate_aitken(partials: list[PartialProduct]) -> ProductEstimate:
     return ProductEstimate(
         method="aitken",
         k_estimate=k,
-        limit_used=pps[-1].limit,
         tail_correction=math.log(k) - ys[-1],
         error_estimate=error,
         c2_used=None,

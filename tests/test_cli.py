@@ -9,10 +9,13 @@ import itertools
 import json
 import math
 import random
+import re
+import shlex
 import struct
 import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +44,31 @@ from sievesum.series import (
 )
 from conftest import patched_segment_size, trial_division_primes
 from sievesum.sieve import nth_primes, primes_up_to, twin_pairs_up_to, twin_sequence_up_to
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# every command's compute entry, as the CLI module names it
+COMPUTE_ENTRIES = (
+    "iter_states",
+    "float_rows",
+    "prime_lists",
+    "twin_lesser_lists",
+    "nth_primes",
+    "estimate_K",
+    "brun_partial",
+    "mertens_residual",
+)
+
+
+def must_not_compute(monkeypatch, reason):
+    """Make every compute entry of the CLI fail with `reason`."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(reason)
+
+    for name in COMPUTE_ENTRIES:
+        monkeypatch.setattr(sievesum.cli, name, must_not_run)
 
 
 def run_cli(capsys, *argv):
@@ -359,14 +387,49 @@ class TestIntegerFlags:
     def test_digits_above_max_prec_rejected_before_computing(
         self, capsys, monkeypatch, argv, text
     ):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("computed with an unusable --digits")
-
-        for name in ("brun_partial", "float_rows", "mertens_residual"):
-            monkeypatch.setattr(sievesum.cli, name, must_not_run)
+        must_not_compute(monkeypatch, "computed with an unusable --digits")
         code, out, err = run_cli(capsys, *argv, "--digits", text)
         assert (code, out) == (2, "")
         assert f"argument --digits: digits exceed the maximum {decimal.MAX_PREC}" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("primes", "--count"), "count"),
+            (("series", "--kind", "twin", "--mode", "float", "--terms"), "terms"),
+            (("series", "--kind", "prime", "--terms"), "terms"),
+            (("verify", "--terms"), "terms"),
+            (("mertens", "--terms"), "terms"),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["1e19", "inf", str(sys.maxsize + 1)])
+    def test_counts_above_maxsize_rejected_before_computing(
+        self, capsys, monkeypatch, argv, flag, text
+    ):
+        must_not_compute(monkeypatch, "computed with an unusable count")
+        code, out, err = run_cli(capsys, *argv, text)
+        assert (code, out) == (2, "")
+        assert f"argument --{flag}: count exceeds the maximum {sys.maxsize}" in err
+
+    def test_counts_accept_maxsize(self):
+        parse = build_parser().parse_args
+        assert parse(["primes", "--count", str(sys.maxsize)]).count == sys.maxsize
+        assert parse(["mertens", "--terms", str(sys.maxsize)]).terms == sys.maxsize
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "--kind", "twin", "--terms", "60", "--mode", "float"),
+            ("mertens", "--terms", "60"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("digits", ["18", "40", "1000", "1e5", str(decimal.MAX_PREC)])
+    def test_float_cells_past_17_digits_are_those_of_17(self, capsys, argv, fmt, digits):
+        # a double has at most 17 significant digits
+        reference = run_cli(capsys, *argv, "--format", fmt, "--digits", "17")
+        assert reference[0] == 0
+        assert run_cli(capsys, *argv, "--format", fmt, "--digits", digits) == reference
 
     def test_digits_accepts_max_prec(self):
         argv = ["brun", "--limit", "10", "--digits", str(decimal.MAX_PREC)]
@@ -554,6 +617,29 @@ class TestSeriesCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("verify", "--seq", "4,6,8", "--terms", "3"), "--seq"),
+            (("verify", "--kind", "twin", "--a", "2"), "--a"),
+            (("series", "--kind", "twin", "--a", "5", "--terms", "3"), "--a"),
+            (("series", "--kind", "prime", "--seq", "2,3", "--terms", "2", "--mode", "float"),
+             "--seq"),
+            (("series", "--kind", "square-free", "--a", "1", "--seq", "5,6", "--terms", "2"),
+             "--seq"),
+        ],
+    )
+    def test_seq_and_a_need_the_custom_kind(self, capsys, monkeypatch, argv, flag):
+        must_not_compute(monkeypatch, "computed with an ignored --seq or --a")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {flag} needs --kind custom\n")
+
+    def test_custom_a_defaults_to_1(self, capsys):
+        code, out, _ = run_cli(capsys, "series", "--kind", "custom", "--seq", "2,3", "--terms", "2",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["a"] == 1
+
     def test_depth_guard_suggests_float_mode(self, capsys):
         code, _, err = run_cli(
             capsys, "series", "--kind", "prime", "--terms", "6000"
@@ -595,6 +681,89 @@ WIDE_INTS = st.builds(
     st.integers(200, 300_000),
     st.integers(0, 2**32),
 )
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "entry, argv",
+        [
+            ("iter_states", ("--kind", "prime")),
+            ("iter_states", ("--kind", "custom", "--a", "2", "--seq", "3,5,7,9")),
+            ("float_rows", ("--kind", "twin", "--mode", "float")),
+        ],
+    )
+    def test_each_row_is_written_before_the_next_is_drawn(self, monkeypatch, fmt, entry, argv):
+        stdout = io.StringIO()
+        written = []  # the output so far, as each row is drawn
+        compute = getattr(sievesum.cli, entry)
+
+        def watched(defn, n_terms):
+            for row in compute(defn, n_terms):
+                written.append(stdout.getvalue())
+                yield row
+
+        monkeypatch.setattr(sievesum.cli, entry, watched)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["series", *argv, "--terms", "4", "--format", fmt]) == 0
+        assert written[0] == ""
+        marker = "\n{}," if fmt == "csv" else '"n": {},'
+        for k in (1, 2, 3):
+            assert stdout.getvalue().startswith(written[k])
+            assert marker.format(k) in written[k] and marker.format(k + 1) not in written[k]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--kind", "prime", "--terms", "6000"), "exceed the depth guard"),
+            (("--kind", "custom", "--a", "3", "--seq", "3:1", "--terms", "3"),
+             "sequence value 3 makes the term undefined"),
+            (("--kind", "custom", "--a", "3", "--seq", "3:1", "--terms", "3", "--mode", "float"),
+             "sequence value 3 makes the term undefined"),
+            (("--kind", "custom", "--a", "3", "--seq", "5,7,3", "--terms", "3"),
+             "sequence value 3 makes the term undefined"),
+        ],
+    )
+    def test_error_in_the_first_row_writes_nothing(self, capsys, fmt, argv, message):
+        code, out, err = run_cli(capsys, "series", *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_renders_the_first_chunk_before_any_byte(self, monkeypatch, fmt):
+        def failing_first():
+            raise RuntimeError("row 1 failed")
+            yield
+
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        args = argparse.Namespace(output=None, format=fmt)
+        with pytest.raises(RuntimeError, match="row 1 failed"):
+            _emit(args, {}, "rows", "a,b\n", failing_first())
+        assert stdout.getvalue() == ""
+
+
+# the commands of the README's CLI example block, each without "sievesum"
+README_COMMANDS = [
+    shlex.split(line, comments=True)[1:]
+    for line in re.search(
+        r"^## CLI\n.*?^```\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
+    ).group(1).splitlines()
+    if line.startswith("sievesum ")
+]
+
+
+class TestReadmeExamples:
+    def test_the_block_has_every_subcommand(self):
+        subcommands = {"primes", "series", "verify", "kconst", "brun", "mertens"}
+        assert {argv[0] for argv in README_COMMANDS} == subcommands
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_example_runs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out
 
 
 class TestExactDecimal:
@@ -1193,20 +1362,7 @@ class TestUnwritableOutput:
     def test_missing_directory_is_exit_2_before_computing(
         self, capsys, tmp_path, monkeypatch, argv
     ):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("computed before checking --output")
-
-        # every command's compute entry
-        for name in (
-            "iter_states",
-            "prime_lists",
-            "twin_lesser_lists",
-            "nth_primes",
-            "estimate_K",
-            "brun_partial",
-            "mertens_residual",
-        ):
-            monkeypatch.setattr(sievesum.cli, name, must_not_run)
+        must_not_compute(monkeypatch, "computed before checking --output")
         target = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(capsys, *argv, "--output", str(target))
         assert code == 2

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -223,6 +224,58 @@ class TestDepthGuard:
     def test_short_sequence_detected(self):
         with pytest.raises(SeriesDomainError, match="ended after"):
             report_rows(SeriesDefinition((2, 3, 4), offset_a=1), 5)
+
+
+BOTH_ENGINES = pytest.mark.parametrize("engine", [iter_states, float_rows])
+
+
+class TestSequenceChecks:
+    """`SeriesDefinition.terms` checks a concrete sequence whole before its
+    first value, and a callable's values as they are drawn."""
+
+    @BOTH_ENGINES
+    @pytest.mark.parametrize(
+        "values, n, message",
+        [
+            ((4, 5, 3, 7), 4, "sequence value 3 makes the term undefined"),
+            ((4, 5, 7, 9, 11, 2), 6, "sequence value 2 makes the term undefined"),
+            ((4, 5), 4, "sequence ended after 2 values, 4 requested"),
+            (range(4, 9), 6, "sequence ended after 5 values, 6 requested"),
+        ],
+    )
+    def test_concrete_sequence_fails_on_first_next(self, engine, values, n, message):
+        with pytest.raises(SeriesDomainError, match=message):
+            next(engine(SeriesDefinition(values, offset_a=3), n))
+
+    @BOTH_ENGINES
+    def test_callable_fails_as_the_bad_value_is_drawn(self, engine):
+        rows = engine(SeriesDefinition(lambda: iter((4, 5, 3, 7)), offset_a=3), 4)
+        assert len(list(islice(rows, 2))) == 2
+        with pytest.raises(SeriesDomainError, match="sequence value 3 makes"):
+            next(rows)
+
+    @BOTH_ENGINES
+    def test_callable_that_ends_early_fails_after_its_last_value(self, engine):
+        rows = engine(SeriesDefinition(lambda: iter((4, 5)), offset_a=3), 3)
+        assert len(list(islice(rows, 2))) == 2
+        with pytest.raises(SeriesDomainError, match="ended after 2 values, 3 requested"):
+            next(rows)
+
+    @BOTH_ENGINES
+    @pytest.mark.parametrize("sequence", [(), lambda: iter(())], ids=["tuple", "callable"])
+    def test_empty_sequence_ended_after_zero_values(self, engine, sequence):
+        with pytest.raises(SeriesDomainError) as info:
+            next(engine(SeriesDefinition(sequence), 3))
+        assert str(info.value) == "sequence ended after 0 values, 3 requested"
+
+    @BOTH_ENGINES
+    def test_rejects_fewer_than_one_term(self, engine):
+        with pytest.raises(ValueError, match="at least 1"):
+            next(engine(SeriesDefinition((2, 3)), 0))
+
+    def test_terms_takes_only_n_values(self):
+        # the bad value past n is never drawn, even from a concrete sequence
+        assert list(SeriesDefinition((2, 3, 1), offset_a=1).terms(2)) == [2, 3]
 
 
 class TestReportRows:
