@@ -45,7 +45,8 @@ class SeriesDefinition:
     """A sequence F_1, F_2, ... of integers together with the offset a.
 
     `sequence` is either a concrete sequence or a zero-argument callable
-    returning a fresh iterator, so evaluation can restart from scratch.
+    returning a fresh iterator, so evaluation can restart from scratch; a
+    bare iterator is rejected, since it could be read only once.
     Every value must be an integer greater than `offset_a` (see `terms`).
     """
 
@@ -58,6 +59,11 @@ class SeriesDefinition:
             raise ValueError("offset_a must be a positive integer")
         if self.depth_guard < 1:
             raise ValueError("depth_guard must be positive")
+        if not callable(self.sequence) and iter(self.sequence) is self.sequence:
+            # `terms` reads a concrete sequence twice: to check it, then to yield it
+            raise TypeError(
+                "sequence must be a sequence or a zero-argument callable, not an iterator"
+            )
 
     def terms(self, n: int) -> Iterator[int]:
         """The first n values, as ints. A value not greater than offset_a, or

@@ -273,6 +273,14 @@ class TestSequenceChecks:
         with pytest.raises(ValueError, match="at least 1"):
             next(engine(SeriesDefinition((2, 3)), 0))
 
+    @pytest.mark.parametrize(
+        "sequence", [iter((4, 5)), (v for v in (4, 5))], ids=["iterator", "generator"]
+    )
+    def test_one_shot_iterator_rejected(self, sequence):
+        # a concrete sequence is read twice, so an iterator would yield no rows
+        with pytest.raises(TypeError, match="sequence or a zero-argument callable"):
+            SeriesDefinition(sequence, offset_a=3)
+
     def test_terms_takes_only_n_values(self):
         # the bad value past n is never drawn, even from a concrete sequence
         assert list(SeriesDefinition((2, 3, 1), offset_a=1).terms(2)) == [2, 3]
