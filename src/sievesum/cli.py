@@ -11,6 +11,8 @@ naming the first violation, 2 on usage errors. Every command exits 2 when
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import dataclasses
 import decimal
 import json
@@ -21,7 +23,7 @@ import re
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import count as _count, tee
+from itertools import chain, islice, tee
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -48,6 +50,11 @@ DEFAULT_SEED = 1000003
 _INT64_MAX = 2**63 - 1
 # between two elements of a list in a top-level object, as json.dumps(indent=2) writes it
 _JSON_SEP = ",\n    "
+# float rows per chunk that a render worker takes, and the fewest chunks
+# worth starting the workers for (some 50 ms); fewer rows are rendered in
+# the command's own process
+_CHUNK_ROWS = 4096
+_POOL_MIN_CHUNKS = 8
 # Below this many bits, int -> Decimal is converted directly.
 _LEAF_BITS = 128
 # Exact integer arithmetic in decimal: no operation may round, and one that
@@ -226,6 +233,109 @@ def _float_lines(rows: Iterable[tuple], keys: tuple[str, ...], fmt: str,
     )
 
 
+def _render_worker(render, tasks, results, command_ends) -> None:
+    """Send render(chunk) to `results` for each chunk from `tasks`, until
+    the command closes its end of either pipe or ends. Ctrl-C reaches
+    every process of the terminal's group; a worker leaves it to the
+    command, which stops the workers."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in command_ends:  # fork's copies, so that the command holds the last ones
+        end.close()
+    try:
+        while True:
+            results.send(render(tasks.recv()))
+    except (EOFError, BrokenPipeError):
+        pass
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on macOS or Windows
+        return os.cpu_count() or 1
+
+
+def _pooled(render, chunks: Iterable, workers: int) -> Iterator[str]:
+    """render(chunk) of each of `chunks`, in order, each run in one of
+    `workers` forked processes, which take the chunks in turn, one at a
+    time. The chunks are drawn here: the next while the workers render
+    the last ones, so at most workers + 1 are out.
+
+    The workers are terminated and joined however the generator ends:
+    exhausted, by an error, or closed by its consumer. A worker that ends
+    early raises ChildProcessError here; if the command is killed, each
+    worker sees its pipes close, and ends.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    processes, ends = [], []  # ends: the task writers and result readers
+    lanes = collections.deque()  # (task writer, result reader) with a chunk out, oldest first
+    try:
+        for chunk in chunks:
+            text = None
+            if len(lanes) < workers:
+                tasks, task_writer = context.Pipe(duplex=False)
+                result_reader, results = context.Pipe(duplex=False)
+                lane = task_writer, result_reader
+                ends += lane
+                processes.append(context.Process(
+                    target=_render_worker, args=(render, tasks, results, ends), daemon=True
+                ))
+                processes[-1].start()
+                tasks.close()
+                results.close()
+            else:
+                lane = lanes.popleft()
+                text = lane[1].recv()
+            lane[0].send(chunk)
+            lanes.append(lane)
+            if text is not None:
+                yield text
+        while lanes:
+            yield lanes.popleft()[1].recv()
+    except (EOFError, BrokenPipeError):
+        # from a pipe to a worker (drawing a row raises neither), which
+        # main() must not take for a closed stdout
+        raise ChildProcessError("a render worker ended before the command") from None
+    finally:
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join()
+
+
+def _emit_float_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...],
+                     rows: Iterable[tuple], n_rows: int) -> None:
+    """_emit the `n_rows` float records `rows` under "rows", each rendered
+    by _float_lines with `keys` and the --format and --digits of `args`.
+
+    Rows are drawn in this process, in order. From _POOL_MIN_CHUNKS chunks
+    of _CHUNK_ROWS rows on, where fork exists and two CPUs are usable, two
+    forked workers render them (see _pooled), each chunk sent as one flat
+    list of its rows' cells (which pickles several times faster than
+    ReportRows, and faster than tuples); else each row is rendered here as
+    it is drawn. The text is the same either way.
+    """
+    workers = min(2, _usable_cpus())
+    if n_rows < _POOL_MIN_CHUNKS * _CHUNK_ROWS or workers < 2 or not hasattr(os, "fork"):
+        chunks = _float_lines(rows, keys, args.format, args.digits)
+    else:
+        sep = "" if args.format == "csv" else _JSON_SEP
+
+        def render(cells: list) -> str:  # one chunk of _emit, joined as it joins them
+            chunk = zip(*[iter(cells)] * len(keys))
+            return sep.join(_float_lines(chunk, keys, args.format, args.digits))
+
+        flat = iter(lambda: list(chain.from_iterable(islice(rows, _CHUNK_ROWS))), [])
+        chunks = _pooled(render, flat, workers)
+    with contextlib.closing(chunks):
+        _emit(args, {"meta": meta}, "rows", ",".join(keys) + "\n", chunks)
+
+
 def _open_output(args: argparse.Namespace, mode: str = "w"):
     if args.output in (None, "-"):
         return sys.stdout, False
@@ -330,9 +440,10 @@ def _emit(args: argparse.Namespace, doc: dict, key: str | None = None,
         raise
 
 
-def _parse_seq(spec: str):
+def _parse_seq(spec: str, terms: int):
     """Inline sequence: a comma list ('2,3,4,5') or 'start:step' rule, of
-    exact decimal integers (no 1e2: through a float, 1e30 would round)."""
+    exact decimal integers (no 1e2: through a float, 1e30 would round). A
+    rule is the range of its first `terms` values."""
     rule = ":" in spec
     values = []
     for item in spec.split(":" if rule else ","):
@@ -344,14 +455,15 @@ def _parse_seq(spec: str):
         return tuple(values)
     if len(values) != 2 or values[1] < 1:
         raise ValueError("--seq rule must be start:step with a step of at least 1")
-    return lambda: _count(*values)
+    start, step = values
+    return range(start, start + step * terms, step)
 
 
 def _definition_for(args: argparse.Namespace) -> SeriesDefinition:
     if args.kind == "custom":
         if not args.seq:
             raise ValueError("custom kind requires --seq")
-        return SeriesDefinition(_parse_seq(args.seq), offset_a=args.a or 1)
+        return SeriesDefinition(_parse_seq(args.seq, args.terms), offset_a=args.a or 1)
     for flag, value in (("--seq", args.seq), ("--a", args.a)):
         if value is not None:
             raise ValueError(f"{flag} needs --kind custom")
@@ -411,18 +523,13 @@ def cmd_series(args: argparse.Namespace) -> int:
             template % (k, f, *map(show, cells))
             for (k, f, _), cells in zip(rows, _exact_cells(cell_rows, a))
         )
-    else:
-        keys = ("n", "F_n", "T", "S", "residual")
-        header = ",".join(keys) + "\n"
-        chunks = _float_lines(float_rows(defn, args.terms), keys, args.format, args.digits)
-        if args.kind == "custom":
-            # a custom value beyond the float range shows only as it is
-            # drawn, so these rows are all rendered before the first byte
-            try:
-                chunks = list(chunks)
-            except OverflowError as exc:
-                raise ValueError(f"{exc}; use --mode exact") from None
-    _emit(args, {"meta": meta}, "rows", header, chunks)
+        _emit(args, {"meta": meta}, "rows", header, chunks)
+        return 0
+    keys = ("n", "F_n", "T", "S", "residual")
+    try:
+        _emit_float_rows(args, meta, keys, float_rows(defn, args.terms), args.terms)
+    except OverflowError as exc:
+        raise ValueError(f"{exc}; use --mode exact") from None
     return 0
 
 
@@ -585,14 +692,11 @@ def cmd_brun(args: argparse.Namespace) -> int:
 
 
 def cmd_mertens(args: argparse.Namespace) -> int:
-    rows = mertens_residual(args.terms)
-    if args.last:
-        rows = rows[-1:]
+    rows = mertens_residual(args.terms, last=args.last)
     offset = args.terms - len(rows)
     meta = {"terms": args.terms, "version": __version__}
-    chunks = _float_lines(((offset + i, p, ratio) for i, (p, ratio) in enumerate(rows, 1)),
-                          ("n", "p_n", "ratio"), args.format, args.digits)
-    _emit(args, {"meta": meta}, "rows", "n,p_n,ratio\n", chunks)
+    _emit_float_rows(args, meta, ("n", "p_n", "ratio"),
+                     ((offset + i, p, ratio) for i, (p, ratio) in enumerate(rows, 1)), len(rows))
     return 0
 
 

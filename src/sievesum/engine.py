@@ -21,11 +21,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_DEPTH_GUARD = 5000
 _OUT_OF_DOMAIN = "sequence value {} makes the term undefined or nonpositive (requires F > a = {})"
+_TOO_LARGE = "sequence value {} is too large for a float"
+# the least int that float() cannot convert: it would round to 2**1024
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 class SeriesDomainError(ValueError):
@@ -187,20 +190,30 @@ def report_rows(defn: SeriesDefinition, n_terms: int) -> list[ReportRow]:
 def float_rows(defn: SeriesDefinition, n_terms: int) -> Iterator[ReportRow]:
     """Floating-point rows; the residual product is tracked in log space with
     compensated accumulation, so arbitrarily many terms are cheap. A value
-    too large for a float raises OverflowError naming it.
+    too large for a float raises OverflowError naming it: as it is drawn
+    from a callable, and before the first row for a concrete sequence,
+    whose float range is checked whole after the checks of `terms`.
     """
     a = defn.offset_a
+    values = defn.terms(n_terms)
+    if not callable(defn.sequence):
+        values = chain([next(values)], values)  # the checks of terms(n) run here
+        checked = map(operator.index, islice(defn.sequence, n_terms))
+        huge = next((f for f in checked if f >= _FLOAT_OVERFLOW), None)
+        if huge is not None:
+            raise OverflowError(_TOO_LARGE.format(huge))
+    new = tuple.__new__  # a ReportRow without the frame of its Python __new__
     log_r = 0.0
     comp = 0.0  # Kahan carry
     r = 1.0  # exp(log_r), the previous row's residual product
-    for k, f in enumerate(defn.terms(n_terms), 1):
+    for k, f in enumerate(values, 1):
         try:
             t = r / f
         except OverflowError:
-            raise OverflowError(f"sequence value {f} is too large for a float") from None
+            raise OverflowError(_TOO_LARGE.format(f)) from None
         y = math.log1p(-a / f) - comp
         total = log_r + y
         comp = (total - log_r) - y
         log_r = total
         r = math.exp(log_r)
-        yield ReportRow(k, f, t, (1.0 - r) / a, r / a)
+        yield new(ReportRow, (k, f, t, (1.0 - r) / a, r / a))

@@ -163,11 +163,13 @@ def brun_dominance_check(n_terms: int) -> bool:
     return True
 
 
-def mertens_residual(n_terms: int) -> list[tuple[int, float]]:
-    """(p_n, ratio) for n = 1..n_terms, where ratio = (1 - S_n) ln(p_n) e^gamma.
+def mertens_residual(n_terms: int, last: bool = False) -> list[tuple[int, float]]:
+    """(p_n, ratio) for n = 1..n_terms, or for n = n_terms alone if `last`,
+    where ratio = (1 - S_n) ln(p_n) e^gamma.
 
     The residual 1 - S_n = prod(1 - 1/p_i) is evaluated in log space; the
-    ratio tends to 1.
+    ratio tends to 1. The last ratio alone is the same float as the last of
+    all of them: the same running sum, the same element-wise steps after it.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
@@ -176,6 +178,8 @@ def mertens_residual(n_terms: int) -> list[tuple[int, float]]:
     primes = nth_primes(n_terms)
     ps = np.array(primes, dtype=np.float64)
     log_residual = np.cumsum(np.log1p(-1.0 / ps))
+    if last:
+        primes, ps, log_residual = primes[-1:], ps[-1:], log_residual[-1:]
     ratios = np.exp(log_residual) * np.log(ps) * math.exp(EULER_GAMMA)
     return list(zip(primes, ratios.tolist()))
 

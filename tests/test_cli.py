@@ -8,11 +8,15 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import random
 import re
 import shlex
+import signal
 import struct
+import subprocess
 import sys
+import textwrap
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -730,6 +734,42 @@ class TestStreaming:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize("seq", ["3:2", "3,5,7,9"])
+    def test_custom_float_rows_stream(self, monkeypatch, seq):
+        stdout = io.StringIO()
+        written = []  # the output so far, as each row is drawn
+        compute = sievesum.cli.float_rows
+
+        def watched(defn, n_terms):
+            for row in compute(defn, n_terms):
+                written.append(stdout.getvalue())
+                yield row
+
+        monkeypatch.setattr(sievesum.cli, "float_rows", watched)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        argv = ["series", "--kind", "custom", "--a", "2", "--seq", seq, "--terms", "4",
+                "--mode", "float"]
+        assert main(argv) == 0
+        assert [text.count("\n") for text in written] == [0, 2, 3, 4]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    # the value on row 2: the huge one, or the rule's start plus its huge step
+    @pytest.mark.parametrize("seq, row_2", [("2,{},3", 0), ("2:{}", 2)], ids=["list", "rule"])
+    def test_value_beyond_float_range_on_row_2_writes_nothing(self, capsys, tmp_path, fmt, seq,
+                                                               row_2):
+        step = "1" * 401
+        huge = int(step) + row_2
+        target = tmp_path / "rows"
+        target.write_text("keep me\n")
+        argv = ("series", "--kind", "custom", "--seq", seq.format(step), "--terms", "3",
+                "--mode", "float", "--format", fmt)
+        for output in ((), ("--output", str(target))):
+            code, out, err = run_cli(capsys, *argv, *output)
+            assert (code, out) == (2, "")
+            assert err == f"error: sequence value {huge} is too large for a float; use --mode exact\n"
+        assert target.read_text() == "keep me\n"
+        assert os.listdir(tmp_path) == ["rows"]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_emit_renders_the_first_chunk_before_any_byte(self, monkeypatch, fmt):
         def failing_first():
@@ -742,6 +782,216 @@ class TestStreaming:
         with pytest.raises(RuntimeError, match="row 1 failed"):
             _emit(args, {}, "rows", "a,b\n", failing_first())
         assert stdout.getvalue() == ""
+
+
+# float-row commands over several chunks of POOL_TEST_CHUNK rows; the
+# custom one ends in subnormal residuals, 0.0 and 1.0, which take the
+# slow template at every --digits
+POOL_TEST_CHUNK = 64
+POOLED_CASES = {
+    "twin": ("series", "--kind", "twin", "--mode", "float", "--terms", "700"),
+    "prime": ("series", "--kind", "prime", "--mode", "float", "--terms", "700"),
+    "custom": ("series", "--kind", "custom", "--seq", ",".join(["2"] * 1100), "--mode", "float",
+               "--terms", "1100"),
+    "mertens": ("mertens", "--terms", "700"),
+}
+
+
+def use_pool(monkeypatch, chunk_rows):
+    """Render float rows in chunks of `chunk_rows` on worker processes from
+    two chunks on, as on a host with two usable CPUs. Returns the list of
+    the processes started."""
+    monkeypatch.setattr(sievesum.cli, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(sievesum.cli, "_POOL_MIN_CHUNKS", 2)
+    monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: 2)
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
+    return started
+
+
+class TestPooledFloatRows:
+    @pytest.mark.parametrize("digits", [1, 15, 16, 17])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", POOLED_CASES)
+    def test_output_is_the_serial_output(self, capsys, monkeypatch, case, fmt, digits):
+        argv = (*POOLED_CASES[case], "--format", fmt, "--digits", str(digits))
+        serial = run_cli(capsys, *argv)
+        started = use_pool(monkeypatch, POOL_TEST_CHUNK)
+        assert run_cli(capsys, *argv) == serial
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file_is_the_serial_one(self, capsys, monkeypatch, tmp_path, fmt):
+        argv = (*POOLED_CASES["twin"], "--format", fmt)
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        pooled.write_text("replaced\n")
+        assert run_cli(capsys, *argv, "--output", str(serial)) == (0, "", "")
+        started = use_pool(monkeypatch, POOL_TEST_CHUNK)
+        assert run_cli(capsys, *argv, "--output", str(pooled)) == (0, "", "")
+        assert len(started) == 2
+        assert pooled.read_bytes() == serial.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["pooled", "serial"]
+
+    def test_rows_drawn_ahead_of_the_output_are_bounded(self, monkeypatch):
+        chunk = 16
+        started = use_pool(monkeypatch, chunk)
+        stdout = io.StringIO()
+        ahead = []  # rows drawn and not yet written, as each row is drawn
+        compute = sievesum.cli.float_rows
+
+        def watched(defn, n_terms):
+            for row in compute(defn, n_terms):
+                written = max(stdout.getvalue().count("\n") - 1, 0)  # less the header
+                ahead.append(row.n - 1 - written)
+                yield row
+
+        monkeypatch.setattr(sievesum.cli, "float_rows", watched)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["series", "--kind", "twin", "--mode", "float", "--terms", "500"]) == 0
+        assert len(started) == 2
+        assert stdout.getvalue().count("\n") == 501
+        # a chunk out with each of the two workers, and the one being drawn
+        assert chunk < max(ahead) < (2 + 1) * chunk
+
+    @pytest.mark.parametrize("cpus, terms", [(1, 500), (2, 2 * 16 - 1)],
+                             ids=["one-cpu", "below-two-chunks"])
+    def test_no_pool_with_one_cpu_or_few_rows(self, capsys, monkeypatch, cpus, terms):
+        started = use_pool(monkeypatch, 16)
+        monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: cpus)
+        code, out, _ = run_cli(capsys, "series", "--kind", "twin", "--mode", "float",
+                               "--terms", str(terms))
+        assert (code, started) == (0, [])
+        assert out == reference_float_series("csv", "twin", twin_prime_definition(), terms, 15)
+
+    def test_workers_ignore_ctrl_c(self, monkeypatch):
+        started = use_pool(monkeypatch, 1)
+        chunks = [[k] for k in range(8)]
+        texts = sievesum.cli._pooled(repr, iter(chunks), 2)
+        head = [next(texts), next(texts)]  # both workers have answered
+        for process in started:
+            os.kill(process.pid, signal.SIGINT)
+        assert head + list(texts) == [repr(chunk) for chunk in chunks]
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_worker_is_an_error_not_a_hang(self, monkeypatch):
+        started = use_pool(monkeypatch, 1)
+        texts = sievesum.cli._pooled(repr, iter([[k] for k in range(8)]), 2)
+        assert [next(texts), next(texts)] == ["[0]", "[1]"]
+        started[0].kill()
+        with pytest.raises(ChildProcessError, match="a render worker ended"):
+            list(texts)
+        assert multiprocessing.active_children() == []
+
+    def test_never_more_than_two_workers(self, capsys, monkeypatch):
+        started = use_pool(monkeypatch, 16)
+        monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: 64)
+        assert run_cli(capsys, *POOLED_CASES["twin"])[0] == 0
+        assert len(started) == 2
+
+
+# Runs sievesum.cli.main(argv) in a fresh interpreter, as on a host with
+# two usable CPUs, and then writes to stderr the exit code (or
+# "interrupted"), the number of pools made and the number of worker
+# processes still alive. With FAIL_AT=k, drawing float row k raises
+# FAIL_WITH, ValueError or KeyboardInterrupt.
+POOL_SCRIPT = textwrap.dedent("""
+    import builtins, multiprocessing, os, sys
+    import sievesum.cli as cli
+
+    cli._usable_cpus = lambda: 2
+    pools, pooled, compute = [], cli._pooled, cli.float_rows
+    fail_at = int(os.environ.get("FAIL_AT", "0"))
+
+    def counted(*args):
+        pools.append(args)
+        return pooled(*args)
+
+    def failing(defn, n_terms):
+        for row in compute(defn, n_terms):
+            if row.n == fail_at:
+                raise getattr(builtins, os.environ["FAIL_WITH"])(f"row {fail_at} failed")
+            yield row
+
+    cli._pooled, cli.float_rows = counted, failing
+    try:
+        code = cli.main(sys.argv[1:])
+    except KeyboardInterrupt:
+        code = "interrupted"
+    print(code, len(pools), len(multiprocessing.active_children()), file=sys.stderr)
+""")
+
+# above the row count from which the pool renders
+POOLED_ARGV = ("series", "--kind", "twin", "--mode", "float", "--terms", "40000")
+
+
+def run_pool_script(argv, after_first=None, **env):
+    """The exit code and stderr of POOL_SCRIPT on argv, run in a process
+    group of its own with warnings as errors (so a warning about fork in a
+    threaded process fails). With after_first, stdout is read up to its
+    first bytes, after_first(pid) is called, and stdout is closed. stderr
+    is read to its end, which comes only when every process holding it has
+    exited, workers included."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
+    read_fd, write_fd = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-c", POOL_SCRIPT, *argv],
+        stdout=write_fd if after_first else subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=env, text=True, start_new_session=True,
+    )
+    os.close(write_fd)
+    try:
+        if after_first:
+            assert os.read(read_fd, 100)
+            after_first(proc.pid)
+        os.close(read_fd)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # whatever is left of the group
+            os.killpg(proc.pid, signal.SIGKILL)
+    return proc.returncode, err
+
+
+class TestNoWorkerOutlivesTheCommand:
+    @pytest.mark.parametrize("after_first, result", [
+        (lambda pid: None, (0, "0 1 0\n")),
+        (lambda pid: os.kill(pid, signal.SIGKILL), (-signal.SIGKILL, "")),
+        # Ctrl-C signals the whole process group: no worker may print a traceback
+        (lambda pid: os.killpg(pid, signal.SIGINT), (0, "interrupted 1 0\n")),
+    ], ids=["stdout-closed", "killed", "ctrl-c"])
+    def test_mid_stream(self, after_first, result):
+        argv = (*POOLED_ARGV[:-1], "1000000")
+        assert run_pool_script(argv, after_first) == result
+
+    @pytest.mark.parametrize("fail_with, report", [
+        ("ValueError", "error: row 20000 failed\n2 1 0\n"),
+        ("KeyboardInterrupt", "interrupted 1 0\n"),
+    ])
+    def test_error_mid_stream(self, fail_with, report):
+        assert run_pool_script(POOLED_ARGV, FAIL_AT="20000", FAIL_WITH=fail_with) == (0, report)
+
+    def test_output_file_replaced(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "rows.csv"
+        target.write_text("replaced\n")
+        assert run_pool_script((*POOLED_ARGV, "--output", str(target))) == (0, "0 1 0\n")
+        monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: 1)
+        assert run_cli(capsys, *POOLED_ARGV)[1] == target.read_text()
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
+    def test_output_file_kept_after_an_error_mid_stream(self, tmp_path):
+        target = tmp_path / "rows.csv"
+        target.write_text("keep me\n")
+        argv = (*POOLED_ARGV, "--output", str(target))
+        report = "error: row 20000 failed\n2 1 0\n"
+        assert run_pool_script(argv, FAIL_AT="20000", FAIL_WITH="ValueError") == (0, report)
+        assert target.read_text() == "keep me\n"
+        assert os.listdir(tmp_path) == ["rows.csv"]
 
 
 # the commands of the README's CLI example block, each without "sievesum"

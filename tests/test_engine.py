@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sievesum.engine import (
     DepthGuardError,
+    ReportRow,
     SeriesDefinition,
     SeriesDomainError,
     advance,
@@ -321,3 +322,55 @@ class TestFloatRows:
     def test_no_depth_guard_in_float_mode(self):
         rows = list(float_rows(prime_definition(), 6000))
         assert len(rows) == 6000
+
+    def test_rows_are_report_rows(self):
+        row = next(float_rows(SeriesDefinition((3, 5)), 2))
+        assert type(row) is ReportRow
+        assert (row.n, row.F_n, row.T) == (1, 3, 1 / 3)
+        assert (row.n, row.F_n, row.T, row.S, row.residual) == tuple(row)
+
+
+# the least int that float() cannot convert
+FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+class TestFloatRange:
+    """float_rows names the first value too large for a float: a concrete
+    sequence's before its first row, a callable's as it is drawn."""
+
+    def test_limit_is_that_of_float(self):
+        assert float(FLOAT_OVERFLOW - 1) == 1.7976931348623157e308
+        assert [row.F_n for row in float_rows(SeriesDefinition((3, FLOAT_OVERFLOW - 1)), 2)] == [
+            3,
+            FLOAT_OVERFLOW - 1,
+        ]
+        with pytest.raises(OverflowError):
+            float(FLOAT_OVERFLOW)
+        with pytest.raises(OverflowError, match=f"sequence value {FLOAT_OVERFLOW} is too large"):
+            next(float_rows(SeriesDefinition((3, FLOAT_OVERFLOW)), 2))
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [(3, 5, 10**400, 10**401), range(3, 10**400 * 3, 10**400)],
+        ids=["tuple", "range"],
+    )
+    def test_concrete_sequence_fails_before_the_first_row(self, sequence):
+        huge = [v for v in sequence if v >= FLOAT_OVERFLOW][0]
+        with pytest.raises(OverflowError) as info:
+            next(float_rows(SeriesDefinition(sequence), len(sequence)))
+        assert str(info.value) == f"sequence value {huge} is too large for a float"
+
+    def test_values_past_n_are_not_read(self):
+        assert len(list(float_rows(SeriesDefinition((3, 5, 10**400)), 2))) == 2
+
+    def test_domain_and_length_checks_come_first(self):
+        with pytest.raises(SeriesDomainError, match="sequence value 2 makes"):
+            next(float_rows(SeriesDefinition((5, 10**400, 2), offset_a=3), 3))
+        with pytest.raises(SeriesDomainError, match="ended after 2 values"):
+            next(float_rows(SeriesDefinition((5, 10**400), offset_a=3), 3))
+
+    def test_callable_fails_as_the_value_is_drawn(self):
+        rows = float_rows(SeriesDefinition(lambda: iter((3, 5, 10**400))), 3)
+        assert len(list(islice(rows, 2))) == 2
+        with pytest.raises(OverflowError, match=r"sequence value 1000+ is too large"):
+            next(rows)

@@ -402,3 +402,10 @@ class TestMertensResidual:
     def test_rejects_zero_terms(self):
         with pytest.raises(ValueError):
             mertens_residual(0)
+        with pytest.raises(ValueError):
+            mertens_residual(0, last=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20_000))
+    def test_last_is_the_last_row_to_the_bit(self, n):
+        assert mertens_residual(n, last=True) == mertens_residual(n)[-1:]
