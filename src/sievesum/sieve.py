@@ -1,12 +1,16 @@
 """Segmented sieve of Eratosthenes: primes and twin-prime pairs up to large limits.
 
-Only odd candidates are sieved, one bytearray per segment; base primes up to
-sqrt(limit) are kept resident, so memory stays O(sqrt(limit) + segment) and
-limits of 1e8-1e9 are practical on a desktop. Each segment starts as a slice
-of a pattern with the multiples of 3, 5, 7, 11 and 13 already crossed off
-(a pre-sieve, as in Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014),
-so only larger base primes are struck segment by segment. The functions that
-return Python ints do without numpy; only the generators of arrays,
+Primes are sieved over the odd candidates, twin pairs over the candidate
+pairs (6k - 1, 6k + 1), which hold every twin pair but (3, 5): byte k of a
+twin mask is 1 iff both members are prime, so no pair straddles two
+segments. Each kind of candidate is a wheel (see _Wheel), and one segment
+loop serves both. Base primes up to sqrt(limit) are kept resident, so
+memory stays O(sqrt(limit) + segment) and limits of 1e8-1e9 are practical
+on a desktop. Each segment starts as a slice of a pattern with the
+multiples of the wheel's small primes already crossed off (a pre-sieve, as
+in Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014), so only larger
+base primes are struck segment by segment. The functions that return
+Python ints do without numpy; only the generators of arrays,
 iter_prime_arrays and iter_twin_lesser_arrays, import it. Every function
 reads SEGMENT_SIZE when it is called, and its results do not depend on it.
 """
@@ -16,17 +20,13 @@ from __future__ import annotations
 import math
 import operator
 from itertools import chain, compress, islice
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 PRIME_CAP = 2**63 - 1  # prime carrier is a 64-bit signed integer
-SEGMENT_SIZE = 1 << 20  # odd candidates per segment
-# The pre-sieve primes; their pattern on the odd candidates repeats every
-# _PERIOD = 3 * 5 * 7 * 11 * 13 of them.
-_SMALL_PRIMES = (3, 5, 7, 11, 13)
-_PERIOD = 15015
+SEGMENT_SIZE = 1 << 20  # candidates (odd numbers or 6k +- 1 pairs) per segment
 
 
 class CapacityError(ValueError):
@@ -38,153 +38,181 @@ class TwinPair(NamedTuple):
     greater: int
 
 
-def _presieve_pattern() -> bytes:
-    """Byte j is 1 iff the odd number 2j + 1 has no factor in _SMALL_PRIMES
-    (so the small primes themselves are 0 too)."""
-    flags = bytearray(b"\x01") * _PERIOD
-    for p in _SMALL_PRIMES:
-        flags[p // 2 :: p] = bytes(len(range(p // 2, _PERIOD, p)))
-    return bytes(flags)
+class _Wheel(NamedTuple):
+    """Candidates i >= 0 that stand for the numbers stride * i + c, one per
+    offset c: candidate i is prime iff all of its numbers are. `pattern` is
+    one period of flags over i, 1 iff no number of i has a factor in the
+    pre-sieve `primes`, and `head` holds the true flags of the candidates
+    with a number up to max(primes), which the pattern gets wrong."""
+
+    stride: int
+    offsets: tuple[int, ...]
+    primes: tuple[int, ...]
+    pattern: bytes
+    head: bytes
 
 
-_PATTERN = _presieve_pattern()
+def _wheel(stride: int, offsets: tuple[int, ...], primes: tuple[int, ...]) -> _Wheel:
+    pattern = bytearray(b"\x01") * math.prod(primes)
+    for p in primes:
+        for r in _residues(stride, offsets, p):
+            pattern[r::p] = bytes(len(range(r, len(pattern), p)))
+    # a number of these wheels up to max(primes) is prime iff it is in `primes`
+    head = bytes(
+        all(stride * i + c in primes for c in offsets)
+        for i in range((primes[-1] - offsets[0]) // stride + 1)
+    )
+    return _Wheel(stride, offsets, primes, bytes(pattern), head)
+
+
+def _residues(stride: int, offsets: tuple[int, ...], p: int) -> list[int]:
+    """For each offset c, the residue mod p of the candidates i with
+    p | stride * i + c."""
+    inverse = pow(stride, -1, p)
+    return [-c * inverse % p for c in offsets]
+
+
+_ODD = _wheel(2, (1,), (3, 5, 7, 11, 13))  # the odd number 2i + 1
+_TWIN = _wheel(6, (-1, 1), (5, 7, 11, 13))  # the pair (6i - 1, 6i + 1); 3 divides neither
+_PERIOD = len(_ODD.pattern)  # 15015
+
+
+def _segments(
+    wheel: _Wheel, first: int, last: int, segment_size: int
+) -> Iterator[tuple[int, bytearray]]:
+    """Yield (low, mask) per segment; mask[j] is 1 iff the candidate low + j
+    of `wheel` is prime, else 0.
+
+    Covers the candidates first..last, ascending, in nonempty segments of
+    at most `segment_size` candidates. Each base prime p above the pre-sieve
+    strikes one class (start, p) per offset, from the first candidate whose
+    number is at least p * p.
+    """
+    if last < first:
+        return
+    stride, offsets = wheel.stride, wheel.offsets
+    classes = sorted(
+        (bound + (r - bound) % p, p)
+        for p in _odd_base_primes(stride * last + offsets[-1])
+        if p > wheel.primes[-1]
+        for c, r in zip(offsets, _residues(stride, offsets, p))
+        for bound in [-((c - p * p) // stride)]  # ceil((p*p - c) / stride)
+    )
+    period = len(wheel.pattern)
+    # long enough to hold the longest segment at any offset into the pattern
+    longest = min(segment_size, last - first + 1)
+    tiled = memoryview(wheel.pattern * (longest // period + 2))
+    head = wheel.head
+    low = first
+    while low <= last:
+        n = min(segment_size, last + 1 - low)
+        hi = low + n  # exclusive
+        offset = low % period
+        mask = bytearray(tiled[offset : offset + n])
+        if low < len(head):
+            fixed = min(n, len(head) - low)
+            mask[:fixed] = head[low : low + fixed]
+        for start, p in classes:
+            if start >= hi:
+                break
+            i = start - low if start >= low else (start - low) % p
+            mask[i::p] = bytes((n - 1 - i) // p + 1)  # i < p if start < low: >= 0
+        yield low, mask
+        low = hi
 
 
 def _odd_base_primes(limit: int) -> list[int]:
     """Odd primes up to sqrt(limit), as Python ints (index math must not wrap)."""
-    root = math.isqrt(limit)
-    return [
-        p
-        for low, mask in _odd_segment_masks(root, SEGMENT_SIZE)
-        for p in _segment_primes(low, mask)
-    ]
-
-
-def _odd_segment_masks(
-    limit: int, segment_size: int, low: int = 3
-) -> Iterator[tuple[int, bytearray]]:
-    """Yield (low, mask) per segment; mask[i] is 1 iff low + 2*i is prime,
-    else 0.
-
-    Covers odd values in [low, limit], ascending, in nonempty segments of at
-    most `segment_size` values. `low` must be odd.
-    """
-    if limit < low:
-        return
-    base = [p for p in _odd_base_primes(limit) if p > _SMALL_PRIMES[-1]]
-    # long enough to hold the longest segment at any offset into the pattern
-    longest = min(segment_size, (limit - low) // 2 + 1)
-    tiled = memoryview(_PATTERN * (longest // _PERIOD + 2))
-    span = 2 * segment_size
-    while low <= limit:
-        hi = min(low + span, limit + 1)  # exclusive
-        n_odd = (hi - low + 1) // 2
-        offset = (low // 2) % _PERIOD
-        mask = bytearray(tiled[offset : offset + n_odd])
-        if low == 1:
-            mask[0] = 0
-        for p in _SMALL_PRIMES:
-            if low <= p < hi:
-                mask[(p - low) // 2] = 1
-        for p in base:
-            start = p * p
-            if start >= hi:
-                break
-            if start < low:
-                start = ((low + p - 1) // p) * p
-                if start % 2 == 0:
-                    start += p
-            i = (start - low) // 2  # < p if start was < low: the count is >= 0
-            mask[i::p] = bytes((n_odd - 1 - i) // p + 1)
-        yield low, mask
-        low += span
+    masks = _segments(_ODD, 1, (math.isqrt(limit) - 1) // 2, SEGMENT_SIZE)
+    return [p for low, mask in masks for p in _segment_primes(low, mask)]
 
 
 def _segment_primes(low: int, mask: bytearray) -> Iterator[int]:
-    """The primes a (low, mask) segment marks, ascending."""
-    return compress(range(low, low + 2 * len(mask), 2), mask)
+    """The primes a (low, mask) segment of the odd wheel marks, ascending."""
+    return compress(range(2 * low + 1, 2 * (low + len(mask)), 2), mask)
 
 
-def _unbounded_masks() -> Iterator[tuple[int, bytearray]]:
-    """_odd_segment_masks from 3 on, without end, in windows growing fourfold."""
-    low = 3
-    limit = 1 << 16
+def _twin_lessers(low: int, mask: bytearray) -> list[int]:
+    """The lesser members of the pairs a (low, mask) segment of the twin
+    wheel marks, ascending."""
+    out = []
+    j = mask.find(1)
+    while j >= 0:
+        out.append(6 * (low + j) - 1)
+        j = mask.find(1, j + 1)
+    return out
+
+
+def _unbounded(wheel: _Wheel) -> Iterator[tuple[int, bytearray]]:
+    """_segments of `wheel` from candidate 1 on, without end, in windows
+    whose largest number grows fourfold."""
+    first, limit = 1, 1 << 16
     while True:
-        yield from _odd_segment_masks(limit, SEGMENT_SIZE, low=low)
+        last = (limit - wheel.offsets[-1]) // wheel.stride
+        yield from _segments(wheel, first, last, SEGMENT_SIZE)
         if limit >= PRIME_CAP:
             raise CapacityError("prime generator exhausted the supported range")
-        low = limit + 1 + (limit % 2)
-        limit = min(limit * 4, PRIME_CAP)
+        first, limit = last + 1, min(limit * 4, PRIME_CAP)
 
 
-def _masks(limit: int) -> Iterator[tuple[int, bytearray]]:
-    """_odd_segment_masks over every odd candidate up to the inclusive
-    `limit`, once it is checked to be an int in [0, PRIME_CAP]."""
+def _masks(wheel: _Wheel, limit: int) -> Iterator[tuple[int, bytearray]]:
+    """_segments of `wheel` over every candidate from 1 whose numbers are at
+    most the inclusive `limit`, once it is checked to be an int in
+    [0, PRIME_CAP]."""
     limit = operator.index(limit)
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     if limit > PRIME_CAP:
         raise CapacityError(f"limit {limit} exceeds supported cap {PRIME_CAP}")
-    return _odd_segment_masks(limit, SEGMENT_SIZE)
-
-
-def _twin_lessers(masks: Iterable[tuple[int, bytearray]]) -> Iterator[list[int]]:
-    """Per segment of the contiguous `masks`, the lesser members p of the twin
-    pairs (p, p + 2) whose p + 2 it covers, ascending. A pair straddling a
-    segment boundary is attributed to the later segment."""
-    carry = False  # the value just below the segment is prime
-    for low, mask in masks:
-        lessers = [low - 2] if carry and mask[0] else []
-        i = mask.find(b"\x01\x01")
-        while i >= 0:
-            lessers.append(low + 2 * i)
-            i = mask.find(b"\x01\x01", i + 1)
-        yield lessers
-        carry = mask[-1]
+    return _segments(wheel, 1, (limit - wheel.offsets[-1]) // wheel.stride, SEGMENT_SIZE)
 
 
 def prime_lists(limit: int) -> Iterator[list[int]]:
     """The primes p <= limit, ascending, as one list per sieve segment."""
-    masks = _masks(limit)
+    masks = _masks(_ODD, limit)
     if limit >= 2:
         yield [2]
     for low, mask in masks:
         yield list(_segment_primes(low, mask))
 
 
+def _twin_lesser_lists(limit: int) -> Iterator[list[int]]:
+    """The lists of twin_lesser_lists, for the functions that return one list."""
+    masks = _masks(_TWIN, limit)
+    if limit >= 5:
+        yield [3]
+    for low, mask in masks:
+        yield _twin_lessers(low, mask)
+
+
 def twin_lesser_lists(limit: int) -> Iterator[list[int]]:
     """The lesser members p of the twin pairs (p, p + 2) with p + 2 <= limit,
-    ascending, as one list per sieve segment (see _twin_lessers)."""
-    yield from _twin_lessers(_masks(limit))
+    ascending: [3] (if limit >= 5), then one list per twin sieve segment."""
+    yield from _twin_lesser_lists(limit)
 
 
 def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:
     """Yield ascending int64 arrays of primes p <= limit, one array per segment."""
     import numpy as np
 
-    masks = _masks(limit)
+    masks = _masks(_ODD, limit)
     if limit >= 2:
         yield np.array([2], dtype=np.int64)
     for low, mask in masks:
-        yield low + 2 * np.flatnonzero(np.frombuffer(mask, dtype=bool))
+        yield 2 * (low + np.flatnonzero(np.frombuffer(mask, dtype=bool))) + 1
 
 
 def iter_twin_lesser_arrays(limit: int) -> Iterator[np.ndarray]:
-    """Yield ascending int64 arrays of lesser twin members, per segment.
-
-    A pair (p, p+2) is reported only when p+2 <= limit. Pairs straddling a
-    segment boundary are attributed to the later segment.
-    """
+    """Yield ascending int64 arrays of the lesser members p of the twin pairs
+    (p, p + 2) with p + 2 <= limit: [3] (if limit >= 5), then one array per
+    twin sieve segment."""
     import numpy as np
 
-    carry = False  # the value just below the segment is prime
-    for low, mask in _masks(limit):
-        flags = np.frombuffer(mask, dtype=bool)
-        lessers = low + 2 * np.flatnonzero(flags[:-1] & flags[1:])
-        if carry and mask[0]:
-            lessers = np.concatenate([np.array([low - 2], dtype=np.int64), lessers])
-        yield lessers
-        carry = mask[-1]
+    masks = _masks(_TWIN, limit)
+    if limit >= 5:
+        yield np.array([3], dtype=np.int64)
+    for low, mask in masks:
+        yield 6 * (low + np.flatnonzero(np.frombuffer(mask, dtype=bool))) - 1
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -202,13 +230,18 @@ def nth_primes(n: int) -> list[int]:
 def iter_primes() -> Iterator[int]:
     """Unbounded ascending prime generator (sieves in growing windows)."""
     yield 2
-    for low, mask in _unbounded_masks():
+    for low, mask in _unbounded(_ODD):
         yield from _segment_primes(low, mask)
 
 
 def twin_pairs_up_to(limit: int) -> list[TwinPair]:
     """All twin pairs (p, p+2) with p+2 <= limit, ascending by lesser member."""
-    return [TwinPair(p, p + 2) for lessers in _twin_lessers(_masks(limit)) for p in lessers]
+    return [TwinPair(p, p + 2) for lessers in _twin_lesser_lists(limit) for p in lessers]
+
+
+def _flattened(lessers: list[int]) -> Iterator[int]:
+    """The pairs (p, p + 2) of `lessers`, flattened."""
+    return chain.from_iterable(zip(lessers, [p + 2 for p in lessers]))
 
 
 def twin_sequence_up_to(limit: int) -> list[int]:
@@ -216,18 +249,15 @@ def twin_sequence_up_to(limit: int) -> list[int]:
 
     A prime shared by two pairs (only 5: from (3,5) and (5,7)) appears twice.
     """
-    out: list[int] = []
-    for lessers in _twin_lessers(_masks(limit)):
-        out.extend(v for p in lessers for v in (p, p + 2))
-    return out
+    return list(chain.from_iterable(map(_flattened, _twin_lesser_lists(limit))))
 
 
 def nth_twin_values(n: int) -> list[int]:
     """First n values of the flattened twin sequence."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    out: list[int] = []
-    for lessers in _twin_lessers(_unbounded_masks()):
-        out.extend(v for p in lessers for v in (p, p + 2))
-        if len(out) >= n:
-            return out[:n]
+    out = [3, 5]
+    masks = _unbounded(_TWIN)
+    while len(out) < n:
+        out += _flattened(_twin_lessers(*next(masks)))
+    return out[:n]

@@ -76,8 +76,30 @@ def _numpy_segment_masks(limit: int, segment_size: int, low: int = 3):
 
 @pytest.fixture(scope="session")
 def numpy_segment_masks():
-    """Reference for sieve._odd_segment_masks."""
+    """Reference for sieve._segments of sieve._ODD, in odd values."""
     return _numpy_segment_masks
+
+
+def _numpy_twin_masks(limit: int) -> np.ndarray:
+    """flags[k] True iff 6k - 1 and 6k + 1 are both prime, for k = 0, 1, ...,
+    (limit - 1) // 6 (False at k = 0): the twin kernel's masks, unsegmented,
+    read from one unsegmented numpy sieve of every integer up to 6k + 1."""
+    last = (limit - 1) // 6
+    if last < 1:
+        return np.zeros(max(last + 1, 0), dtype=bool)
+    prime = np.ones(6 * last + 2, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(6 * last + 1) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    k = np.arange(1, last + 1)
+    return np.concatenate([[False], prime[6 * k - 1] & prime[6 * k + 1]])
+
+
+@pytest.fixture(scope="session")
+def numpy_twin_masks():
+    """Reference for the twin kernel, sieve._segments of sieve._TWIN."""
+    return _numpy_twin_masks
 
 
 def _decimal_division(x, digits: int) -> str:

@@ -28,11 +28,13 @@ from hypothesis import strategies as st
 import sievesum.cli
 from sievesum import __version__
 from sievesum.cli import (
+    _JSON_SEP,
     DEFAULT_SEED,
     _decimal_json_int,
     _emit,
     _exact_cells,
     _exact_decimal,
+    _float_chunk,
     _float_lines,
     build_parser,
     main,
@@ -898,8 +900,8 @@ class TestPooledFloatRows:
 
 # Runs sievesum.cli.main(argv) in a fresh interpreter, as on a host with
 # two usable CPUs, and then writes to stderr the exit code (or
-# "interrupted"), the number of pools made and the number of worker
-# processes still alive. With FAIL_AT=k, drawing float row k raises
+# "interrupted", should main let KeyboardInterrupt through), the number of
+# pools made and the number of worker processes still alive. With FAIL_AT=k, drawing float row k raises
 # FAIL_WITH, ValueError or KeyboardInterrupt.
 POOL_SCRIPT = textwrap.dedent("""
     import builtins, multiprocessing, os, sys
@@ -962,8 +964,9 @@ class TestNoWorkerOutlivesTheCommand:
     @pytest.mark.parametrize("after_first, result", [
         (lambda pid: None, (0, "0 1 0\n")),
         (lambda pid: os.kill(pid, signal.SIGKILL), (-signal.SIGKILL, "")),
-        # Ctrl-C signals the whole process group: no worker may print a traceback
-        (lambda pid: os.killpg(pid, signal.SIGINT), (0, "interrupted 1 0\n")),
+        # Ctrl-C signals the whole process group: no worker may print a
+        # traceback, and the command writes one line and exits 130
+        (lambda pid: os.killpg(pid, signal.SIGINT), (0, "error: interrupted\n130 1 0\n")),
     ], ids=["stdout-closed", "killed", "ctrl-c"])
     def test_mid_stream(self, after_first, result):
         argv = (*POOLED_ARGV[:-1], "1000000")
@@ -971,7 +974,7 @@ class TestNoWorkerOutlivesTheCommand:
 
     @pytest.mark.parametrize("fail_with, report", [
         ("ValueError", "error: row 20000 failed\n2 1 0\n"),
-        ("KeyboardInterrupt", "interrupted 1 0\n"),
+        ("KeyboardInterrupt", "error: interrupted\n130 1 0\n"),
     ])
     def test_error_mid_stream(self, fail_with, report):
         assert run_pool_script(POOLED_ARGV, FAIL_AT="20000", FAIL_WITH=fail_with) == (0, report)
@@ -992,6 +995,25 @@ class TestNoWorkerOutlivesTheCommand:
         assert run_pool_script(argv, FAIL_AT="20000", FAIL_WITH="ValueError") == (0, report)
         assert target.read_text() == "keep me\n"
         assert os.listdir(tmp_path) == ["rows.csv"]
+
+    def test_output_file_kept_after_ctrl_c(self, tmp_path):
+        target = tmp_path / "rows.csv"
+        target.write_text("keep me\n")
+        argv = (*POOLED_ARGV, "--output", str(target))
+        report = "error: interrupted\n130 1 0\n"
+        assert run_pool_script(argv, FAIL_AT="20000", FAIL_WITH="KeyboardInterrupt") == (0, report)
+        assert target.read_text() == "keep me\n"
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
+    def test_ctrl_c_without_workers(self, capsys, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+            yield
+
+        monkeypatch.setattr(sievesum.cli, "float_rows", interrupted)
+        assert run_cli(capsys, "series", "--kind", "twin", "--mode", "float", "--terms", "5") == (
+            130, "", "error: interrupted\n"
+        )
 
 
 # the commands of the README's CLI example block, each without "sievesum"
@@ -1196,6 +1218,53 @@ class TestFloatLines:
             assert list(_float_lines([row], keys, "json", 15)) == [
                 reference_float_element(row, 15)
             ]
+
+
+# cells for the gate of a chunk's one `%`: signed zeros, subnormals, cells
+# with an 'e-3' or an 'e+', nan, the infinities, integral floats and
+# one-digit mantissas, beside any double
+CHUNK_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, math.nan, math.inf, -math.inf]),
+    st.floats(0, 2.2250738585072014e-308, exclude_min=True, exclude_max=True),
+    st.floats(1e16, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.integers(-(10**6), 10**6).map(float),
+    st.builds(lambda m, e: m * 10.0**e, st.integers(-9, 9), st.integers(-12, -5)),
+    FLOAT_CELLS,
+)
+
+
+def joined_float_lines(rows, keys, fmt, digits):
+    """The lines of _float_lines, joined as _emit joins a chunk's elements."""
+    return ("" if fmt == "csv" else _JSON_SEP).join(_float_lines(rows, keys, fmt, digits))
+
+
+class TestFloatChunk:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        digits=st.integers(1, 17),
+        fmt=st.sampled_from(["csv", "json"]),
+        floats=st.integers(1, 3),
+        cells=st.lists(CHUNK_CELLS, min_size=3, max_size=60),
+    )
+    @example(digits=1, fmt="csv", floats=3, cells=[2e-09, 0.3, -7e-05, 0.5, 1.5e-100, 0.25])
+    @example(digits=15, fmt="json", floats=1, cells=[1e-300, 0.5, 2e-09])
+    @example(digits=6, fmt="csv", floats=1, cells=[0.5, -0.0, 0.25])
+    @example(digits=15, fmt="json", floats=2, cells=[1e16, 0.5, math.nan, 0.25])
+    def test_matches_float_lines(self, digits, fmt, floats, cells):
+        rows = float_rows_of(cells, floats)
+        keys = FLOAT_KEYS[: 2 + floats]
+        flat = [cell for row in rows for cell in row]
+        assert _float_chunk(flat, keys, fmt, digits) == joined_float_lines(rows, keys, fmt, digits)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("digits", [1, 6, 15])
+    def test_plain_cells_take_one_percent(self, monkeypatch, fmt, digits):
+        # dotted cells, and one-digit mantissas before 'e-' once rounded
+        rows = float_rows_of([0.5, 2e-09, 0.03125, -7.4e-05, 0.1, 1.25e-07], 3)
+        expected = joined_float_lines(rows, FLOAT_KEYS, fmt, digits)
+        monkeypatch.setattr(sievesum.cli, "_float_lines", None)
+        flat = [cell for row in rows for cell in row]
+        assert _float_chunk(flat, FLOAT_KEYS, fmt, digits) == expected
 
 
 SERIES_KINDS = {

@@ -1,16 +1,20 @@
 import math
 from itertools import chain, islice
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import patched_segment_size, trial_division_primes
 from sievesum.sieve import (
+    _ODD,
     _PERIOD,
+    _TWIN,
     PRIME_CAP,
     CapacityError,
-    _odd_segment_masks,
+    _masks,
+    _segments,
     iter_prime_arrays,
     iter_primes,
     iter_twin_lesser_arrays,
@@ -22,6 +26,13 @@ from sievesum.sieve import (
     twin_pairs_up_to,
     twin_sequence_up_to,
 )
+
+
+def odd_segment_masks(limit: int, segment_size: int, low: int):
+    """(low, mask) per segment of the odd wheel over the odd values from
+    `low` to `limit`; mask[i] is 1 iff low + 2*i is prime."""
+    masks = _segments(_ODD, low // 2, (limit - 1) // 2, segment_size)
+    return [(2 * i + 1, mask) for i, mask in masks]
 
 
 def is_prime(n: int) -> bool:
@@ -194,7 +205,7 @@ class TestSegmentKernel:
     ):
         limit = max(k * _PERIOD + delta, 0)
         got = [
-            (seg_low, list(mask)) for seg_low, mask in _odd_segment_masks(limit, segment_size, low)
+            (seg_low, list(mask)) for seg_low, mask in odd_segment_masks(limit, segment_size, low)
         ]
         want = [
             (seg_low, mask.astype(int).tolist())
@@ -216,7 +227,7 @@ class TestSegmentKernel:
         got = list(
             chain.from_iterable(
                 (seg_low + 2 * i for i, flag in enumerate(mask) if flag)
-                for seg_low, mask in _odd_segment_masks(limit, segment_size, low)
+                for seg_low, mask in odd_segment_masks(limit, segment_size, low)
             )
         )
         assert got == [n for n in range(low, limit + 1, 2) if n in ORACLE]
@@ -228,39 +239,102 @@ class TestSegmentKernel:
                 assert list(islice(iter_primes(), len(expected))) == expected
 
 
-def _straddling_pairs(limit: int, segment_size: int) -> list[int]:
-    """Lesser members p <= limit - 2 of twin pairs whose p is the last value
-    of a segment of the sieve from 3 and p + 2 the first of the next."""
-    span = 2 * segment_size
-    return [p for p in range(1 + span, limit - 1, span) if p in ORACLE and p + 2 in ORACLE]
+TWIN_PERIOD = len(_TWIN.pattern)  # 5005 candidate pairs
+TWIN_SEGMENT_SIZES = [1, 2, 3, 64, 65, TWIN_PERIOD]
+
+
+def twin_segments(limit: int, segment_size: int) -> int:
+    """The number of twin sieve segments of `limit`: k = 1..(limit - 1) // 6."""
+    return len(range(1, (limit - 1) // 6 + 1, segment_size))
+
+
+def check_twin_views(limit: int, segment_size: int, numpy_twin_masks) -> None:
+    """Every twin view of `limit` under `segment_size` against trial division
+    and the unsegmented numpy masks: [3], then one list or array per
+    k-segment, each inside its own segment, the views all alike."""
+    with patched_segment_size(segment_size):
+        lists = list(twin_lesser_lists(limit))
+        arrays = [a.tolist() for a in iter_twin_lesser_arrays(limit)]
+        pairs = twin_pairs_up_to(limit)
+        sequence = twin_sequence_up_to(limit)
+    assert lists == arrays
+    assert len(lists) == (limit >= 5) + twin_segments(limit, segment_size)
+    if limit >= 5:
+        assert lists.pop(0) == [3]
+    for j, lessers in enumerate(lists):
+        assert all(1 + j * segment_size <= (p + 1) // 6 < 1 + (j + 1) * segment_size
+                   for p in lessers)
+    lessers = [p.lesser for p in pairs]
+    assert lessers == ([3] if limit >= 5 else []) + list(chain.from_iterable(lists))
+    assert lessers == [p for p in range(3, limit - 1, 2) if p in ORACLE and p + 2 in ORACLE]
+    flags = numpy_twin_masks(limit)
+    assert lessers[limit >= 5 :] == (6 * np.flatnonzero(flags) - 1).tolist()
+    assert sequence == [v for p in lessers for v in (p, p + 2)]
+
+
+class TestTwinKernel:
+    """The 6k +- 1 twin kernel against an unsegmented numpy sieve and trial
+    division."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        m=st.integers(0, 2),
+        k_delta=st.integers(-2, 2),
+        delta=st.sampled_from([-1, 0, 1]),
+        segment_size=st.sampled_from(TWIN_SEGMENT_SIZES),
+    )
+    @example(m=1, k_delta=0, delta=-1, segment_size=1)
+    @example(m=2, k_delta=1, delta=1, segment_size=TWIN_PERIOD)
+    def test_masks_match_numpy_near_pattern_periods(
+        self, numpy_twin_masks, m, k_delta, delta, segment_size
+    ):
+        # the limits 6k - 1, 6k and 6k + 1 for k near a multiple of the period
+        limit = max(6 * (m * TWIN_PERIOD + k_delta) + delta, 0)
+        with patched_segment_size(segment_size):
+            segments = list(_masks(_TWIN, limit))
+        assert [low for low, _ in segments] == list(range(1, (limit - 1) // 6 + 1, segment_size))
+        assert all(0 < len(mask) <= segment_size for _, mask in segments)
+        got = list(chain.from_iterable(mask for _, mask in segments))
+        assert got == numpy_twin_masks(limit)[1:].astype(int).tolist()
+
+    @pytest.mark.parametrize("segment_size", TWIN_SEGMENT_SIZES)
+    def test_every_limit_to_200(self, numpy_twin_masks, segment_size):
+        for limit in range(201):
+            check_twin_views(limit, segment_size, numpy_twin_masks)
+
+    # (segments of 1 to 3 candidates: the masks above, at these limits)
+    @pytest.mark.parametrize("segment_size", [64, 65, TWIN_PERIOD])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_views_near_pattern_periods(self, numpy_twin_masks, segment_size, m):
+        for k in (m * TWIN_PERIOD - 1, m * TWIN_PERIOD, m * TWIN_PERIOD + 1):
+            for limit in (6 * k - 1, 6 * k, 6 * k + 1):
+                check_twin_views(limit, segment_size, numpy_twin_masks)
+
+    @pytest.mark.parametrize("segment_size", [64, TWIN_PERIOD, 1 << 20])
+    def test_nth_twin_values_across_windows(self, numpy_twin_masks, segment_size):
+        # the windows end at the pairs (6k - 1, 6k + 1) with 6k + 1 <= 2**16, 2**18
+        reference = [3, 5] + [
+            v for k in np.flatnonzero(numpy_twin_masks(2**18 + 100)).tolist()
+            for v in (6 * k - 1, 6 * k + 1)
+        ]
+        edges = [len(twin_sequence_up_to(2**16)), len(twin_sequence_up_to(2**18))]
+        with patched_segment_size(segment_size):
+            for edge in edges:
+                for n in range(edge - 2, edge + 3):
+                    assert nth_twin_values(n) == reference[:n]
 
 
 class TestTwinBoundaries:
-    # A pair straddles a boundary when p = 2 * segment_size * j + 1, j >= 1;
-    # never for a segment_size divisible by 3, since 3 then divides p + 2.
     @settings(max_examples=40, deadline=None)
     @given(
-        segment_size=st.sampled_from([64, 65, 101, 105, 1 << 10, _PERIOD]),
+        segment_size=st.sampled_from([*TWIN_SEGMENT_SIZES, 101, 1 << 10]),
         limit=st.integers(1_000, ORACLE_LIMIT),
     )
-    @example(segment_size=105, limit=213)
-    def test_three_twin_views_agree(self, segment_size, limit):
-        with patched_segment_size(segment_size):
-            pairs = twin_pairs_up_to(limit)
-            arrays = [a.tolist() for a in iter_twin_lesser_arrays(limit)]
-            sequence = twin_sequence_up_to(limit)
-        lessers = [p.lesser for p in pairs]
-        assert list(chain.from_iterable(arrays)) == lessers
-        assert sequence == [v for p in lessers for v in (p, p + 2)]
-        assert lessers == [p for p in range(3, limit - 1, 2) if p in ORACLE and p + 2 in ORACLE]
-        for p in _straddling_pairs(limit, segment_size):
-            # attributed to the segment holding p + 2
-            segment = (p + 2 - 3) // (2 * segment_size)
-            assert p in arrays[segment]
-
-    @pytest.mark.parametrize("segment_size", [64, 65, 101, 1 << 10])
-    def test_some_pair_straddles(self, segment_size):
-        assert _straddling_pairs(ORACLE_LIMIT, segment_size)
+    @example(segment_size=64, limit=6 * 65 + 1)  # the second segment's first pair
+    def test_three_twin_views_agree(self, numpy_twin_masks, segment_size, limit):
+        # segments of 1 to 3 candidates only up to 2e4, where they stay quick
+        limit = limit if segment_size > 3 else limit // 10
+        check_twin_views(limit, segment_size, numpy_twin_masks)
 
 
 class TestPrimeViews:
@@ -277,16 +351,10 @@ class TestPrimeViews:
         assert list(chain.from_iterable(lists)) == flat == sorted(p for p in ORACLE if p <= limit)
 
     @settings(max_examples=40, deadline=None)
-    @given(segment_size=st.sampled_from([64, 65, 101, 105]), limit=st.integers(0, 20_000))
-    @example(segment_size=64, limit=643)  # (641, 643) straddles the fifth boundary
-    def test_twin_lists_and_arrays_agree_per_segment(self, segment_size, limit):
-        with patched_segment_size(segment_size):
-            lists = list(twin_lesser_lists(limit))
-            arrays = [a.tolist() for a in iter_twin_lesser_arrays(limit)]
-            pairs = twin_pairs_up_to(limit)
-        assert len(lists) == len(range(3, limit + 1, 2 * segment_size))
-        assert lists == arrays
-        assert list(chain.from_iterable(lists)) == [p.lesser for p in pairs]
+    @given(segment_size=st.sampled_from([1, 2, 64, 65, 101, 105]), limit=st.integers(0, 20_000))
+    @example(segment_size=64, limit=643)  # (641, 643) straddled an odd segment boundary
+    def test_twin_lists_and_arrays_agree_per_segment(self, numpy_twin_masks, segment_size, limit):
+        check_twin_views(limit, segment_size, numpy_twin_masks)
 
 
 # every public function that takes a limit, each run to its end
@@ -321,3 +389,5 @@ class TestLimitChecks:
         # the check comes before the first segment, which is never sieved here
         assert next(prime_lists(PRIME_CAP)) == [2]
         assert next(iter_prime_arrays(PRIME_CAP)).tolist() == [2]
+        assert next(twin_lesser_lists(PRIME_CAP)) == [3]
+        assert next(iter_twin_lesser_arrays(PRIME_CAP)).tolist() == [3]
