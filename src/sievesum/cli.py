@@ -198,11 +198,6 @@ def _row_template(fmt: str, shape) -> str:
     return re.sub(r'"(%[^"]*)"', r"\1", text)
 
 
-def _float_template(keys: tuple[str, ...], fmt: str, field: str) -> str:
-    """_row_template of a record with `keys`: two %d cells, then `field`s."""
-    return _row_template(fmt, dict(zip(keys, ["%d", "%d", *[field] * (len(keys) - 2)])))
-
-
 def _float_lines(rows: Iterable[tuple], keys: tuple[str, ...], fmt: str,
                  digits: int) -> Iterator[str]:
     """The CSV lines, or the JSON list elements, of `rows` as records with
@@ -222,7 +217,8 @@ def _float_lines(rows: Iterable[tuple], keys: tuple[str, ...], fmt: str,
     key may contain ',', '.', 'e+' or 'e-'.
     """
     spec = f"%.{min(digits, 17)}g"  # 17 digits give back every double
-    fast, slow = (_float_template(keys, fmt, field) for field in (spec, "%s"))
+    fast, slow = (_row_template(fmt, dict(zip(keys, ["%d", "%d", *[field] * (len(keys) - 2)])))
+                  for field in (spec, "%s"))
     show = str if fmt == "csv" else json.dumps
     return (
         line
@@ -236,41 +232,6 @@ def _float_lines(rows: Iterable[tuple], keys: tuple[str, ...], fmt: str,
         else slow % (row[0], row[1], *(show(float(spec % x)) for x in row[2:]))
         for row in rows
     )
-
-
-def _float_chunk(cells: list, keys: tuple[str, ...], fmt: str, digits: int) -> str:
-    """The _float_lines text of the rows of the flat list `cells`, len(keys)
-    cells to a row, joined as _emit joins a chunk's elements.
-
-    For digits <= 15 the whole chunk is first formatted in one `%`. That
-    text is kept when it has no 'e+', no 'e-3', and as many float cells
-    with a '.' or an 'e-' as there are float cells. Those are counted as
-    the '.'s and, if that falls short, the one-digit mantissas before an
-    'e-' (such as 2e-09): a float cell holds at most one of either, and
-    int cells and keys hold neither. Then every line passes _float_lines'
-    test and is its fast text. Else the chunk is rendered line by line.
-    """
-    sep = "" if fmt == "csv" else _JSON_SEP
-    n = len(cells) // len(keys)
-    if digits <= 15:
-        text = sep.join([_float_template(keys, fmt, f"%.{digits}g")] * n) % tuple(cells)
-        floats = (len(keys) - 2) * n
-        if "e+" not in text and "e-3" not in text and (
-            (dots := text.count(".")) == floats
-            or dots + _one_digit_mantissas(text) == floats
-        ):
-            return text
-    return sep.join(_float_lines(zip(*[iter(cells)] * len(keys)), keys, fmt, digits))
-
-
-# every digit to 0, so that three counts find the one-digit mantissas
-_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
-
-
-def _one_digit_mantissas(text: str) -> int:
-    """The number of cells such as 2e-09 or -2e-09 after a ',' or a ' '."""
-    zeroed = text.encode().translate(_ZERO_DIGITS)
-    return sum(zeroed.count(before + b"0e-") for before in (b",", b" ", b"-"))
 
 
 def _render_worker(render, tasks, results, command_ends) -> None:
@@ -355,17 +316,20 @@ def _emit_float_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...]
 
     Rows are drawn in this process, in order. From _POOL_MIN_CHUNKS chunks
     of _CHUNK_ROWS rows on, where fork exists and two CPUs are usable, two
-    forked workers render them with _float_chunk (see _pooled), each chunk
-    sent as one flat list of its rows' cells (which pickles several times
-    faster than ReportRows, and faster than tuples); else each row is
-    rendered here as it is drawn. The text is the same either way.
+    forked workers render them (see _pooled), each chunk sent as one flat
+    list of its rows' cells (which pickles several times faster than
+    ReportRows, and faster than tuples); else each row is rendered here as
+    it is drawn. The text is the same either way.
     """
     workers = min(2, _usable_cpus())
     if n_rows < _POOL_MIN_CHUNKS * _CHUNK_ROWS or workers < 2 or not hasattr(os, "fork"):
         chunks = _float_lines(rows, keys, args.format, args.digits)
     else:
-        def render(cells: list) -> str:  # one chunk of _emit
-            return _float_chunk(cells, keys, args.format, args.digits)
+        sep = "" if args.format == "csv" else _JSON_SEP
+
+        def render(cells: list) -> str:  # one chunk of _emit, joined as it joins them
+            chunk = zip(*[iter(cells)] * len(keys))
+            return sep.join(_float_lines(chunk, keys, args.format, args.digits))
 
         flat = iter(lambda: list(chain.from_iterable(islice(rows, _CHUNK_ROWS))), [])
         chunks = _pooled(render, flat, workers)

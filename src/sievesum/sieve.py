@@ -74,7 +74,6 @@ def _residues(stride: int, offsets: tuple[int, ...], p: int) -> list[int]:
 
 _ODD = _wheel(2, (1,), (3, 5, 7, 11, 13))  # the odd number 2i + 1
 _TWIN = _wheel(6, (-1, 1), (5, 7, 11, 13))  # the pair (6i - 1, 6i + 1); 3 divides neither
-_PERIOD = len(_ODD.pattern)  # 15015
 
 
 def _segments(

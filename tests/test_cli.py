@@ -28,13 +28,11 @@ from hypothesis import strategies as st
 import sievesum.cli
 from sievesum import __version__
 from sievesum.cli import (
-    _JSON_SEP,
     DEFAULT_SEED,
     _decimal_json_int,
     _emit,
     _exact_cells,
     _exact_decimal,
-    _float_chunk,
     _float_lines,
     build_parser,
     main,
@@ -1218,53 +1216,6 @@ class TestFloatLines:
             assert list(_float_lines([row], keys, "json", 15)) == [
                 reference_float_element(row, 15)
             ]
-
-
-# cells for the gate of a chunk's one `%`: signed zeros, subnormals, cells
-# with an 'e-3' or an 'e+', nan, the infinities, integral floats and
-# one-digit mantissas, beside any double
-CHUNK_CELLS = st.one_of(
-    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, math.nan, math.inf, -math.inf]),
-    st.floats(0, 2.2250738585072014e-308, exclude_min=True, exclude_max=True),
-    st.floats(1e16, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
-    st.integers(-(10**6), 10**6).map(float),
-    st.builds(lambda m, e: m * 10.0**e, st.integers(-9, 9), st.integers(-12, -5)),
-    FLOAT_CELLS,
-)
-
-
-def joined_float_lines(rows, keys, fmt, digits):
-    """The lines of _float_lines, joined as _emit joins a chunk's elements."""
-    return ("" if fmt == "csv" else _JSON_SEP).join(_float_lines(rows, keys, fmt, digits))
-
-
-class TestFloatChunk:
-    @settings(max_examples=600, deadline=None)
-    @given(
-        digits=st.integers(1, 17),
-        fmt=st.sampled_from(["csv", "json"]),
-        floats=st.integers(1, 3),
-        cells=st.lists(CHUNK_CELLS, min_size=3, max_size=60),
-    )
-    @example(digits=1, fmt="csv", floats=3, cells=[2e-09, 0.3, -7e-05, 0.5, 1.5e-100, 0.25])
-    @example(digits=15, fmt="json", floats=1, cells=[1e-300, 0.5, 2e-09])
-    @example(digits=6, fmt="csv", floats=1, cells=[0.5, -0.0, 0.25])
-    @example(digits=15, fmt="json", floats=2, cells=[1e16, 0.5, math.nan, 0.25])
-    def test_matches_float_lines(self, digits, fmt, floats, cells):
-        rows = float_rows_of(cells, floats)
-        keys = FLOAT_KEYS[: 2 + floats]
-        flat = [cell for row in rows for cell in row]
-        assert _float_chunk(flat, keys, fmt, digits) == joined_float_lines(rows, keys, fmt, digits)
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("digits", [1, 6, 15])
-    def test_plain_cells_take_one_percent(self, monkeypatch, fmt, digits):
-        # dotted cells, and one-digit mantissas before 'e-' once rounded
-        rows = float_rows_of([0.5, 2e-09, 0.03125, -7.4e-05, 0.1, 1.25e-07], 3)
-        expected = joined_float_lines(rows, FLOAT_KEYS, fmt, digits)
-        monkeypatch.setattr(sievesum.cli, "_float_lines", None)
-        flat = [cell for row in rows for cell in row]
-        assert _float_chunk(flat, FLOAT_KEYS, fmt, digits) == expected
 
 
 SERIES_KINDS = {

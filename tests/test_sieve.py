@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import patched_segment_size, trial_division_primes
 from sievesum.sieve import (
     _ODD,
-    _PERIOD,
     _TWIN,
     PRIME_CAP,
     CapacityError,
@@ -179,7 +178,9 @@ class TestTwinSequence:
         assert values == twin_sequence_up_to(10**6)[:1000]
 
 
-SEGMENT_SIZES = st.sampled_from([64, 101, _PERIOD, 1 << 20])
+ODD_PERIOD = len(_ODD.pattern)  # 15015 odd candidates
+TWIN_PERIOD = len(_TWIN.pattern)  # 5005 candidate pairs
+SEGMENT_SIZES = st.sampled_from([64, 101, ODD_PERIOD, 1 << 20])
 
 
 # primes to 2e5 + 2 by trial division, as a set
@@ -199,11 +200,11 @@ class TestSegmentKernel:
         low=st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]),
     )
     @example(k=1, delta=-2, segment_size=64, low=3)
-    @example(k=2, delta=3, segment_size=_PERIOD, low=13)
+    @example(k=2, delta=3, segment_size=ODD_PERIOD, low=13)
     def test_masks_match_numpy_kernel_near_pattern_periods(
         self, numpy_segment_masks, k, delta, segment_size, low
     ):
-        limit = max(k * _PERIOD + delta, 0)
+        limit = max(k * ODD_PERIOD + delta, 0)
         got = [
             (seg_low, list(mask)) for seg_low, mask in odd_segment_masks(limit, segment_size, low)
         ]
@@ -216,14 +217,14 @@ class TestSegmentKernel:
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(0, 13), delta=st.integers(-3, 3), segment_size=SEGMENT_SIZES)
     def test_primes_match_trial_division(self, k, delta, segment_size):
-        limit = max(k * _PERIOD + delta, 0)
+        limit = max(k * ODD_PERIOD + delta, 0)
         with patched_segment_size(segment_size):
             assert primes_up_to(limit) == sorted(p for p in ORACLE if p <= limit)
 
     @pytest.mark.parametrize("low", [3, 5, 7, 9, 11, 13])
-    @pytest.mark.parametrize("segment_size", [64, 101, _PERIOD])
+    @pytest.mark.parametrize("segment_size", [64, 101, ODD_PERIOD])
     def test_windows_from_each_small_low(self, low, segment_size):
-        limit = 3 * _PERIOD + 3
+        limit = 3 * ODD_PERIOD + 3
         got = list(
             chain.from_iterable(
                 (seg_low + 2 * i for i, flag in enumerate(mask) if flag)
@@ -234,12 +235,11 @@ class TestSegmentKernel:
 
     def test_iter_primes_across_windows_and_segments(self):
         expected = primes_up_to(300_000)
-        for segment_size in (64, 101, _PERIOD):
+        for segment_size in (64, 101, ODD_PERIOD):
             with patched_segment_size(segment_size):
                 assert list(islice(iter_primes(), len(expected))) == expected
 
 
-TWIN_PERIOD = len(_TWIN.pattern)  # 5005 candidate pairs
 TWIN_SEGMENT_SIZES = [1, 2, 3, 64, 65, TWIN_PERIOD]
 
 
@@ -339,7 +339,7 @@ class TestTwinBoundaries:
 
 class TestPrimeViews:
     @settings(max_examples=40, deadline=None)
-    @given(segment_size=st.sampled_from([64, 65, 101, _PERIOD]), limit=st.integers(0, 20_000))
+    @given(segment_size=st.sampled_from([64, 65, 101, ODD_PERIOD]), limit=st.integers(0, 20_000))
     def test_lists_and_arrays_agree_per_segment(self, segment_size, limit):
         with patched_segment_size(segment_size):
             lists = list(prime_lists(limit))
