@@ -6,7 +6,9 @@ A finite partial product is still far from the limit (about 15% high at
 
 * ``hl-tail``: analytic tail under the pair-density model 2*C2/ln^2(t),
   where C2 is the twin-pair density constant prod_{p>2}(1 - 1/(p-1)^2),
-  itself computed here rather than quoted. Each pair near t contributes
+  itself computed here rather than quoted: the product over the primes up
+  to a small cut-off times a tail from the prime zeta function, at two
+  cut-offs that must agree (see twin_constant). Each pair near t contributes
   about -2/t to the log product, so the missing tail integrates to
   -4*C2/ln(x) (plus a second-order 1/v^2 correction).
 * ``aitken``: iterated pairwise linear extrapolation of the log partial
@@ -24,12 +26,16 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .sieve import iter_prime_arrays, iter_twin_lesser_arrays
+from .sieve import iter_twin_lesser_arrays, primes_up_to
 
 if TYPE_CHECKING:
+    from decimal import Decimal
+    from fractions import Fraction
+
     import numpy as np
 
-PAIR_DENSITY_PRIME_LIMIT = 10**8
+_C2_CUTOFFS = (64, 128)  # prime cut-offs of the two C2 computations
+_C2_DIGITS = 50
 HL_ASSUMPTIONS = (
     "conditional on sieved twin pairs up to the stated limit plus the "
     "2*C2/ln^2(t) pair-density tail model; error estimate is heuristic"
@@ -62,8 +68,8 @@ class TwinConstant:
     """Computed twin-pair density constant with its self-consistency record."""
 
     c2: float
-    limit: int
-    self_check_delta: float
+    limit: int  # the largest prime cut-off of the explicit product
+    self_check_delta: float  # |C2 at the largest cut-off - C2 at the smallest|
 
 
 @dataclass(frozen=True)
@@ -137,44 +143,117 @@ def partial_product(limit: int) -> PartialProduct:
     return PartialProduct(limit=limit, log_value=log_value, pair_count=pair_count)
 
 
-def _c2_density_tail(limit: int) -> float:
-    # sum_{p>limit} 1/(p-1)^2 under prime density 1/ln(t):
-    # integral of 1/(t^2 ln t) ~ (1/(x ln x)) (1 - 1/ln x), error O(1/(x ln^3 x)).
-    ln = math.log(limit)
-    return (1.0 / (limit * ln)) * (1.0 - 1.0 / ln)
+@lru_cache(maxsize=None)
+def _bernoulli_term(j: int) -> Fraction:
+    """B_2j / (2j)!, from the power series of x/(e^x - 1) times (e^x - 1)/x = 1."""
+    from fractions import Fraction
+
+    total = Fraction(1, math.factorial(2 * j + 1)) - Fraction(1, 2 * math.factorial(2 * j))
+    for i in range(1, j):
+        total += _bernoulli_term(i) / math.factorial(2 * j - 2 * i + 1)
+    return -total
+
+
+def _mobius(n: int) -> int:
+    """The Moebius function of n >= 1."""
+    mu = 1
+    for p in range(2, n + 1):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+    return mu
+
+
+def _zeta(s: int, m: int, eps: Decimal) -> Decimal:
+    """zeta(s) for an integer s >= 2: the terms n < m summed, the rest by
+    Euler-Maclaurin, sum_{n>=m} n^-s = m^(1-s)/(s-1) + m^-s/2
+    + sum_{j>=1} B_2j/(2j)! * s(s+1)...(s+2j-2) * m^(1-s-2j), up to the
+    first term below eps. The series diverges: ArithmeticError if its terms
+    grow before one is below eps (m too small for s and eps)."""
+    from decimal import Decimal
+
+    power = Decimal(m) ** -s
+    total = sum(Decimal(n) ** -s for n in range(1, m)) + power * m / (s - 1) + power / 2
+    rising = power * s / m  # s(s+1)...(s+2j-2) * m^(1-s-2j) at j = 1
+    j, last = 1, None
+    while True:
+        b = _bernoulli_term(j)
+        term = rising * b.numerator / b.denominator
+        if last is not None and abs(term) >= last:
+            raise ArithmeticError(f"Euler-Maclaurin series of zeta({s}) from {m} diverges")
+        total += term
+        if abs(term) < eps:
+            return total
+        rising = rising * ((s + 2 * j - 1) * (s + 2 * j)) / (m * m)
+        j, last = j + 1, abs(term)
+
+
+def _c2_at(cutoff: int, primes: list[int]) -> Decimal:
+    """C2 to about _C2_DIGITS digits from the product over the primes
+    2 < p <= cutoff (`primes` are all the primes up to cutoff) and the
+    prime zeta tail of the rest.
+
+    For p > 2, log(1 - 1/(p-1)^2) = log(1 - 2/p) - 2 log(1 - 1/p)
+    = -sum_{k>=2} (2^k - 2)/k * p^-k, so the primes above the cut-off N add
+    -sum_k (2^k - 2)/k * P_N(k), with P_N(k) = sum_{p>N} p^-k
+    = sum_{n>=1} mu(n)/n * log zeta_N(nk), where zeta_N is zeta without its
+    Euler factors for p <= N. Since 0 < log zeta_N(s) <= N^(1-s), a term
+    is kept while 2^k * N^(1-nk) >= 10^-_C2_DIGITS.
+    """
+    import decimal
+    from fractions import Fraction
+
+    explicit = Fraction(1)
+    for p in primes[1:]:
+        explicit *= Fraction(p * (p - 2), (p - 1) ** 2)
+    scale = 10**_C2_DIGITS
+    with decimal.localcontext() as ctx:
+        ctx.prec = _C2_DIGITS + 5
+        eps = decimal.Decimal(10) ** -(_C2_DIGITS + 2)
+        log_zeta: dict[int, decimal.Decimal] = {}
+        tail = decimal.Decimal(0)
+        k = 2
+        while 2**k * scale >= cutoff ** (k - 1):
+            prime_zeta = decimal.Decimal(0)
+            n = 1
+            while 2**k * scale >= cutoff ** (n * k - 1):
+                mu, s = _mobius(n), n * k
+                if mu:
+                    if s not in log_zeta:
+                        zeta = _zeta(s, cutoff, eps)
+                        for p in primes:
+                            zeta *= 1 - decimal.Decimal(p) ** -s
+                        log_zeta[s] = zeta.ln()
+                    prime_zeta += mu * log_zeta[s] / n
+                n += 1
+            tail += (2**k - 2) * prime_zeta / k
+            k += 1
+        return decimal.Decimal(explicit.numerator) / explicit.denominator * (-tail).exp()
 
 
 @lru_cache(maxsize=None)
-def twin_constant(prime_limit: int = PAIR_DENSITY_PRIME_LIMIT) -> TwinConstant:
-    """The pair-density constant prod_{p>2}(1 - 1/(p-1)^2) to >= 10 digits.
+def twin_constant() -> TwinConstant:
+    """The pair-density constant C2 = prod_{p>2}(1 - 1/(p-1)^2) as a double.
 
-    Computed from the defining product over primes up to `prime_limit` plus a
-    density-model tail bound; accepted only if the tail-corrected truncations
-    at prime_limit/2 and prime_limit agree to 1e-10. They differ by more at
-    least up to 3.8e6, so limits below 1e7 are rejected. Cached per limit.
+    Computed as in Wrench (Math. Comp. 15, 1961) and Cohen ("High precision
+    computation of Hardy-Littlewood constants", 1998): the product over the
+    primes up to a cut-off, from one short sieve sweep, and the prime zeta
+    tail of the rest (see _c2_at), in `decimal` at about 50 digits.
+    Accepted only if the cut-offs 64 and 128 give values within 1e-15 of
+    each other, else ArithmeticError; `limit` is the largest cut-off.
+    Cached.
     """
-    if prime_limit < 10**7:
-        raise ValueError(
-            f"prime_limit {prime_limit} too small for a 10-digit result "
-            "(need >= 10**7)"
-        )
-    import numpy as np
-
-    half = prime_limit // 2
-    (log_half, _), (log_full, _) = _log_sums(
-        (arr[arr > 2] for arr in iter_prime_arrays(prime_limit)),
-        lambda x: np.log1p(-1.0 / ((x - 1.0) ** 2)),
-        [half, prime_limit],
-    )
-    at_half = math.exp(log_half - _c2_density_tail(half))
-    at_full = math.exp(log_full - _c2_density_tail(prime_limit))
-    delta = abs(at_full - at_half)
-    if delta > 1e-10:
+    primes = primes_up_to(_C2_CUTOFFS[-1])
+    values = [_c2_at(n, [p for p in primes if p <= n]) for n in _C2_CUTOFFS]
+    delta = float(abs(values[-1] - values[0]))
+    if delta > 1e-15:
         raise ArithmeticError(
-            f"pair-density constant failed self-consistency: truncations at "
-            f"{half} and {prime_limit} differ by {delta:.3e}"
+            f"pair-density constant failed self-consistency: cut-offs "
+            f"{_C2_CUTOFFS[0]} and {_C2_CUTOFFS[-1]} differ by {delta:.3e}"
         )
-    return TwinConstant(c2=at_full, limit=prime_limit, self_check_delta=delta)
+    return TwinConstant(c2=float(values[-1]), limit=_C2_CUTOFFS[-1], self_check_delta=delta)
 
 
 def hl_tail_correction(limit: int, c2: float) -> float:

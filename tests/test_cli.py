@@ -26,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sievesum.cli
+import sievesum.kconst
 from sievesum import __version__
 from sievesum.cli import (
     DEFAULT_SEED,
@@ -39,7 +40,7 @@ from sievesum.cli import (
     parse_limit,
 )
 from sievesum.engine import SeriesDefinition, float_rows, iter_states, report_rows
-from sievesum.kconst import estimate_K, partial_product
+from sievesum.kconst import _C2_CUTOFFS, estimate_K, partial_product
 from sievesum.series import (
     mertens_residual,
     prime_definition,
@@ -1524,16 +1525,35 @@ class TestVerifyCommand:
         assert "--mode" not in err
 
 
-class TestKconstCommand:
-    def test_failed_self_check_is_exit_1(self, capsys, monkeypatch):
-        def failed_self_check(*args, **kwargs):
-            raise ArithmeticError("pair-density constant failed self-consistency")
+@pytest.fixture
+def perturbed_c2_cutoff(monkeypatch):
+    """kconst._c2_at off by 1e-14 at the smallest cut-off, with twin_constant's
+    cache emptied around the test."""
+    real = sievesum.kconst._c2_at
 
-        monkeypatch.setattr(sievesum.cli, "estimate_K", failed_self_check)
-        code, out, err = run_cli(capsys, "kconst", "--limit", "1e4")
-        assert code == 1
-        assert out == ""
-        assert err == "error: pair-density constant failed self-consistency\n"
+    def off(cutoff, primes):
+        value = real(cutoff, primes)
+        return value + decimal.Decimal("1e-14") if cutoff == min(_C2_CUTOFFS) else value
+
+    monkeypatch.setattr(sievesum.kconst, "_c2_at", off)
+    sievesum.kconst.twin_constant.cache_clear()
+    yield
+    sievesum.kconst.twin_constant.cache_clear()
+
+
+class TestKconstCommand:
+    def test_failed_self_check_is_exit_1(self, capsys, perturbed_c2_cutoff, tmp_path):
+        message = (
+            "error: pair-density constant failed self-consistency: cut-offs "
+            f"{min(_C2_CUTOFFS)} and {max(_C2_CUTOFFS)} differ by 1.000e-14\n"
+        )
+        assert run_cli(capsys, "kconst", "--limit", "1e4") == (1, "", message)
+        target = tmp_path / "k.json"
+        target.write_text("before\n")
+        code, out, err = run_cli(capsys, "kconst", "--limit", "1e4", "--output", str(target))
+        assert (code, out, err) == (1, "", message)
+        assert target.read_text() == "before\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
 
     def test_small_limit_rejected(self, capsys):
         code, _, err = run_cli(capsys, "kconst", "--limit", "100")

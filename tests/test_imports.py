@@ -42,14 +42,27 @@ NUMPY_FREE = [
 KCONST = ["kconst", "--limit", "1e4"]
 
 
-def test_numpy_loaded_only_by_array_code():
+def run_python(*argv: str) -> str:
+    """The stdout of a fresh interpreter run with argv and src on its path."""
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(NUMPY_FREE + [KCONST])],
+        [sys.executable, *argv],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    loaded = json.loads(result.stdout)
+    return result.stdout
+
+
+def test_numpy_loaded_only_by_array_code():
+    loaded = json.loads(run_python("-c", PROBE, json.dumps(NUMPY_FREE + [KCONST])))
     assert loaded.pop("import sievesum") is False
     assert loaded.pop(" ".join(KCONST)) == [0, True]
     assert loaded == {" ".join(argv): [0, False] for argv in NUMPY_FREE}
+
+
+def test_twin_constant_does_without_numpy():
+    probe = (
+        "import sys; from sievesum.kconst import twin_constant; "
+        "twin_constant(); print('numpy' in sys.modules)"
+    )
+    assert run_python("-c", probe) == "False\n"

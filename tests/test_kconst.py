@@ -1,18 +1,25 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sievesum.sieve
 from conftest import patched_segment_size
 from sievesum.kconst import (
+    _C2_CUTOFFS,
     DegenerateDataError,
     ExtrapolationError,
     PartialProduct,
-    _c2_density_tail,
+    _bernoulli_term,
+    _c2_at,
     _log_sums,
+    _zeta,
     estimate_K,
     extrapolate_aitken,
     extrapolate_hl,
@@ -131,36 +138,69 @@ class TestLogSums:
 
 
 class TestTwinConstant:
-    def test_value_window_and_self_consistency(self):
+    def test_equals_mpmath_as_a_double(self):
+        assert twin_constant().c2 == float(mpmath.twinprime)
+
+    def test_cutoffs_agree(self):
         tc = twin_constant()
-        assert 0.6 < tc.c2 < 0.7
-        assert tc.self_check_delta < 1e-10
-        assert tc.limit >= 10**8
+        assert tc.limit == _C2_CUTOFFS[-1]
+        assert tc.self_check_delta < 1e-15
+
+    @pytest.mark.parametrize("cutoff", _C2_CUTOFFS)
+    def test_each_cutoff_matches_mpmath_to_40_digits(self, cutoff):
+        with mpmath.workdps(60):
+            reference = Decimal(mpmath.nstr(mpmath.twinprime, 60))
+        value = _c2_at(cutoff, primes_up_to(cutoff))
+        assert abs(value - reference) < Decimal("1e-40")
 
     def test_cached(self):
         assert twin_constant() is twin_constant()
 
-    def test_rejects_tiny_limit(self):
-        with pytest.raises(ValueError):
-            twin_constant(10**5)
+    def test_sieves_only_up_to_the_largest_cutoff(self, monkeypatch):
+        asked = []
 
-    @pytest.mark.parametrize("limit", [10**6, 3_500_000, 10**7 - 1])
-    def test_rejects_limits_below_the_self_check_domain(self, limit):
-        # the 1e-10 self-check fails up to at least 3.8e6; 1e7 is the documented floor
-        with pytest.raises(ValueError, match=r"need >= 10\*\*7"):
-            twin_constant(limit)
+        def spy(name):
+            real = getattr(sievesum.sieve, name)
 
-    def test_minimum_limit_matches_fsum_reference(self):
-        tc = twin_constant(10**7)
-        primes = np.array(primes_up_to(10**7)[1:], dtype=np.float64)
-        terms = np.log1p(-1.0 / ((primes - 1.0) ** 2))
-        half = 10**7 // 2
-        at_half = math.exp(
-            math.fsum(terms[primes <= half].tolist()) - _c2_density_tail(half)
-        )
-        at_full = math.exp(math.fsum(terms.tolist()) - _c2_density_tail(10**7))
-        assert tc.c2 == at_full
-        assert tc.self_check_delta == abs(at_full - at_half) < 1e-10
+            def call(*args):
+                asked.append((name, args[-1]))
+                return real(*args)
+
+            monkeypatch.setattr(sievesum.sieve, name, call)
+
+        # every bounded sieve reader goes through _masks
+        spy("prime_lists")
+        spy("_masks")
+        twin_constant.cache_clear()
+        try:
+            tc = twin_constant()
+        finally:
+            twin_constant.cache_clear()
+        assert [name for name, _ in asked].count("prime_lists") == 1
+        assert max(limit for _, limit in asked) <= tc.limit
+
+
+class TestZeta:
+    @pytest.mark.parametrize("s", [2, 3, 7, 30])
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_matches_mpmath(self, s, m):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 55
+            value = _zeta(s, m, Decimal("1e-52"))
+        with mpmath.workdps(60):
+            reference = Decimal(mpmath.nstr(mpmath.zeta(s), 60))
+        assert abs(value - reference) < Decimal("1e-50")
+
+    def test_diverging_series_raises(self):
+        with pytest.raises(ArithmeticError, match="diverges"):
+            _zeta(2, 16, Decimal("1e-52"))  # its terms bottom out near 1e-44
+
+    def test_bernoulli_terms(self):
+        # B_2, B_4, B_6, B_12 over (2j)!
+        assert _bernoulli_term(1) == Fraction(1, 6) / 2
+        assert _bernoulli_term(2) == Fraction(-1, 30) / 24
+        assert _bernoulli_term(3) == Fraction(1, 42) / 720
+        assert _bernoulli_term(6) == Fraction(-691, 2730) / math.factorial(12)
 
 
 class TestExtrapolateHL:
