@@ -16,6 +16,7 @@ import collections
 import contextlib
 import dataclasses
 import decimal
+import functools
 import json
 import math
 import os
@@ -198,6 +199,12 @@ def _row_template(fmt: str, shape) -> str:
     return re.sub(r'"(%[^"]*)"', r"\1", text)
 
 
+def _float_template(fmt: str, keys: tuple[str, ...], field: str) -> str:
+    """The _row_template of a record with `keys`: two int cells, then
+    `field` for each other cell."""
+    return _row_template(fmt, dict(zip(keys, ["%d", "%d", *[field] * (len(keys) - 2)])))
+
+
 def _float_lines(rows: Iterable[tuple], keys: tuple[str, ...], fmt: str,
                  digits: int) -> Iterator[str]:
     """The CSV lines, or the JSON list elements, of `rows` as records with
@@ -214,11 +221,11 @@ def _float_lines(rows: Iterable[tuple], keys: tuple[str, ...], fmt: str,
     such as 2e-09, has no '.' in either). Other lines (cells that print as
     integers, +-0, nan, inf, large or near-subnormal exponents) and digits
     above 15 take the reference text. The gate reads the keys too, so no
-    key may contain ',', '.', 'e+' or 'e-'.
+    key may contain ',', '.', 'e+' or 'e-'. Rows are rendered one at a time,
+    as they are drawn; _float_chunk renders many at once.
     """
     spec = f"%.{min(digits, 17)}g"  # 17 digits give back every double
-    fast, slow = (_row_template(fmt, dict(zip(keys, ["%d", "%d", *[field] * (len(keys) - 2)])))
-                  for field in (spec, "%s"))
+    fast, slow = (_float_template(fmt, keys, field) for field in (spec, "%s"))
     show = str if fmt == "csv" else json.dumps
     return (
         line
@@ -232,6 +239,28 @@ def _float_lines(rows: Iterable[tuple], keys: tuple[str, ...], fmt: str,
         else slow % (row[0], row[1], *(show(float(spec % x)) for x in row[2:]))
         for row in rows
     )
+
+
+def _float_chunk(cells: list, keys: tuple[str, ...], fmt: str, digits: int) -> str:
+    """The _float_lines text of the records whose cells, in order, are
+    `cells`, joined as _emit joins list elements.
+
+    For digits <= 15 the whole chunk is printed in one `%` and gated once:
+    it holds no 'e+' and no 'e-3', and as many '.' as it has float cells.
+    A float cell prints at most one '.', and the int cells, the keys and
+    the separators print none, so that count means every float cell has
+    one: each line then passes the gate of _float_lines. A chunk that fails
+    it, say for one nan, and any chunk with more digits, is rendered by
+    _float_lines.
+    """
+    width = len(keys)
+    rows = len(cells) // width
+    sep = "" if fmt == "csv" else _JSON_SEP
+    if digits <= 15:
+        text = sep.join([_float_template(fmt, keys, f"%.{digits}g")] * rows) % tuple(cells)
+        if "e+" not in text and "e-3" not in text and text.count(".") == (width - 2) * rows:
+            return text
+    return sep.join(_float_lines(zip(*[iter(cells)] * width), keys, fmt, digits))
 
 
 def _render_worker(render, tasks, results, command_ends) -> None:
@@ -311,26 +340,22 @@ def _pooled(render, chunks: Iterable, workers: int) -> Iterator[str]:
 
 def _emit_float_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...],
                      rows: Iterable[tuple], n_rows: int) -> None:
-    """_emit the `n_rows` float records `rows` under "rows", each rendered
-    by _float_lines with `keys` and the --format and --digits of `args`.
+    """_emit the `n_rows` float records `rows` under "rows", rendered with
+    `keys` and the --format and --digits of `args`.
 
     Rows are drawn in this process, in order. From _POOL_MIN_CHUNKS chunks
     of _CHUNK_ROWS rows on, where fork exists and two CPUs are usable, two
     forked workers render them (see _pooled), each chunk sent as one flat
     list of its rows' cells (which pickles several times faster than
-    ReportRows, and faster than tuples); else each row is rendered here as
-    it is drawn. The text is the same either way.
+    ReportRows, and faster than tuples) and rendered whole by _float_chunk;
+    else _float_lines renders each row here as it is drawn. The text is the
+    same either way.
     """
     workers = min(2, _usable_cpus())
     if n_rows < _POOL_MIN_CHUNKS * _CHUNK_ROWS or workers < 2 or not hasattr(os, "fork"):
         chunks = _float_lines(rows, keys, args.format, args.digits)
     else:
-        sep = "" if args.format == "csv" else _JSON_SEP
-
-        def render(cells: list) -> str:  # one chunk of _emit, joined as it joins them
-            chunk = zip(*[iter(cells)] * len(keys))
-            return sep.join(_float_lines(chunk, keys, args.format, args.digits))
-
+        render = functools.partial(_float_chunk, keys=keys, fmt=args.format, digits=args.digits)
         flat = iter(lambda: list(chain.from_iterable(islice(rows, _CHUNK_ROWS))), [])
         chunks = _pooled(render, flat, workers)
     with contextlib.closing(chunks):

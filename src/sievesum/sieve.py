@@ -10,7 +10,8 @@ on a desktop. Each segment starts as a slice of a pattern with the
 multiples of the wheel's small primes already crossed off (a pre-sieve, as
 in Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014), so only larger
 base primes are struck segment by segment. The functions that return
-Python ints do without numpy; only the generators of arrays,
+Python ints read a mask from the lengths of the gaps between its marks
+(see _marked) and do without numpy; only the generators of arrays,
 iter_prime_arrays and iter_twin_lesser_arrays, import it. Every function
 reads SEGMENT_SIZE when it is called, and its results do not depend on it.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
@@ -27,6 +28,7 @@ if TYPE_CHECKING:
 
 PRIME_CAP = 2**63 - 1  # prime carrier is a 64-bit signed integer
 SEGMENT_SIZE = 1 << 20  # candidates (odd numbers or 6k +- 1 pairs) per segment
+_RUN_BLOCK = 1 << 16  # candidates of a mask that _marked splits at a time
 
 
 class CapacityError(ValueError):
@@ -115,7 +117,8 @@ def _segments(
             if start >= hi:
                 break
             i = start - low if start >= low else (start - low) % p
-            mask[i::p] = bytes((n - 1 - i) // p + 1)  # i < p if start < low: >= 0
+            # slice assignment copies a value that is not a bytearray into one first
+            mask[i::p] = bytearray((n - 1 - i) // p + 1)  # i < p if start < low: >= 0
         yield low, mask
         low = hi
 
@@ -123,23 +126,34 @@ def _segments(
 def _odd_base_primes(limit: int) -> list[int]:
     """Odd primes up to sqrt(limit), as Python ints (index math must not wrap)."""
     masks = _segments(_ODD, 1, (math.isqrt(limit) - 1) // 2, SEGMENT_SIZE)
-    return [p for low, mask in masks for p in _segment_primes(low, mask)]
+    return [p for low, mask in masks for p in _marked(_ODD, low, mask)]
 
 
-def _segment_primes(low: int, mask: bytearray) -> Iterator[int]:
-    """The primes a (low, mask) segment of the odd wheel marks, ascending."""
-    return compress(range(2 * low + 1, 2 * (low + len(mask)), 2), mask)
+def _marked(wheel: _Wheel, low: int, mask: bytearray) -> Iterator[int]:
+    """The first numbers, stride * i + offsets[0], of the candidates i that
+    a (low, mask) segment of `wheel` marks, ascending: the primes of the odd
+    wheel, the lesser members of the twin wheel's pairs.
 
+    Split on its marks, the mask gives the runs of unmarked candidates
+    between them, and each number is the one before it plus
+    stride * (len(run) + 1) for the run between them. Only the runs are
+    objects, not every candidate as with compress over a range of them.
+    The mask is split in blocks of _RUN_BLOCK candidates, read one at a
+    time, so that only one block's runs are held: the number before a
+    block is that of its candidate before, whether marked or not.
+    """
+    stride, first = wheel.stride, wheel.offsets[0]
+    view = memoryview(mask)
 
-def _twin_lessers(low: int, mask: bytearray) -> list[int]:
-    """The lesser members of the pairs a (low, mask) segment of the twin
-    wheel marks, ascending."""
-    out = []
-    j = mask.find(1)
-    while j >= 0:
-        out.append(6 * (low + j) - 1)
-        j = mask.find(1, j + 1)
-    return out
+    def block(start: int) -> Iterator[int]:
+        runs = bytes(view[start : start + _RUN_BLOCK]).split(b"\x01")
+        runs.pop()  # after the last mark
+        numbers = accumulate([stride * len(run) + stride for run in runs],
+                             initial=stride * (low + start - 1) + first)
+        next(numbers)  # the candidate before the block
+        return numbers
+
+    return chain.from_iterable(map(block, range(0, len(mask), _RUN_BLOCK)))
 
 
 def _unbounded(wheel: _Wheel) -> Iterator[tuple[int, bytearray]]:
@@ -172,7 +186,7 @@ def prime_lists(limit: int) -> Iterator[list[int]]:
     if limit >= 2:
         yield [2]
     for low, mask in masks:
-        yield list(_segment_primes(low, mask))
+        yield list(_marked(_ODD, low, mask))
 
 
 def _twin_lesser_lists(limit: int) -> Iterator[list[int]]:
@@ -181,7 +195,7 @@ def _twin_lesser_lists(limit: int) -> Iterator[list[int]]:
     if limit >= 5:
         yield [3]
     for low, mask in masks:
-        yield _twin_lessers(low, mask)
+        yield list(_marked(_TWIN, low, mask))
 
 
 def twin_lesser_lists(limit: int) -> Iterator[list[int]]:
@@ -230,7 +244,7 @@ def iter_primes() -> Iterator[int]:
     """Unbounded ascending prime generator (sieves in growing windows)."""
     yield 2
     for low, mask in _unbounded(_ODD):
-        yield from _segment_primes(low, mask)
+        yield from _marked(_ODD, low, mask)
 
 
 def twin_pairs_up_to(limit: int) -> list[TwinPair]:
@@ -258,5 +272,5 @@ def nth_twin_values(n: int) -> list[int]:
     out = [3, 5]
     masks = _unbounded(_TWIN)
     while len(out) < n:
-        out += _flattened(_twin_lessers(*next(masks)))
+        out += _flattened(list(_marked(_TWIN, *next(masks))))
     return out[:n]

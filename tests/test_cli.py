@@ -33,7 +33,9 @@ from sievesum.cli import (
     _decimal_json_int,
     _emit,
     _exact_cells,
+    _JSON_SEP,
     _exact_decimal,
+    _float_chunk,
     _float_lines,
     build_parser,
     main,
@@ -1217,6 +1219,82 @@ class TestFloatLines:
             assert list(_float_lines([row], keys, "json", 15)) == [
                 reference_float_element(row, 15)
             ]
+
+
+# cells that fail the gate of _float_lines at some or every --digits: nan,
+# +-inf, +-0, subnormals, 'e+' and 'e-3' exponents, integral values, and a
+# one-digit mantissa in e-notation (which _float_lines still prints in one %)
+GATE_FAILING = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.5e-310, -1e-300, 1e15, -1.5e15,
+    -1.5e300, 12345.5, 1.0, 3.0, 2e-09, -7e-05,
+])
+# cells that print with one '.' and no exponent at every --digits up to 15
+GATE_PASSING = st.floats(0.11, 0.89)
+
+
+def float_chunk_matches_lines(rows, keys, fmt, digits):
+    """_float_chunk of the flat cells of `rows` is the text of _float_lines,
+    joined as _emit joins it."""
+    sep = "" if fmt == "csv" else _JSON_SEP
+    cells = list(itertools.chain.from_iterable(rows))
+    assert _float_chunk(cells, keys, fmt, digits) == sep.join(_float_lines(rows, keys, fmt, digits))
+
+
+class TestFloatChunk:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        digits=st.integers(1, 17),
+        floats=st.integers(1, 3),
+        fmt=st.sampled_from(["csv", "json"]),
+        cells=st.lists(FLOAT_CELLS, min_size=3, max_size=30),
+    )
+    # 16 digits, where "%.16g" prints 0.09385958677423489
+    @example(digits=16, floats=1, fmt="csv", cells=[0.0938595867742349, 0.5, 0.25])
+    def test_matches_float_lines(self, digits, floats, fmt, cells):
+        rows = float_rows_of(cells, floats)
+        float_chunk_matches_lines(rows, FLOAT_KEYS[: 2 + floats], fmt, digits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        digits=st.integers(1, 17),
+        floats=st.integers(1, 3),
+        fmt=st.sampled_from(["csv", "json"]),
+        data=st.data(),
+    )
+    def test_one_line_failing_the_gate(self, digits, floats, fmt, data):
+        cells = data.draw(st.lists(GATE_PASSING, min_size=floats, max_size=20 * floats))
+        rows = float_rows_of(cells, floats)
+        row = list(rows.pop(data.draw(st.integers(0, len(rows) - 1))))
+        row[data.draw(st.integers(2, 1 + floats))] = data.draw(GATE_FAILING)
+        rows.insert(data.draw(st.integers(0, len(rows))), tuple(row))
+        float_chunk_matches_lines(rows, FLOAT_KEYS[: 2 + floats], fmt, digits)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nan_row_and_huge_int_cells(self, fmt):
+        rows = [(1, 3, 0.5, 0.25, 0.75), (2, 5, 0.2, 0.3, math.nan), (3, 7, 0.4, 0.6, 0.8)]
+        float_chunk_matches_lines(rows, FLOAT_KEYS, fmt, 15)
+        rows = [(1, 3, 0.5, 0.25, 0.75), (2, 10**40 + 7, 0.125, 0.5, 0.375)]
+        float_chunk_matches_lines(rows, FLOAT_KEYS, fmt, 15)
+        with unlimited_int_str():
+            float_chunk_matches_lines([(1, 10**5000 + 1, 0.5, 0.25, 0.75)], FLOAT_KEYS, fmt, 15)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_twin_series_chunks_pass_the_gate(self, monkeypatch, fmt):
+        # rendered whole: a gate that sent these chunks line by line would
+        # lose the one-% speed of the pooled float series unseen
+        rows = list(float_rows(twin_prime_definition(), 10 * sievesum.cli._CHUNK_ROWS))
+        expected = list(_float_lines(rows, FLOAT_KEYS, fmt, 15))
+
+        def line_by_line(*args):
+            raise AssertionError("a chunk of the twin series failed the chunk gate")
+
+        monkeypatch.setattr(sievesum.cli, "_float_lines", line_by_line)
+        sep = "" if fmt == "csv" else _JSON_SEP
+        for start in range(0, len(rows), sievesum.cli._CHUNK_ROWS):
+            chunk = rows[start : start + sievesum.cli._CHUNK_ROWS]
+            cells = list(itertools.chain.from_iterable(chunk))
+            text = _float_chunk(cells, FLOAT_KEYS, fmt, 15)
+            assert text == sep.join(expected[start : start + len(chunk)])
 
 
 SERIES_KINDS = {

@@ -1,17 +1,20 @@
 import math
-from itertools import chain, islice
+from itertools import chain, compress, islice
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sievesum.sieve
 from conftest import patched_segment_size, trial_division_primes
 from sievesum.sieve import (
     _ODD,
     _TWIN,
     PRIME_CAP,
     CapacityError,
+    _marked,
     _masks,
     _segments,
     iter_prime_arrays,
@@ -302,6 +305,11 @@ class TestTwinKernel:
         for limit in range(201):
             check_twin_views(limit, segment_size, numpy_twin_masks)
 
+    @pytest.mark.parametrize("segment_size", TWIN_SEGMENT_SIZES)
+    def test_every_limit_from_201_to_400(self, numpy_twin_masks, segment_size):
+        for limit in range(201, 401):
+            check_twin_views(limit, segment_size, numpy_twin_masks)
+
     # (segments of 1 to 3 candidates: the masks above, at these limits)
     @pytest.mark.parametrize("segment_size", [64, 65, TWIN_PERIOD])
     @pytest.mark.parametrize("m", [1, 2])
@@ -355,6 +363,60 @@ class TestPrimeViews:
     @example(segment_size=64, limit=643)  # (641, 643) straddled an odd segment boundary
     def test_twin_lists_and_arrays_agree_per_segment(self, numpy_twin_masks, segment_size, limit):
         check_twin_views(limit, segment_size, numpy_twin_masks)
+
+
+def compressed(wheel, low: int, mask) -> list[int]:
+    """The first numbers of the candidates `mask` marks, read with compress."""
+    c = wheel.offsets[0]
+    return list(compress(range(wheel.stride * low + c, wheel.stride * (low + len(mask)) + c,
+                               wheel.stride), mask))
+
+
+def marked_by_trial_division(wheel, low: int, size: int) -> list[int]:
+    """The first numbers of the candidates low..low+size-1 of `wheel` whose
+    numbers are all prime."""
+    return [
+        wheel.stride * i + wheel.offsets[0]
+        for i in range(low, low + size)
+        if all(wheel.stride * i + c in ORACLE for c in wheel.offsets)
+    ]
+
+
+class TestGapExtractor:
+    """_marked, which reads the marks of a mask from the gap lengths between
+    them, against compress and trial division, for both wheels."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        wheel=st.sampled_from([_ODD, _TWIN]),
+        low=st.integers(0, 10**6),
+        mask=st.lists(st.sampled_from([0, 1]), max_size=80).map(bytearray),
+        block=st.sampled_from([1, 2, 3, 7, 64, 1 << 16]),
+    )
+    @example(wheel=_ODD, low=0, mask=bytearray(), block=1 << 16)
+    @example(wheel=_ODD, low=5, mask=bytearray(7), block=3)  # no mark
+    # marks at both ends, and runs across blocks
+    @example(wheel=_TWIN, low=1, mask=bytearray(b"\x01\x00\x00\x00\x00\x01"), block=2)
+    @example(wheel=_TWIN, low=2, mask=bytearray(b"\x01\x01\x01"), block=1)
+    def test_matches_compress(self, wheel, low, mask, block):
+        with mock.patch.object(sievesum.sieve, "_RUN_BLOCK", block):
+            assert list(_marked(wheel, low, mask)) == compressed(wheel, low, mask)
+
+    @pytest.mark.parametrize("segment_size", TWIN_SEGMENT_SIZES)
+    @pytest.mark.parametrize("wheel", [_ODD, _TWIN], ids=["odd", "twin"])
+    def test_segments_match_trial_division(self, wheel, segment_size):
+        limit = 30_000 if segment_size > 3 else 3_000
+        with patched_segment_size(segment_size):
+            segments = list(_masks(wheel, limit))
+        assert all(0 < len(mask) <= segment_size for _, mask in segments)
+        for low, mask in segments:
+            numbers = list(_marked(wheel, low, mask))
+            assert numbers == compressed(wheel, low, mask)
+            assert numbers == marked_by_trial_division(wheel, low, len(mask))
+        if segment_size <= 3:  # segments that start or end with a mark, and ones with none
+            assert any(mask[0] for _, mask in segments)
+            assert any(mask[-1] for _, mask in segments)
+            assert any(not any(mask) for _, mask in segments)
 
 
 # every public function that takes a limit, each run to its end
