@@ -16,7 +16,6 @@ import collections
 import contextlib
 import dataclasses
 import decimal
-import functools
 import json
 import math
 import os
@@ -25,7 +24,7 @@ import re
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import chain, islice, tee
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -46,7 +45,7 @@ from .series import (
     square_free_definition,
     twin_prime_definition,
 )
-from .sieve import PRIME_CAP, nth_primes, prime_lists, twin_lesser_lists
+from .sieve import PRIME_CAP, iter_primes, prime_lists, twin_lesser_lists
 
 DEFAULT_SEED = 1000003
 _INT64_MAX = 2**63 - 1
@@ -199,68 +198,53 @@ def _row_template(fmt: str, shape) -> str:
     return re.sub(r'"(%[^"]*)"', r"\1", text)
 
 
-def _float_template(fmt: str, keys: tuple[str, ...], field: str) -> str:
-    """The _row_template of a record with `keys`: two int cells, then
-    `field` for each other cell."""
-    return _row_template(fmt, dict(zip(keys, ["%d", "%d", *[field] * (len(keys) - 2)])))
+def _float_renderer(keys: tuple[str, ...], fmt: str, digits: int):
+    """render(cells): the CSV lines, or the JSON list elements joined as
+    _emit joins them, of the records with `keys` whose cells, in order, are
+    `cells` (one record, or many flat). A record has two int cells and then
+    float cells x, each rounded to `digits` significant digits and shown as
+    str() (CSV) or json.dumps() (JSON) of the rounded float, the same text
+    but for nan and the infinities.
 
-
-def _float_lines(rows: Iterable[tuple], keys: tuple[str, ...], fmt: str,
-                 digits: int) -> Iterator[str]:
-    """The CSV lines, or the JSON list elements, of `rows` as records with
-    `keys`: two int cells and then float cells x, each rounded to `digits`
-    significant digits and shown as str() (CSV) or json.dumps() (JSON) of
-    the rounded float, the same text but for nan and the infinities.
-
-    For digits <= 15 that text is the one "%.{digits}g" % x prints, in one
-    `%` per line, whenever each float cell of it has a '.' or an 'e-' and
-    the line no 'e+' and no 'e-3': a decimal of at most 15 significant
-    digits (DBL_DIG) in the normal float range survives the round trip
-    through a double, so repr prints the same shortest digits, and both
-    texts then have the same notation (a one-digit mantissa in e-notation,
-    such as 2e-09, has no '.' in either). Other lines (cells that print as
-    integers, +-0, nan, inf, large or near-subnormal exponents) and digits
-    above 15 take the reference text. The gate reads the keys too, so no
-    key may contain ',', '.', 'e+' or 'e-'. Rows are rendered one at a time,
-    as they are drawn; _float_chunk renders many at once.
-    """
-    spec = f"%.{min(digits, 17)}g"  # 17 digits give back every double
-    fast, slow = (_float_template(fmt, keys, field) for field in (spec, "%s"))
-    show = str if fmt == "csv" else json.dumps
-    return (
-        line
-        if digits <= 15
-        and "e+" not in (line := fast % row)
-        and "e-3" not in line
-        and (
-            line.count(".") == len(keys) - 2
-            or all("." in cell or "e-" in cell for cell in line.split(",")[2:])
-        )
-        else slow % (row[0], row[1], *(show(float(spec % x)) for x in row[2:]))
-        for row in rows
-    )
-
-
-def _float_chunk(cells: list, keys: tuple[str, ...], fmt: str, digits: int) -> str:
-    """The _float_lines text of the records whose cells, in order, are
-    `cells`, joined as _emit joins list elements.
-
-    For digits <= 15 the whole chunk is printed in one `%` and gated once:
-    it holds no 'e+' and no 'e-3', and as many '.' as it has float cells.
-    A float cell prints at most one '.', and the int cells, the keys and
-    the separators print none, so that count means every float cell has
-    one: each line then passes the gate of _float_lines. A chunk that fails
-    it, say for one nan, and any chunk with more digits, is rendered by
-    _float_lines.
+    For digits <= 15 that text is the one "%.{digits}g" % x prints, so the
+    records are printed with one `%` and gated once: the text has no 'e+'
+    and no 'e-3', and each float cell a '.' or, with a one-digit mantissa
+    such as 2e-09, an 'e-' after that lone digit. A decimal of at most 15
+    significant digits (DBL_DIG) in the normal float range survives the
+    round trip through a double, so repr prints the same shortest digits in
+    the same notation. A cell prints at most one of the two, and the ints,
+    the keys (which may hold no '.', 'e+' or 'e-') and the separators print
+    neither, so the counts reach the number of float cells only if each
+    cell has one.
+    Records that fail the gate (cells that print as integers, +-0, nan,
+    inf, large or near-subnormal exponents) are rendered again one at a
+    time, and those that fail alone, or have more digits, take the
+    reference text.
     """
     width = len(keys)
-    rows = len(cells) // width
+    spec = f"%.{min(digits, 17)}g"  # 17 digits give back every double
+    fast, slow = (
+        _row_template(fmt, dict(zip(keys, ["%d", "%d", *[field] * (width - 2)])))
+        for field in (spec, "%s")
+    )
     sep = "" if fmt == "csv" else _JSON_SEP
-    if digits <= 15:
-        text = sep.join([_float_template(fmt, keys, f"%.{digits}g")] * rows) % tuple(cells)
-        if "e+" not in text and "e-3" not in text and text.count(".") == (width - 2) * rows:
-            return text
-    return sep.join(_float_lines(zip(*[iter(cells)] * width), keys, fmt, digits))
+    show = str if fmt == "csv" else json.dumps
+
+    def render(cells) -> str:
+        rows = len(cells) // width
+        if digits <= 15:
+            text = sep.join([fast] * rows) % tuple(cells)
+            floats = (width - 2) * rows
+            if "e+" not in text and "e-3" not in text and (
+                (dots := text.count(".")) == floats
+                or dots + len(re.findall(r"(?<![\d.])\de-", text)) == floats
+            ):
+                return text
+        if rows > 1:
+            return sep.join(render(cells[i : i + width]) for i in range(0, len(cells), width))
+        return slow % (cells[0], cells[1], *(show(float(spec % x)) for x in cells[2:]))
+
+    return render
 
 
 def _render_worker(render, tasks, results, command_ends) -> None:
@@ -343,19 +327,19 @@ def _emit_float_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...]
     """_emit the `n_rows` float records `rows` under "rows", rendered with
     `keys` and the --format and --digits of `args`.
 
-    Rows are drawn in this process, in order. From _POOL_MIN_CHUNKS chunks
-    of _CHUNK_ROWS rows on, where fork exists and two CPUs are usable, two
-    forked workers render them (see _pooled), each chunk sent as one flat
-    list of its rows' cells (which pickles several times faster than
-    ReportRows, and faster than tuples) and rendered whole by _float_chunk;
-    else _float_lines renders each row here as it is drawn. The text is the
-    same either way.
+    Rows are drawn in this process, in order, and rendered by one
+    _float_renderer, so the text is the same either way: each row here as
+    it is drawn, or, from _POOL_MIN_CHUNKS chunks of _CHUNK_ROWS rows on,
+    where fork exists and two CPUs are usable, each chunk on one of two
+    forked workers (see _pooled), sent as one flat list of its rows' cells
+    (which pickles several times faster than ReportRows, and faster than
+    tuples) and printed whole in one `%` where it passes the gate.
     """
+    render = _float_renderer(keys, args.format, args.digits)
     workers = min(2, _usable_cpus())
     if n_rows < _POOL_MIN_CHUNKS * _CHUNK_ROWS or workers < 2 or not hasattr(os, "fork"):
-        chunks = _float_lines(rows, keys, args.format, args.digits)
+        chunks = (render(row) for row in rows)
     else:
-        render = functools.partial(_float_chunk, keys=keys, fmt=args.format, digits=args.digits)
         flat = iter(lambda: list(chain.from_iterable(islice(rows, _CHUNK_ROWS))), [])
         chunks = _pooled(render, flat, workers)
     with contextlib.closing(chunks):
@@ -498,9 +482,10 @@ def _definition_for(args: argparse.Namespace) -> SeriesDefinition:
     return definitions[args.kind]()
 
 
-def _exact_cells(rows: Iterable[tuple[int, int, Fraction]], a: int) -> Iterator[list]:
-    """For each exact row (k, F_k, R_k), the numerators and denominators of
-    T_k, S_k and R_k, in that order, as _decimal_json_int cells.
+def _exact_cells(states: Iterable[SeriesState], a: int) -> Iterator[tuple[int, int, list]]:
+    """For each exact state, (k, F_k, cells): the numerators and
+    denominators of T_k, S_k and R_k, in that order, as _decimal_json_int
+    cells.
 
     str() of a huge int costs the square of its length, str() of a Decimal
     only its length. So R's numerator rn and denominator rd are mirrored as
@@ -520,17 +505,18 @@ def _exact_cells(rows: Iterable[tuple[int, int, Fraction]], a: int) -> Iterator[
     rn_int = rd_int = 1
     with decimal.localcontext(_EXACT):
         rn = rd = decimal.Decimal(1)
-        for _, f, r in rows:
+        for state in states:
+            f = state.F_k
             g = math.gcd(rn_int, f)
             t_num, t_den = rn / g, rd * (f // g)
             g0 = math.gcd(f, a)
             u, v = (f - a) // g0, f // g0
             g1, g2 = math.gcd(rn_int, v), math.gcd(rd_int, u)
             rn, rd = rn / g1 * (u // g2), rd / g2 * (v // g1)
-            rn_int, rd_int = r.numerator, r.denominator
+            rn_int, rd_int = state.R_k.numerator, state.R_k.denominator
             g = math.gcd(rd_int - rn_int, a)
             s_num, s_den = (rd - rn) / g, rd * (a // g)
-            yield [_decimal_json_int(x) for x in (t_num, t_den, s_num, s_den, rn, rd)]
+            yield state.k, f, [_decimal_json_int(x) for x in (t_num, t_den, s_num, s_den, rn, rd)]
 
 
 def cmd_series(args: argparse.Namespace) -> int:
@@ -544,10 +530,9 @@ def cmd_series(args: argparse.Namespace) -> int:
         shape = {"n": "%d", "F_n": "%d", "T": fraction, "S": fraction, "R": fraction}
         template = _row_template(args.format, shape)
         show = str if args.format == "csv" else json.dumps
-        rows, cell_rows = tee((s.k, s.F_k, s.R_k) for s in iter_states(defn, args.terms))
         chunks = (
             template % (k, f, *map(show, cells))
-            for (k, f, _), cells in zip(rows, _exact_cells(cell_rows, a))
+            for k, f, cells in _exact_cells(iter_states(defn, args.terms), a)
         )
         _emit(args, {"meta": meta}, "rows", header, chunks)
         return 0
@@ -731,7 +716,8 @@ def cmd_primes(args: argparse.Namespace) -> int:
         if args.twins:
             raise ValueError("--twins needs --limit, not --count")
         meta = {"count": args.count, "version": __version__}
-        lists = [nth_primes(args.count)]
+        primes = islice(iter_primes(), args.count)  # streamed in lists of 65536
+        lists = iter(lambda: list(islice(primes, 1 << 16)), [])
     else:
         meta = {"limit": args.limit, "version": __version__}
         # one list per sieve segment; CSV never holds more than one

@@ -35,8 +35,7 @@ from sievesum.cli import (
     _exact_cells,
     _JSON_SEP,
     _exact_decimal,
-    _float_chunk,
-    _float_lines,
+    _float_renderer,
     build_parser,
     main,
     parse_limit,
@@ -61,7 +60,7 @@ COMPUTE_ENTRIES = (
     "float_rows",
     "prime_lists",
     "twin_lesser_lists",
-    "nth_primes",
+    "iter_primes",
     "estimate_K",
     "brun_partial",
     "mertens_residual",
@@ -774,6 +773,27 @@ class TestStreaming:
         assert os.listdir(tmp_path) == ["rows"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_primes_count_writes_each_list_before_the_next_is_drawn(self, monkeypatch, fmt):
+        stdout = io.StringIO()
+        written = []  # the length of the output so far, as each prime is drawn
+        compute = sievesum.cli.iter_primes
+
+        def watched():
+            for p in compute():
+                written.append(stdout.tell())
+                yield p
+
+        monkeypatch.setattr(sievesum.cli, "iter_primes", watched)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        block = 1 << 16  # the primes of one list
+        assert main(["primes", "--count", str(2 * block + 1), "--format", fmt]) == 0
+        primes = nth_primes(2 * block)
+        out = stdout.getvalue()
+        assert written[block - 1] == 0
+        for k in (1, 2):  # the output ends in the last prime of list k
+            assert out[: written[k * block]].split()[-1] == str(primes[k * block - 1])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_emit_renders_the_first_chunk_before_any_byte(self, monkeypatch, fmt):
         def failing_first():
             raise RuntimeError("row 1 failed")
@@ -1073,10 +1093,12 @@ class TestDecimalJsonInt:
 
 
 def exact_cells_of(values, a):
-    """_exact_cells of the (k, F_k, R_k) rows of `values`, and the states."""
+    """The cells _exact_cells gives for the states of `values`, and the
+    states, after checking that it gives each state's k and F_k with them."""
     states = list(iter_states(SeriesDefinition(tuple(values), offset_a=a), len(values)))
-    rows = [(state.k, state.F_k, state.R_k) for state in states]
-    return list(_exact_cells(rows, a)), states
+    rows = list(_exact_cells(states, a))
+    assert [(k, f) for k, f, _ in rows] == [(state.k, state.F_k) for state in states]
+    return [cells for _, _, cells in rows], states
 
 
 class TestExactCells:
@@ -1157,7 +1179,32 @@ def reference_float_element(row, digits):
     return text[len(prefix) : -len(suffix)]
 
 
-class TestFloatLines:
+# cells that fail the gate at some or every --digits: nan, +-inf, +-0,
+# subnormals, 'e+' and 'e-3' exponents, integral values, and a one-digit
+# mantissa in e-notation (which still passes it, on its 'e-')
+GATE_FAILING = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.5e-310, -1e-300, 1e15, -1.5e15,
+    -1.5e300, 12345.5, 1.0, 3.0, 2e-09, -7e-05,
+])
+# cells that print with one '.' and no exponent at every --digits up to 15
+GATE_PASSING = st.floats(0.11, 0.89)
+
+
+def render_float_rows(rows, keys, fmt, digits):
+    """_float_renderer's text of `rows` as one flat run of cells, after
+    checking that it renders each row alone as the reference does, and the
+    run as those rows joined as _emit joins them."""
+    render = _float_renderer(keys, fmt, digits)
+    reference = reference_float_line if fmt == "csv" else reference_float_element
+    alone = [render(row) for row in rows]
+    assert alone == [reference(row, digits) for row in rows]
+    text = render(list(itertools.chain.from_iterable(rows)))
+    assert text == ("" if fmt == "csv" else _JSON_SEP).join(alone)
+    return text
+
+
+class TestFloatRenderer:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @settings(max_examples=600, deadline=None)
     @given(
         digits=st.integers(1, 17),
@@ -1165,31 +1212,47 @@ class TestFloatLines:
         cells=st.lists(FLOAT_CELLS, min_size=3, max_size=30),
     )
     @example(digits=15, floats=3, cells=[5e-324, -0.0, 0.0, 1e15, math.nan, math.inf])
+    @example(digits=15, floats=3, cells=[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
     @example(digits=15, floats=1, cells=[2.2250738585072014e-308, 1.7976931348623157e308, 1.0])
     @example(digits=1, floats=1, cells=[1.7976931348623157e308, -math.inf, 0.96])
     @example(digits=1, floats=3, cells=[2e-09, 0.3, 0.2, -7.4e-05, 1.5e-100, 9.96e-30, 3e-300])
     @example(digits=2, floats=3, cells=[2e-09, 1.5e-09, 0.25, 1e-05, -1.04e-19, 9.99e-05, 1e-29])
-    def test_matches_reference(self, digits, floats, cells):
-        rows = float_rows_of(cells, floats)
-        lines = list(_float_lines(rows, FLOAT_KEYS[: 2 + floats], "csv", digits))
-        assert len(lines) == len(rows)
-        for line, row in zip(lines, rows):
-            assert line.split(",") == reference_float_line(row, digits).split(",")
+    @example(digits=17, floats=3, cells=[-5e-324, 2.225073858507201e-308, -2.2250738585072014e-308])
+    # 16 digits, where "%.16g" prints 0.09385958677423489
+    @example(digits=16, floats=1, cells=[0.0938595867742349, 0.5, 0.25])
+    @example(digits=16, floats=1, cells=[1.7976931348623157e308, 1e16, 0.0938595867742349])
+    def test_matches_reference(self, fmt, digits, floats, cells):
+        render_float_rows(float_rows_of(cells, floats), FLOAT_KEYS[: 2 + floats], fmt, digits)
 
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         digits=st.integers(1, 17),
         floats=st.integers(1, 3),
-        cells=st.lists(FLOAT_CELLS, min_size=3, max_size=30),
+        fmt=st.sampled_from(["csv", "json"]),
+        data=st.data(),
     )
-    @example(digits=15, floats=3, cells=[math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
-    @example(digits=17, floats=3, cells=[-5e-324, 2.225073858507201e-308, -2.2250738585072014e-308])
-    @example(digits=1, floats=3, cells=[2e-09, 0.3, 0.2, -7.4e-05, 1.5e-100, 9.96e-30, 3e-300])
-    @example(digits=16, floats=1, cells=[1.7976931348623157e308, 1e16, 0.0938595867742349])
-    def test_json_matches_json_dumps(self, digits, floats, cells):
+    def test_one_record_failing_the_gate(self, digits, floats, fmt, data):
+        cells = data.draw(st.lists(GATE_PASSING, min_size=floats, max_size=20 * floats))
         rows = float_rows_of(cells, floats)
-        elements = list(_float_lines(rows, FLOAT_KEYS[: 2 + floats], "json", digits))
-        assert elements == [reference_float_element(row, digits) for row in rows]
+        row = list(rows.pop(data.draw(st.integers(0, len(rows) - 1))))
+        row[data.draw(st.integers(2, 1 + floats))] = data.draw(GATE_FAILING)
+        rows.insert(data.draw(st.integers(0, len(rows))), tuple(row))
+        render_float_rows(rows, FLOAT_KEYS[: 2 + floats], fmt, digits)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_only_the_failing_record_takes_the_reference(self, monkeypatch, fmt):
+        rows = [(1, 3, 0.5, 0.25, 0.75), (2, 5, 0.2, 0.3, math.nan), (3, 7, 0.4, 0.6, 0.8)]
+        expected = render_float_rows(rows, FLOAT_KEYS, fmt, 15)
+        parsed = []  # the cells the reference text parses back
+
+        def recording(text):
+            parsed.append(text)
+            return float(text)
+
+        monkeypatch.setattr(sievesum.cli, "float", recording, raising=False)
+        render = _float_renderer(FLOAT_KEYS, fmt, 15)
+        assert render(list(itertools.chain.from_iterable(rows))) == expected
+        assert parsed == ["0.2", "0.3", "nan"]
 
     @pytest.mark.parametrize(
         "digits, row",
@@ -1200,100 +1263,50 @@ class TestFloatLines:
         ],
     )
     def test_one_digit_exponent_cells_take_one_format(self, monkeypatch, digits, row):
+        rows = [row, (10, 31, 0.5, 0.25, 0.125), row]
         expected = {
-            "csv": reference_float_line(row, digits),
-            "json": reference_float_element(row, digits),
+            "csv": [reference_float_line(r, digits) for r in rows],
+            "json": [reference_float_element(r, digits) for r in rows],
         }
         # the reference text parses the rounded cell back with float();
-        # the one-% line does not
+        # the one-% text does not
         monkeypatch.setattr(sievesum.cli, "float", None, raising=False)
-        for fmt, text in expected.items():
-            assert list(_float_lines([row], FLOAT_KEYS, fmt, digits)) == [text]
-            assert any("." not in cell for cell in text.split(",")[2:])
-
-    def test_huge_int_cells(self):
-        with unlimited_int_str():
-            row = (1, 10**40 + 7, 0.125)
-            keys = FLOAT_KEYS[:3]
-            assert list(_float_lines([row], keys, "csv", 15)) == [reference_float_line(row, 15)]
-            assert list(_float_lines([row], keys, "json", 15)) == [
-                reference_float_element(row, 15)
-            ]
-
-
-# cells that fail the gate of _float_lines at some or every --digits: nan,
-# +-inf, +-0, subnormals, 'e+' and 'e-3' exponents, integral values, and a
-# one-digit mantissa in e-notation (which _float_lines still prints in one %)
-GATE_FAILING = st.sampled_from([
-    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.5e-310, -1e-300, 1e15, -1.5e15,
-    -1.5e300, 12345.5, 1.0, 3.0, 2e-09, -7e-05,
-])
-# cells that print with one '.' and no exponent at every --digits up to 15
-GATE_PASSING = st.floats(0.11, 0.89)
-
-
-def float_chunk_matches_lines(rows, keys, fmt, digits):
-    """_float_chunk of the flat cells of `rows` is the text of _float_lines,
-    joined as _emit joins it."""
-    sep = "" if fmt == "csv" else _JSON_SEP
-    cells = list(itertools.chain.from_iterable(rows))
-    assert _float_chunk(cells, keys, fmt, digits) == sep.join(_float_lines(rows, keys, fmt, digits))
-
-
-class TestFloatChunk:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        digits=st.integers(1, 17),
-        floats=st.integers(1, 3),
-        fmt=st.sampled_from(["csv", "json"]),
-        cells=st.lists(FLOAT_CELLS, min_size=3, max_size=30),
-    )
-    # 16 digits, where "%.16g" prints 0.09385958677423489
-    @example(digits=16, floats=1, fmt="csv", cells=[0.0938595867742349, 0.5, 0.25])
-    def test_matches_float_lines(self, digits, floats, fmt, cells):
-        rows = float_rows_of(cells, floats)
-        float_chunk_matches_lines(rows, FLOAT_KEYS[: 2 + floats], fmt, digits)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        digits=st.integers(1, 17),
-        floats=st.integers(1, 3),
-        fmt=st.sampled_from(["csv", "json"]),
-        data=st.data(),
-    )
-    def test_one_line_failing_the_gate(self, digits, floats, fmt, data):
-        cells = data.draw(st.lists(GATE_PASSING, min_size=floats, max_size=20 * floats))
-        rows = float_rows_of(cells, floats)
-        row = list(rows.pop(data.draw(st.integers(0, len(rows) - 1))))
-        row[data.draw(st.integers(2, 1 + floats))] = data.draw(GATE_FAILING)
-        rows.insert(data.draw(st.integers(0, len(rows))), tuple(row))
-        float_chunk_matches_lines(rows, FLOAT_KEYS[: 2 + floats], fmt, digits)
+        for fmt, texts in expected.items():
+            render = _float_renderer(FLOAT_KEYS, fmt, digits)
+            assert render(row) == texts[0]
+            sep = "" if fmt == "csv" else _JSON_SEP
+            assert render(list(itertools.chain.from_iterable(rows))) == sep.join(texts)
+            assert any("." not in cell for cell in texts[0].split(",")[2:])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_nan_row_and_huge_int_cells(self, fmt):
         rows = [(1, 3, 0.5, 0.25, 0.75), (2, 5, 0.2, 0.3, math.nan), (3, 7, 0.4, 0.6, 0.8)]
-        float_chunk_matches_lines(rows, FLOAT_KEYS, fmt, 15)
+        render_float_rows(rows, FLOAT_KEYS, fmt, 15)
         rows = [(1, 3, 0.5, 0.25, 0.75), (2, 10**40 + 7, 0.125, 0.5, 0.375)]
-        float_chunk_matches_lines(rows, FLOAT_KEYS, fmt, 15)
+        render_float_rows(rows, FLOAT_KEYS, fmt, 15)
         with unlimited_int_str():
-            float_chunk_matches_lines([(1, 10**5000 + 1, 0.5, 0.25, 0.75)], FLOAT_KEYS, fmt, 15)
+            render_float_rows([(1, 10**5000 + 1, 0.5, 0.25, 0.75)], FLOAT_KEYS, fmt, 15)
+            render_float_rows([(1, 10**40 + 7, 0.125)], FLOAT_KEYS[:3], fmt, 15)
 
+    @pytest.mark.parametrize("digits", [1, 15])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_twin_series_chunks_pass_the_gate(self, monkeypatch, fmt):
-        # rendered whole: a gate that sent these chunks line by line would
-        # lose the one-% speed of the pooled float series unseen
+    def test_twin_series_chunks_pass_the_gate(self, monkeypatch, fmt, digits):
+        # printed whole: a chunk fails the gate only if one of its records
+        # does, and that record takes the reference text, so a gate that
+        # would lose the one-% speed of the pooled float series shows here
         rows = list(float_rows(twin_prime_definition(), 10 * sievesum.cli._CHUNK_ROWS))
-        expected = list(_float_lines(rows, FLOAT_KEYS, fmt, 15))
+        reference = reference_float_line if fmt == "csv" else reference_float_element
+        expected = [reference(row, digits) for row in rows]
 
-        def line_by_line(*args):
-            raise AssertionError("a chunk of the twin series failed the chunk gate")
+        def must_not_parse(text):
+            raise AssertionError("a record of the twin series took the reference text")
 
-        monkeypatch.setattr(sievesum.cli, "_float_lines", line_by_line)
+        monkeypatch.setattr(sievesum.cli, "float", must_not_parse, raising=False)
+        render = _float_renderer(FLOAT_KEYS, fmt, digits)
         sep = "" if fmt == "csv" else _JSON_SEP
         for start in range(0, len(rows), sievesum.cli._CHUNK_ROWS):
             chunk = rows[start : start + sievesum.cli._CHUNK_ROWS]
-            cells = list(itertools.chain.from_iterable(chunk))
-            text = _float_chunk(cells, FLOAT_KEYS, fmt, 15)
+            text = render(list(itertools.chain.from_iterable(chunk)))
             assert text == sep.join(expected[start : start + len(chunk)])
 
 
