@@ -38,6 +38,7 @@ from .series import (
     brun_dominance_check,
     brun_partial,
     mertens_residual,
+    mertens_rows,
     prime_definition,
     prime_series,
     primorial,

@@ -5,8 +5,9 @@ or JSON; exact fractions are never rounded (num/den columns in CSV,
 {num, den} objects in JSON, integers beyond 64 bits rendered as strings).
 `verify` exits 0 only if every identity check passed, 1 with a JSON report
 naming the first violation, 2 on usage errors. Every command exits 2 when
---output cannot be written, before it computes anything, and 130 with one
-"error: interrupted" line on Ctrl-C.
+--output cannot be written, before it computes anything, 2 with one
+"error: cannot write ..." line when a write of the output fails (a full
+disk or /dev/full), and 130 with one "error: interrupted" line on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .engine import (
 from .kconst import ExtrapolationError, estimate_K, partial_product
 from .series import (
     brun_partial,
-    mertens_residual,
+    mertens_rows,
     prime_definition,
     square_free_definition,
     twin_prime_definition,
@@ -66,7 +67,7 @@ _EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
 
 
 class OutputError(Exception):
-    """--output names a file that cannot be opened for writing."""
+    """The output, --output or stdout, cannot be opened or written."""
 
 
 def _use_color() -> bool:
@@ -296,10 +297,11 @@ def _pooled(render, chunks: Iterable, workers: int) -> Iterator[str]:
                 result_reader, results = context.Pipe(duplex=False)
                 lane = task_writer, result_reader
                 ends += lane
-                processes.append(context.Process(
+                process = context.Process(
                     target=_render_worker, args=(render, tasks, results, ends), daemon=True
-                ))
-                processes[-1].start()
+                )
+                process.start()
+                processes.append(process)  # only a started one can be terminated
                 tasks.close()
                 results.close()
             else:
@@ -346,13 +348,32 @@ def _emit_float_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...]
         _emit(args, {"meta": meta}, "rows", ",".join(keys) + "\n", chunks)
 
 
+def _output_error(args: argparse.Namespace, exc: OSError) -> OutputError:
+    """The OutputError of `exc`, an OSError from opening or writing the output."""
+    target = "stdout" if args.output in (None, "-") else args.output
+    return OutputError(f"cannot write {target}: {exc.strerror or exc}")
+
+
+def _written(args: argparse.Namespace, call, *values) -> None:
+    """call(*values), a call that writes the output: a write, flush or
+    close of its stream, or the move of the temporary file into its place.
+    An OSError from it is raised as its _output_error, but for a broken
+    pipe, which main takes for a reader that has gone."""
+    try:
+        call(*values)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _output_error(args, exc) from None
+
+
 def _open_output(args: argparse.Namespace, mode: str = "w"):
     if args.output in (None, "-"):
         return sys.stdout, False
     try:
         return open(args.output, mode, encoding="utf-8"), True
     except OSError as exc:
-        raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from None
+        raise _output_error(args, exc) from None
 
 
 def _temp_beside(args: argparse.Namespace) -> tuple[int, str]:
@@ -364,7 +385,7 @@ def _temp_beside(args: argparse.Namespace) -> tuple[int, str]:
             prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
         )
     except OSError as exc:
-        raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from None
+        raise _output_error(args, exc) from None
 
 
 def _replaceable(args: argparse.Namespace) -> bool:
@@ -400,53 +421,60 @@ def _emit(args: argparse.Namespace, doc: dict, key: str | None = None,
     command has --format and it is csv, else the JSON document `doc`, with
     the list whose elements `chunks` hold (see _row_template) added last,
     under `key`. Chunks are rendered one at a time, as they are written, the
-    first before any byte, so that an error in the first row writes nothing.
+    first before the output is opened, so that an error in the first row
+    writes nothing.
 
     An --output file is written whole or not at all: the text goes to a
     temporary file beside it, which replaces it only once complete and
     keeps its permissions (a new file gets those open() would give it).
+    An OSError from writing, flushing or closing the output (stdout, a
+    device or the temporary file) is raised as an OutputError; only those
+    calls are wrapped, so an OSError from drawing or rendering a chunk,
+    such as a failed fork or a render worker that ended, stays what it is.
     """
-
-    def write(stream) -> None:
-        csv = getattr(args, "format", None) == "csv"
-        parts = filter(None, chunks if csv or key else ())
-        first = next(parts, None)
-        if csv:
-            stream.write(header + (first or ""))
-            stream.writelines(parts)
-            return
-        if first is None:
-            stream.write(json.dumps({**doc, key: []} if key else doc, indent=2))
-        else:
-            head, _, tail = json.dumps({**doc, key: [0]}, indent=2).rpartition("0")
-            stream.write(head + first)
-            stream.writelines(_JSON_SEP + chunk for chunk in parts)
-            stream.write(tail)
-        stream.write("\n")
-
-    if not _replaceable(args):
-        stream, owned = _open_output(args)
-        try:
-            write(stream)
-        finally:
-            if owned:
-                stream.close()
-        return
-    target = os.path.realpath(args.output)
-    if os.path.exists(target):
-        mode = os.stat(target).st_mode & 0o7777
+    csv = getattr(args, "format", None) == "csv"
+    parts = filter(None, chunks if csv or key else ())
+    first = next(parts, None)
+    if csv:
+        texts = chain([header + (first or "")], parts)
+    elif first is None:
+        texts = [json.dumps({**doc, key: []} if key else doc, indent=2) + "\n"]
     else:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, temp = _temp_beside(args)
+        head, _, tail = json.dumps({**doc, key: [0]}, indent=2).rpartition("0")
+        texts = chain([head + first], (_JSON_SEP + part for part in parts), [tail + "\n"])
+    temp = None
+    if _replaceable(args):
+        target = os.path.realpath(args.output)
+        if os.path.exists(target):
+            mode = os.stat(target).st_mode & 0o7777
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, temp = _temp_beside(args)
+        stream, owned = os.fdopen(fd, "w", encoding="utf-8"), True
+    else:
+        stream, owned = _open_output(args)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            write(stream)
-        os.chmod(temp, mode)
-        os.replace(temp, target)
-    except BaseException:
-        os.remove(temp)
+        for text in texts:  # each chunk is rendered here, before its write
+            _written(args, stream.write, text)
+            del text  # freed before the next chunk is rendered
+        # the text still buffered is written here
+        _written(args, stream.close if owned else stream.flush)
+        if temp is not None:
+            _written(args, os.chmod, temp, mode)
+            _written(args, os.replace, temp, target)
+    except BaseException as exc:
+        if owned:
+            with contextlib.suppress(OSError):  # the text it holds cannot be written
+                stream.close()
+        if temp is not None:
+            os.remove(temp)
+        if isinstance(exc, (OutputError, BrokenPipeError)) and stream is sys.__stdout__:
+            # the interpreter flushes stdout again at exit: what it holds goes nowhere
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, stream.fileno())
+            os.close(null)
         raise
 
 
@@ -703,11 +731,12 @@ def cmd_brun(args: argparse.Namespace) -> int:
 
 
 def cmd_mertens(args: argparse.Namespace) -> int:
-    rows = mertens_residual(args.terms, last=args.last)
-    offset = args.terms - len(rows)
+    rows = mertens_rows(args.terms, last=args.last)  # streamed
+    first = args.terms if args.last else 1
     meta = {"terms": args.terms, "version": __version__}
     _emit_float_rows(args, meta, ("n", "p_n", "ratio"),
-                     ((offset + i, p, ratio) for i, (p, ratio) in enumerate(rows, 1)), len(rows))
+                     ((n, p, ratio) for n, (p, ratio) in enumerate(rows, first)),
+                     args.terms - first + 1)
     return 0
 
 

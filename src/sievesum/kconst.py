@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 
 _C2_CUTOFFS = (64, 128)  # prime cut-offs of the two C2 computations
 _C2_DIGITS = 50
+_LOG_BLOCK = 1 << 13  # values per block of _log_sums
 HL_ASSUMPTIONS = (
     "conditional on sieved twin pairs up to the stated limit plus the "
     "2*C2/ln^2(t) pair-density tail model; error estimate is heuristic"
@@ -88,7 +89,9 @@ def _log_sums(
     limits: list[int],
 ) -> list[tuple[float, int]]:
     """For each ascending limit, the sum and count of transform(v) over the
-    values v <= limit of the ascending `arrays` (one sieve sweep).
+    values v <= limit of the ascending `arrays` (one sieve sweep), taken in
+    blocks of _LOG_BLOCK values, so that every float and int temporary has
+    the size of a block, not of an array.
 
     `transform` maps a float64 array elementwise to finite float64 terms.
     Each term is q * 2**(e - 53) with int64 |q| < 2**53 and np.frexp
@@ -102,13 +105,14 @@ def _log_sums(
 
     out: list[tuple[float, int]] = []
     total = count = 0
-    for arr in arrays:
-        terms = transform(arr.astype(np.float64))
+    blocks = (arr[i : i + _LOG_BLOCK] for arr in arrays for i in range(0, arr.size, _LOG_BLOCK))
+    for block in blocks:
+        terms = transform(block.astype(np.float64))
         if not np.isfinite(terms).all():
             raise ValueError("sieve sum term is not finite")
-        cuts = np.searchsorted(arr, limits[len(out):], side="right").tolist()
+        cuts = np.searchsorted(block, limits[len(out):], side="right").tolist()
         start = 0
-        for stop in [cut for cut in cuts if cut < arr.size] + [arr.size]:
+        for stop in [cut for cut in cuts if cut < block.size] + [block.size]:
             if stop > start:
                 mantissas, exps = np.frexp(terms[start:stop])
                 q = (mantissas * 2.0**53).astype(np.int64)
@@ -119,7 +123,7 @@ def _log_sums(
                     total += ((hi << 26) + lo) << (e + 1073)
                 count += stop - start
                 start = stop
-            if stop < arr.size:
+            if stop < block.size:
                 out.append((total / 2**1126, count))
     return out + [(total / 2**1126, count)] * (len(limits) - len(out))
 

@@ -22,6 +22,9 @@ from .sieve import (
 
 #: Euler-Mascheroni constant, the double nearest to it (numpy's euler_gamma).
 EULER_GAMMA = 0.5772156649015329
+# primes per window of mertens_rows; a window's ints, arrays and ratios are
+# held at once (windows of 2**16 held about 6 MiB more at 1e6 terms)
+_MERTENS_WINDOW = 1 << 14
 
 
 class PrimorialValue(NamedTuple):
@@ -109,31 +112,33 @@ def _reciprocal_sum(values: list[int]) -> Fraction:
     """sum(1/v) over ascending primes v > 2, each at most twice, as a
     reduced Fraction.
 
-    Equal neighbours merge into one leaf (count, v). The leaves are merged
-    pairwise up a balanced tree as unreduced (p, q) pairs,
+    Equal neighbours merge into one leaf count/v. The leaves are merged
+    pairwise up a balanced tree as unreduced fractions, held as a list of
+    numerators and a list of denominators, by
     (p1*q2 + p2*q1, q1*q2) (binary splitting), so no step pays a gcd on the
     growing sum. The root N/D needs no final gcd either: D is the product
     of the distinct primes v, and for each of them N = count_v * D/v
     (mod v), which is nonzero since count_v <= 2 < v and D/v is a product
     of other primes. So gcd(N, D) = 1 by construction.
     """
-    pairs: list[tuple[int, int]] = []  # the leaves (count, v)
+    nums: list[int] = []  # the counts
+    dens: list[int] = []  # the distinct values v
     for v in values:
-        if pairs and pairs[-1][1] == v:
-            pairs[-1] = (pairs[-1][0] + 1, v)
+        if dens and dens[-1] == v:
+            nums[-1] += 1
         else:
-            pairs.append((1, v))
-    if not pairs:
+            nums.append(1)
+            dens.append(v)
+    if not dens:
         return Fraction(0)
-    while len(pairs) > 1:
-        merged = [
-            (p1 * q2 + p2 * q1, q1 * q2)
-            for (p1, q1), (p2, q2) in zip(pairs[0::2], pairs[1::2])
-        ]
-        if len(pairs) % 2:
-            merged.append(pairs[-1])
-        pairs = merged
-    return _coprime_fraction(*pairs[0])
+    while len(dens) > 1:
+        paired = len(dens) // 2 * 2  # an odd last leaf goes up as it is
+        nums = [
+            p1 * q2 + p2 * q1
+            for p1, q1, p2, q2 in zip(nums[0::2], dens[0::2], nums[1::2], dens[1::2])
+        ] + nums[paired:]
+        dens = [q1 * q2 for q1, q2 in zip(dens[0::2], dens[1::2])] + dens[paired:]
+    return _coprime_fraction(nums[0], dens[0])
 
 
 def _coprime_fraction(num: int, den: int) -> Fraction:
@@ -163,25 +168,40 @@ def brun_dominance_check(n_terms: int) -> bool:
     return True
 
 
-def mertens_residual(n_terms: int, last: bool = False) -> list[tuple[int, float]]:
+def mertens_rows(n_terms: int, last: bool = False) -> Iterator[tuple[int, float]]:
     """(p_n, ratio) for n = 1..n_terms, or for n = n_terms alone if `last`,
-    where ratio = (1 - S_n) ln(p_n) e^gamma.
+    where ratio = (1 - S_n) ln(p_n) e^gamma, as a stream: the primes are
+    drawn and their rows made _MERTENS_WINDOW at a time.
 
-    The residual 1 - S_n = prod(1 - 1/p_i) is evaluated in log space; the
-    ratio tends to 1. The last ratio alone is the same float as the last of
-    all of them: the same running sum, the same element-wise steps after it.
+    The residual 1 - S_n = prod(1 - 1/p_i) is evaluated in log space, a
+    running sum carried from window to window ahead of the next window's
+    terms; np.cumsum adds in order, so each sum is the float one cumsum
+    over all the terms gives. The ratio tends to 1. The last ratio alone is
+    the same float as the last of all of them: the same running sum, the
+    same element-wise steps after it.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
     import numpy as np
 
-    primes = nth_primes(n_terms)
-    ps = np.array(primes, dtype=np.float64)
-    log_residual = np.cumsum(np.log1p(-1.0 / ps))
+    def ratios(log_residual: np.ndarray, ps: np.ndarray) -> list[float]:
+        return (np.exp(log_residual) * np.log(ps) * math.exp(EULER_GAMMA)).tolist()
+
+    primes = iter_primes()
+    log_residual = np.zeros(1)  # its last element is the sum before the window
+    for start in range(0, n_terms, _MERTENS_WINDOW):
+        window = np.fromiter(primes, np.int64, min(_MERTENS_WINDOW, n_terms - start))
+        ps = window.astype(np.float64)
+        log_residual = np.cumsum(np.concatenate((log_residual[-1:], np.log1p(-1.0 / ps))))[1:]
+        if not last:
+            yield from zip(window.tolist(), ratios(log_residual, ps))
     if last:
-        primes, ps, log_residual = primes[-1:], ps[-1:], log_residual[-1:]
-    ratios = np.exp(log_residual) * np.log(ps) * math.exp(EULER_GAMMA)
-    return list(zip(primes, ratios.tolist()))
+        yield from zip(window[-1:].tolist(), ratios(log_residual[-1:], ps[-1:]))
+
+
+def mertens_residual(n_terms: int, last: bool = False) -> list[tuple[int, float]]:
+    """The rows of mertens_rows as a list."""
+    return list(mertens_rows(n_terms, last))
 
 
 def square_free_sum_float(limit: int) -> float:

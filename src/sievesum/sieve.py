@@ -6,14 +6,16 @@ twin mask is 1 iff both members are prime, so no pair straddles two
 segments. Each kind of candidate is a wheel (see _Wheel), and one segment
 loop serves both. Base primes up to sqrt(limit) are kept resident, so
 memory stays O(sqrt(limit) + segment) and limits of 1e8-1e9 are practical
-on a desktop. Each segment starts as a slice of a pattern with the
+on a desktop. Each segment starts as one period of a pattern with the
 multiples of the wheel's small primes already crossed off (a pre-sieve, as
-in Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014), so only larger
-base primes are struck segment by segment. The functions that return
-Python ints read a mask from the lengths of the gaps between its marks
-(see _marked) and do without numpy; only the generators of arrays,
-iter_prime_arrays and iter_twin_lesser_arrays, import it. Every function
-reads SEGMENT_SIZE when it is called, and its results do not depend on it.
+in Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014), rotated to the
+segment's offset and repeated to its length, so only larger base primes
+are struck segment by segment, and a sweep holds no more than one
+segment's mask. The functions that return Python ints read a mask from
+the lengths of the gaps between its marks (see _marked) and do without
+numpy; only the generators of arrays, iter_prime_arrays and
+iter_twin_lesser_arrays, import it. Every function reads SEGMENT_SIZE when
+it is called, and its results do not depend on it.
 """
 
 from __future__ import annotations
@@ -99,17 +101,17 @@ def _segments(
         for c, r in zip(offsets, _residues(stride, offsets, p))
         for bound in [-((c - p * p) // stride)]  # ceil((p*p - c) / stride)
     )
-    period = len(wheel.pattern)
-    # long enough to hold the longest segment at any offset into the pattern
-    longest = min(segment_size, last - first + 1)
-    tiled = memoryview(wheel.pattern * (longest // period + 2))
-    head = wheel.head
+    pattern, head = wheel.pattern, wheel.head
+    period = len(pattern)
     low = first
     while low <= last:
         n = min(segment_size, last + 1 - low)
         hi = low + n  # exclusive
+        # one period rotated to the segment's offset, repeated and trimmed
         offset = low % period
-        mask = bytearray(tiled[offset : offset + n])
+        mask = bytearray(pattern[offset:] + pattern[:offset])
+        mask *= -(-n // period)
+        del mask[n:]
         if low < len(head):
             fixed = min(n, len(head) - low)
             mask[:fixed] = head[low : low + fixed]
@@ -212,7 +214,9 @@ def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:
     if limit >= 2:
         yield np.array([2], dtype=np.int64)
     for low, mask in masks:
-        yield 2 * (low + np.flatnonzero(np.frombuffer(mask, dtype=bool))) + 1
+        primes = 2 * (low + np.flatnonzero(np.frombuffer(mask, dtype=bool))) + 1
+        del mask  # so that the next mask is built once this one is freed
+        yield primes
 
 
 def iter_twin_lesser_arrays(limit: int) -> Iterator[np.ndarray]:
@@ -225,7 +229,9 @@ def iter_twin_lesser_arrays(limit: int) -> Iterator[np.ndarray]:
     if limit >= 5:
         yield np.array([3], dtype=np.int64)
     for low, mask in masks:
-        yield 6 * (low + np.flatnonzero(np.frombuffer(mask, dtype=bool))) - 1
+        lessers = 6 * (low + np.flatnonzero(np.frombuffer(mask, dtype=bool))) - 1
+        del mask  # so that the next mask is built once this one is freed
+        yield lessers
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -244,7 +250,9 @@ def iter_primes() -> Iterator[int]:
     """Unbounded ascending prime generator (sieves in growing windows)."""
     yield 2
     for low, mask in _unbounded(_ODD):
-        yield from _marked(_ODD, low, mask)
+        primes = _marked(_ODD, low, mask)
+        del mask  # freed once `primes` is exhausted, before the next mask is built
+        yield from primes
 
 
 def twin_pairs_up_to(limit: int) -> list[TwinPair]:

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import decimal
+import errno
 import os
 import io
 import itertools
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 import sievesum.cli
 import sievesum.kconst
+import sievesum.series
 from sievesum import __version__
 from sievesum.cli import (
     DEFAULT_SEED,
@@ -63,7 +65,7 @@ COMPUTE_ENTRIES = (
     "iter_primes",
     "estimate_K",
     "brun_partial",
-    "mertens_residual",
+    "mertens_rows",
 )
 
 
@@ -792,6 +794,29 @@ class TestStreaming:
         assert written[block - 1] == 0
         for k in (1, 2):  # the output ends in the last prime of list k
             assert out[: written[k * block]].split()[-1] == str(primes[k * block - 1])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mertens_writes_each_window_before_the_next_is_drawn(self, monkeypatch, fmt):
+        stdout = io.StringIO()
+        written = []  # the output so far, as each prime is drawn
+        compute = sievesum.series.iter_primes
+
+        def watched():
+            for p in compute():
+                written.append(stdout.getvalue())
+                yield p
+
+        window = 64
+        monkeypatch.setattr(sievesum.series, "iter_primes", watched)
+        monkeypatch.setattr(sievesum.series, "_MERTENS_WINDOW", window)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["mertens", "--terms", str(2 * window + 1), "--format", fmt]) == 0
+        assert written[window - 1] == ""
+        marker = "\n{}," if fmt == "csv" else '"n": {},'
+        for k in (1, 2):  # as window k + 1 is drawn, the rows of window k are out
+            assert stdout.getvalue().startswith(written[k * window])
+            assert marker.format(k * window) in written[k * window]
+            assert marker.format(k * window + 1) not in written[k * window]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_emit_renders_the_first_chunk_before_any_byte(self, monkeypatch, fmt):
@@ -1725,6 +1750,19 @@ class TestMertensCommand:
         assert doc["rows"][0]["n"] == 100
         assert doc["rows"][0]["p_n"] == 541
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_last_is_the_last_row_of_the_full_output(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(sievesum.series, "_MERTENS_WINDOW", 64)
+        for terms in (1, 63, 64, 65, 129):
+            argv = ("mertens", "--terms", str(terms), "--format", fmt)
+            full, last = run_cli(capsys, *argv)[1], run_cli(capsys, *argv, "--last")[1]
+            if fmt == "csv":
+                lines = full.splitlines()
+                assert last.splitlines() == [lines[0], lines[-1]]  # the header and the row
+            else:
+                doc = json.loads(full)
+                assert json.loads(last) == {**doc, "rows": doc["rows"][-1:]}
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
@@ -1818,6 +1856,137 @@ class TestAtomicOutput:
         _emit(argparse.Namespace(output=str(link), format="csv"), {}, "rows", "a\n", ["1\n"])
         assert link.is_symlink()
         assert real.read_text() == "a\n1\n"
+
+
+class FullStream(io.StringIO):
+    """A stdout on a full disk: each write raises ENOSPC, or, if `failing`
+    is "flush", each flush of the text written so far."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.getvalue():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# a CSV command, a JSON command and a float series long enough to pool
+# (with use_pool)
+WRITE_CASES = {
+    "csv": ("primes", "--limit", "100"),
+    "json": ("kconst", "--limit", "1e4"),
+    "pooled": POOLED_CASES["twin"],
+}
+NO_SPACE = f"error: cannot write {{}}: {os.strerror(errno.ENOSPC)}\n"
+
+
+def cli_env(unbuffered):
+    """The environment of a subprocess run of the CLI, with its stdout
+    unbuffered or buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=str(ROOT / "src"), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+
+
+def run_module(argv, env, **kwargs):
+    return subprocess.run([sys.executable, "-m", "sievesum", *argv], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("case", WRITE_CASES)
+    def test_one_error_line_and_exit_2(self, capsys, monkeypatch, case, failing):
+        if case == "pooled":
+            started = use_pool(monkeypatch, POOL_TEST_CHUNK)
+        monkeypatch.setattr(sys, "stdout", FullStream(failing))
+        code, _, err = run_cli(capsys, *WRITE_CASES[case])
+        assert (code, err) == (2, NO_SPACE.format("stdout"))
+        if case == "pooled":
+            assert len(started) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_an_os_error_from_drawing_a_row_is_not_an_output_error(self, monkeypatch):
+        compute = sievesum.cli.float_rows
+
+        def failing(defn, n_terms):
+            for row in compute(defn, n_terms):
+                if row.n == 3:  # rows 1 and 2 are written by now
+                    raise ChildProcessError("a render worker ended before the command")
+                yield row
+
+        monkeypatch.setattr(sievesum.cli, "float_rows", failing)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        with pytest.raises(ChildProcessError, match="a render worker ended"):
+            main(["series", "--kind", "twin", "--mode", "float", "--terms", "5"])
+
+    def test_a_failed_fork_raises_its_own_error(self, monkeypatch):
+        def failed_fork(*args):
+            raise BlockingIOError(errno.EAGAIN, "fork failed")
+
+        use_pool(monkeypatch, POOL_TEST_CHUNK)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", failed_fork)
+        with pytest.raises(BlockingIOError, match="fork failed"):
+            main(list(WRITE_CASES["pooled"]))
+
+    def test_broken_pipe_still_exits_0(self, capsys, monkeypatch):
+        class GoneReader(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", GoneReader())
+        assert run_cli(capsys, *WRITE_CASES["json"]) == (0, "", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("case", ["csv", "json"])
+    def test_dev_full(self, case, unbuffered):
+        env = cli_env(unbuffered)
+        with open("/dev/full", "w") as full:
+            result = run_module(WRITE_CASES[case], env, stdout=full)
+        assert (result.returncode, result.stderr) == (2, NO_SPACE.format("stdout"))
+        result = run_module((*WRITE_CASES[case], "--output", "/dev/full"), env,
+                            stdout=subprocess.DEVNULL)
+        assert (result.returncode, result.stderr) == (2, NO_SPACE.format("/dev/full"))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_dev_full_pooled(self):
+        argv = (*POOLED_ARGV, "--output", "/dev/full")
+        report = NO_SPACE.format("/dev/full") + "2 1 0\n"
+        assert run_pool_script(argv) == (0, report)
+
+    @pytest.mark.parametrize("case", ["csv", "json"])
+    def test_full_disk_keeps_the_output_file(self, tmp_path, case):
+        resource = pytest.importorskip("resource")
+
+        def capped():  # files of this process may not grow past 100 bytes
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100))
+
+        target = tmp_path / "out"
+        target.write_text("keep me\n")
+        argv = ("series", "--kind", "prime", "--terms", "30", "--format", case,
+                "--output", str(target))
+        result = run_module(argv, cli_env(False), preexec_fn=capped)
+        too_large = os.strerror(errno.EFBIG)
+        assert (result.returncode, result.stderr) == (2, f"error: cannot write {target}: {too_large}\n")
+        assert target.read_text() == "keep me\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_reader_gone_before_the_first_byte_is_exit_0(self, unbuffered):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            result = run_module(WRITE_CASES["json"], cli_env(unbuffered), stdout=write_fd)
+        finally:
+            os.close(write_fd)
+        assert (result.returncode, result.stderr) == (0, "")
 
 
 class TestUsageErrors:

@@ -1,7 +1,9 @@
 import decimal
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sievesum.kconst
 import sievesum.sieve
 from conftest import patched_segment_size
 from sievesum.kconst import (
@@ -72,6 +75,19 @@ class TestPartialProduct:
             assert again.log_value == reference.log_value  # bit-for-bit
             assert again.pair_count == reference.pair_count
 
+    def test_sweep_holds_about_one_segment(self):
+        partial_product(10**5)  # numpy and the lazy imports loaded first
+        tracemalloc.start()
+        try:
+            partial_product(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 2**20-byte mask, a segment's lessers and a block's temporaries
+        # (1.9 MiB), not a tiled pattern or a segment's float temporaries
+        assert sievesum.sieve.SEGMENT_SIZE == 1 << 20
+        assert peak < 2.5 * 2**20
+
 
     @pytest.mark.parametrize("limit", [5, 1000, 10**5])
     def test_equals_fsum_of_per_pair_terms(self, limit):
@@ -126,7 +142,9 @@ class TestLogSums:
         splits = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
         arrays = np.split(values, splits)
         limits = sorted(data.draw(st.lists(st.integers(-1, n + 1), min_size=1, max_size=5)))
-        got = _log_sums(arrays, _by_position(terms), limits)
+        block = data.draw(st.sampled_from([1, 2, 3, 7, 1 << 13]))
+        with mock.patch.object(sievesum.kconst, "_LOG_BLOCK", block):
+            got = _log_sums(arrays, _by_position(terms), limits)
         for limit, (total, count) in zip(limits, got):
             upto = min(max(limit + 1, 0), n)
             assert total.hex() == math.fsum(terms[:upto].tolist()).hex()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sievesum.series
 from sievesum.series import (
     EULER_GAMMA,
     _coprime_fraction,
@@ -404,6 +405,19 @@ class TestMertensResidual:
             mertens_residual(0)
         with pytest.raises(ValueError):
             mertens_residual(0, last=True)
+
+    @pytest.mark.parametrize("window", [1, 3, 4099, 1 << 16])
+    def test_windows_do_not_change_a_bit(self, monkeypatch, window):
+        # the reference: one cumsum over all the terms
+        n = 10_000
+        primes = nth_primes(n)
+        ps = np.array(primes, dtype=np.float64)
+        log_residual = np.cumsum(np.log1p(-1.0 / ps))
+        ratios = np.exp(log_residual) * np.log(ps) * math.exp(EULER_GAMMA)
+        rows = list(zip(primes, ratios.tolist()))
+        monkeypatch.setattr(sievesum.series, "_MERTENS_WINDOW", window)
+        assert mertens_residual(n) == rows
+        assert mertens_residual(n, last=True) == rows[-1:]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 20_000))
