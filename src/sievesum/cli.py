@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import dataclasses
 import decimal
 import json
 import math
@@ -368,8 +367,18 @@ def _written(args: argparse.Namespace, call, *values) -> None:
 
 
 def _open_output(args: argparse.Namespace, mode: str = "w"):
+    """The output stream, and whether it is ours to close. stdout, where it
+    has a file descriptor, is written through a stream of its own with a
+    buffered binary layer, which writes the rest of a short write or raises,
+    even where sys.stdout is unbuffered (PYTHONUNBUFFERED, python -u) and
+    would drop the rest; closing it leaves the descriptor open."""
     if args.output in (None, "-"):
-        return sys.stdout, False
+        stdout = sys.stdout
+        try:
+            fd = stdout.fileno()
+        except (AttributeError, ValueError):  # no descriptor, as for io.StringIO
+            return stdout, False
+        return open(fd, mode, encoding=stdout.encoding, errors=stdout.errors, closefd=False), True
     try:
         return open(args.output, mode, encoding="utf-8"), True
     except OSError as exc:
@@ -455,7 +464,10 @@ def _emit(args: argparse.Namespace, doc: dict, key: str | None = None,
         stream, owned = os.fdopen(fd, "w", encoding="utf-8"), True
     else:
         stream, owned = _open_output(args)
+    on_stdout = owned and args.output in (None, "-")  # a stream of ours on stdout's descriptor
     try:
+        if on_stdout:  # what sys.stdout holds was printed first
+            _written(args, sys.stdout.flush)
         for text in texts:  # each chunk is rendered here, before its write
             _written(args, stream.write, text)
             del text  # freed before the next chunk is rendered
@@ -470,10 +482,10 @@ def _emit(args: argparse.Namespace, doc: dict, key: str | None = None,
                 stream.close()
         if temp is not None:
             os.remove(temp)
-        if isinstance(exc, (OutputError, BrokenPipeError)) and stream is sys.__stdout__:
-            # the interpreter flushes stdout again at exit: what it holds goes nowhere
+        if isinstance(exc, (OutputError, BrokenPipeError)) and on_stdout:
+            # the interpreter flushes sys.stdout again at exit: what it holds goes nowhere
             null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, stream.fileno())
+            os.dup2(null, sys.stdout.fileno())
             os.close(null)
         raise
 
@@ -574,10 +586,16 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def _totient_holds(previous: SeriesState | None, state: SeriesState) -> bool:
     """T_k == prod_{i<k} (p_i - 1) / prod_{i<=k} p_i, by induction:
-    T_1 == 1/p_1 and T_k p_k == T_{k-1} (p_{k-1} - 1)."""
+    T_1 == 1/p_1 and T_k p_k == T_{k-1} (p_{k-1} - 1). Each product of a
+    reduced n/d and an int f is reduced by gcd(f, d), which is small, and
+    the reduced forms are compared."""
     if previous is None:
         return state.T_k == Fraction(1, state.F_k)
-    return state.T_k * state.F_k == previous.T_k * (previous.F_k - 1)
+    t, f = state.T_k, state.F_k
+    t_prev, f_prev = previous.T_k, previous.F_k - 1
+    g, g_prev = math.gcd(f, t.denominator), math.gcd(f_prev, t_prev.denominator)
+    return (t.denominator // g == t_prev.denominator // g_prev
+            and t.numerator * (f // g) == t_prev.numerator * (f_prev // g_prev))
 
 
 def _dominance_holds(previous: SeriesState | None, state: SeriesState) -> bool:
@@ -634,7 +652,7 @@ def _tamper(states: Iterable[SeriesState], index: int) -> Iterator[SeriesState]:
     for state in states:
         if state.k == index:
             bad = state.T_k
-            state = dataclasses.replace(state, T_k=Fraction(bad.numerator ^ 1, bad.denominator))
+            state = state._replace(T_k=Fraction(bad.numerator ^ 1, bad.denominator))
         yield state
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -43,30 +42,40 @@ class DepthGuardError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class SeriesDefinition:
+class _SeriesFields(NamedTuple):
+    sequence: Sequence[int] | Callable[[], Iterable[int]]
+    offset_a: int = 1
+    depth_guard: int = DEFAULT_DEPTH_GUARD
+
+
+class SeriesDefinition(_SeriesFields):
     """A sequence F_1, F_2, ... of integers together with the offset a.
 
     `sequence` is either a concrete sequence or a zero-argument callable
     returning a fresh iterator, so evaluation can restart from scratch; a
     bare iterator is rejected, since it could be read only once.
     Every value must be an integer greater than `offset_a` (see `terms`).
+    The fields are checked whenever a definition is made, by `_replace` too.
     """
 
-    sequence: Sequence[int] | Callable[[], Iterable[int]]
-    offset_a: int = 1
-    depth_guard: int = DEFAULT_DEPTH_GUARD
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if operator.index(self.offset_a) < 1:
+    def __new__(cls, sequence: Sequence[int] | Callable[[], Iterable[int]],
+                offset_a: int = 1, depth_guard: int = DEFAULT_DEPTH_GUARD) -> SeriesDefinition:
+        if operator.index(offset_a) < 1:
             raise ValueError("offset_a must be a positive integer")
-        if self.depth_guard < 1:
+        if depth_guard < 1:
             raise ValueError("depth_guard must be positive")
-        if not callable(self.sequence) and iter(self.sequence) is self.sequence:
+        if not callable(sequence) and iter(sequence) is sequence:
             # `terms` reads a concrete sequence twice: to check it, then to yield it
             raise TypeError(
                 "sequence must be a sequence or a zero-argument callable, not an iterator"
             )
+        return super().__new__(cls, sequence, offset_a, depth_guard)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SeriesDefinition:
+        return cls(*iterable)  # through the checks of __new__; _replace calls _make
 
     def terms(self, n: int) -> Iterator[int]:
         """The first n values, as ints. A value not greater than offset_a, or
@@ -90,8 +99,7 @@ class SeriesDefinition:
             yield from map(operator.index, islice(source, n))
 
 
-@dataclass(frozen=True)
-class SeriesState:
+class SeriesState(NamedTuple):
     """Snapshot after consuming k sequence values. Immutable; advancing
     returns a new state, so snapshots can be kept or handed to other threads.
     """
@@ -156,8 +164,19 @@ def final_state(defn: SeriesDefinition, n_terms: int) -> SeriesState:
     return state
 
 
+def _one_minus_a_times(a: int, s: Fraction) -> tuple[int, int]:
+    """1 - a*s as a reduced numerator and denominator. With s = n/d reduced,
+    1 - a*s = (d - a*n)/d, and gcd(d - a*n, d) = gcd(a*n, d) = gcd(a, d):
+    one gcd with a small operand, where Fraction arithmetic would take the
+    gcd of huge ones."""
+    n, d = s.numerator, s.denominator
+    g = math.gcd(a, d)
+    return (d - a * n) // g, d // g
+
+
 def check_residual_identity(state: SeriesState) -> bool:
-    """True iff 1/a - S_k equals R_k / a as reduced rationals.
+    """True iff 1/a - S_k equals R_k / a as reduced rationals, that is iff
+    1 - a*S_k equals R_k (a = 0 raises ZeroDivisionError, as 1/a does).
 
     True by construction for a state the engine made, since `advance`
     derives S_k from R_k through this identity; it still catches a state
@@ -165,7 +184,10 @@ def check_residual_identity(state: SeriesState) -> bool:
     sum, an unreduced integer sum built term by term, lives in the CLI's
     `verify`.
     """
-    return Fraction(1, state.a) - state.S_k == state.R_k / state.a
+    if not state.a:
+        raise ZeroDivisionError("Fraction(1, 0)")
+    r = state.R_k
+    return _one_minus_a_times(state.a, state.S_k) == (r.numerator, r.denominator)
 
 
 def check_term_recursion(state: SeriesState) -> bool:
@@ -173,9 +195,17 @@ def check_term_recursion(state: SeriesState) -> bool:
 
     Equivalently T_k = (1 - a*S_k)/(F_k - a); the prefactor a is required
     for any a != 1 (for a = 1 this reduces to the familiar
-    T_k = (1 - S_k)/(F_k - 1) form).
+    T_k = (1 - S_k)/(F_k - 1) form). With 1 - a*S_k = x/d reduced and
+    m = F_k - a, x/(d*m) is reduced by h = gcd(x, m), signed as m, since
+    gcd(x, d) = 1; F_k = a raises ZeroDivisionError, as the division does.
     """
-    return state.T_k == (1 - state.a * state.S_k) / (state.F_k - state.a)
+    a, t = state.a, state.T_k
+    m = state.F_k - a
+    if not m:
+        return t == (1 - a * state.S_k) / m  # raises
+    x, d = _one_minus_a_times(a, state.S_k)
+    h = math.gcd(x, m) if m > 0 else -math.gcd(x, m)
+    return t.numerator == x // h and t.denominator == d * (m // h)
 
 
 def report_rows(defn: SeriesDefinition, n_terms: int) -> list[ReportRow]:

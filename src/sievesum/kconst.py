@@ -22,9 +22,8 @@ carry an explicit error estimate; they are not proof-grade bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .sieve import iter_twin_lesser_arrays, primes_up_to
 
@@ -55,8 +54,7 @@ class DegenerateDataError(ExtrapolationError):
     """Differences underlying the extrapolation vanish (e.g. repeated limits)."""
 
 
-@dataclass(frozen=True)
-class PartialProduct:
+class PartialProduct(NamedTuple):
     """log(prod(1 - 1/v)) over twin-sequence values v with pair member <= limit."""
 
     limit: int
@@ -64,8 +62,7 @@ class PartialProduct:
     pair_count: int
 
 
-@dataclass(frozen=True)
-class TwinConstant:
+class TwinConstant(NamedTuple):
     """Computed twin-pair density constant with its self-consistency record."""
 
     c2: float
@@ -73,14 +70,13 @@ class TwinConstant:
     self_check_delta: float  # |C2 at the largest cut-off - C2 at the smallest|
 
 
-@dataclass(frozen=True)
-class ProductEstimate:
+class ProductEstimate(NamedTuple):
     method: str
     k_estimate: float
     tail_correction: float
     error_estimate: float
     c2_used: float | None = None
-    assumptions: str = field(default=HL_ASSUMPTIONS)
+    assumptions: str = HL_ASSUMPTIONS
 
 
 def _log_sums(
@@ -359,8 +355,7 @@ def estimate_K(limit: int, method: str = "both") -> ProductEstimate:
     if method == "aitken":
         return aitken
     hl = extrapolate_hl(partials[-1])
-    return replace(
-        hl,
+    return hl._replace(
         error_estimate=max(hl.error_estimate, abs(hl.k_estimate - aitken.k_estimate)),
         assumptions=HL_ASSUMPTIONS + "; error covers the inter-method spread",
     )

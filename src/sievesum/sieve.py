@@ -188,7 +188,9 @@ def prime_lists(limit: int) -> Iterator[list[int]]:
     if limit >= 2:
         yield [2]
     for low, mask in masks:
-        yield list(_marked(_ODD, low, mask))
+        primes = list(_marked(_ODD, low, mask))
+        del mask  # so that the next mask is built once this one is freed
+        yield primes
 
 
 def _twin_lesser_lists(limit: int) -> Iterator[list[int]]:
@@ -197,7 +199,9 @@ def _twin_lesser_lists(limit: int) -> Iterator[list[int]]:
     if limit >= 5:
         yield [3]
     for low, mask in masks:
-        yield list(_marked(_TWIN, low, mask))
+        lessers = list(_marked(_TWIN, low, mask))
+        del mask  # so that the next mask is built once this one is freed
+        yield lessers
 
 
 def twin_lesser_lists(limit: int) -> Iterator[list[int]]:

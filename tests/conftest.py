@@ -9,6 +9,15 @@ import pytest
 import sievesum.sieve
 
 
+def outcome(check, *args):
+    """check(*args), or the type and text of the exception it raises: what
+    an optimised check and the plain form it replaces must agree on."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def trial_division_primes(limit: int) -> list[int]:
     """Independent oracle: keep n iff no prime divisor <= sqrt(n) divides it.
 

@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import decimal
 import errno
 import os
@@ -50,7 +49,7 @@ from sievesum.series import (
     square_free_definition,
     twin_prime_definition,
 )
-from conftest import patched_segment_size, trial_division_primes
+from conftest import outcome, patched_segment_size, trial_division_primes
 from sievesum.sieve import nth_primes, primes_up_to, twin_pairs_up_to, twin_sequence_up_to
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1514,15 +1513,19 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("tamper", [(), ("--tamper-index", "40")])
     def test_checks_keep_only_the_previous_state(self, capsys, monkeypatch, tamper):
+        class Probe(Fraction):
+            """A T_k that can be weakly referenced, as a state, a tuple, cannot."""
+
         alive = []
 
         def watched(defn, n_terms):
             refs = []
             for state in iter_states(defn, n_terms):
-                # the state being checked, the previous one, and this one
+                # the probes of the state being checked and of the previous one
                 alive.append(sum(ref() is not None for ref in refs))
-                refs.append(weakref.ref(state))
-                yield state
+                probe = Probe(state.T_k)
+                refs.append(weakref.ref(probe))
+                yield state._replace(T_k=probe)
 
         monkeypatch.setattr(sievesum.cli, "iter_states", watched)
         code, _, _ = run_cli(capsys, "verify", "--kind", "prime", "--terms", "40", *tamper)
@@ -1589,9 +1592,7 @@ class TestVerifyCommand:
             for state in iter_states(defn, n_terms):
                 if state.k == index:
                     a, R = state.a, Fraction(1)  # as if no factor had been taken
-                    state = dataclasses.replace(
-                        state, R_k=R, S_k=(1 - R) / a, T_k=R / (state.F_k - a)
-                    )
+                    state = state._replace(R_k=R, S_k=(1 - R) / a, T_k=R / (state.F_k - a))
                 yield state
 
         monkeypatch.setattr(sievesum.cli, "iter_states", wrong_at_index)
@@ -1607,9 +1608,7 @@ class TestVerifyCommand:
             for state in iter_states(defn, n_terms):
                 if state.k == 3:
                     a, R = state.a + 1, state.R_k
-                    state = dataclasses.replace(
-                        state, a=a, S_k=(1 - R) / a, T_k=R / (state.F_k - a)
-                    )
+                    state = state._replace(a=a, S_k=(1 - R) / a, T_k=R / (state.F_k - a))
                 yield state
 
         monkeypatch.setattr(sievesum.cli, "iter_states", other_offset)
@@ -1624,13 +1623,36 @@ class TestVerifyCommand:
         def wrong_sum(defn, n_terms):
             for state in iter_states(defn, n_terms):
                 if state.k == index:
-                    state = dataclasses.replace(state, S_k=state.S_k + Fraction(1, 10**9))
+                    state = state._replace(S_k=state.S_k + Fraction(1, 10**9))
                 yield state
 
         monkeypatch.setattr(sievesum.cli, "iter_states", wrong_sum)
         code, out, _ = run_cli(capsys, "verify", "--kind", "prime", "--terms", "20")
         assert code == 1
         assert json.loads(out) == {"status": "fail", "identity": "residual", "index": index}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(2, 10**6), min_size=1, max_size=40).map(sorted))
+    @example([2, 3, 5, 7, 11, 13])
+    def test_totient_check_matches_its_fraction_form(self, values):
+        def by_fractions(previous, state):
+            if previous is None:
+                return state.T_k == Fraction(1, state.F_k)
+            return state.T_k * state.F_k == previous.T_k * (previous.F_k - 1)
+
+        def changed(state):  # T_k nudged, negated or zero, F_k 1, 0 or negated
+            t, f = state.T_k, state.F_k
+            return [state, *(state._replace(T_k=v) for v in (t + Fraction(1, 7), -t, 0)),
+                    *(state._replace(F_k=v) for v in (1, 0, -f))]
+
+        previous = None
+        for state in iter_states(SeriesDefinition(tuple(values)), len(values)):
+            pairs = [(previous, probe) for probe in changed(state)]
+            if previous is not None:
+                pairs += [(probe, state) for probe in changed(previous)]
+            for pair in pairs:
+                assert outcome(sievesum.cli._totient_holds, *pair) == outcome(by_fractions, *pair)
+            previous = state
 
     def test_depth_guard_has_no_mode_hint(self, capsys):
         # verify has no --mode flag to suggest
@@ -1979,11 +2001,44 @@ class TestFailedWrite:
         assert os.listdir(tmp_path) == ["out"]
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("primes", "--limit", "1e4"), WRITE_CASES["json"]],
+                             ids=["csv", "json"])
+    def test_short_write_to_stdout_is_an_error(self, tmp_path, argv, unbuffered):
+        resource = pytest.importorskip("resource")
+
+        def capped():  # files of this process may not grow past 100 bytes
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100))
+
+        target = tmp_path / "out"
+        with open(target, "w") as out:
+            result = run_module(argv, cli_env(unbuffered), stdout=out, preexec_fn=capped)
+        too_large = os.strerror(errno.EFBIG)
+        assert (result.returncode, result.stderr) == (2, f"error: cannot write stdout: {too_large}\n")
+        assert target.stat().st_size == 100
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_a_reader_gone_before_the_first_byte_is_exit_0(self, unbuffered):
         read_fd, write_fd = os.pipe()
         os.close(read_fd)
         try:
             result = run_module(WRITE_CASES["json"], cli_env(unbuffered), stdout=write_fd)
+        finally:
+            os.close(write_fd)
+        assert (result.returncode, result.stderr) == (0, "")
+
+    def test_text_printed_before_main_is_not_flushed_again_at_exit(self):
+        # "first" waits in sys.stdout's buffer, and its flush fails on the
+        # closed pipe; the interpreter must not fail on it again at exit
+        # (exit 120 and "Exception ignored")
+        script = "import sys, sievesum.cli as c; print('first'); sys.exit(c.main(sys.argv[1:]))"
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", script, *WRITE_CASES["csv"]], env=cli_env(False),
+                stdout=write_fd, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
         finally:
             os.close(write_fd)
         assert (result.returncode, result.stderr) == (0, "")

@@ -21,6 +21,7 @@ from sievesum.engine import (
     report_rows,
 )
 from sievesum.series import prime_definition, twin_prime_definition
+from conftest import outcome
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -126,14 +127,10 @@ class TestIdentityChecks:
         assert check_term_recursion(state)
 
     def test_tampered_state_fails_checks(self):
-        import dataclasses
-
         state = final_state(prime_definition(), 6)
-        bad_T = dataclasses.replace(
-            state, T_k=state.T_k + Fraction(1, state.F_k**3)
-        )
+        bad_T = state._replace(T_k=state.T_k + Fraction(1, state.F_k**3))
         assert not check_term_recursion(bad_T)
-        bad_S = dataclasses.replace(state, S_k=state.S_k + Fraction(1, 10**9))
+        bad_S = state._replace(S_k=state.S_k + Fraction(1, 10**9))
         assert not check_residual_identity(bad_S)
 
     def test_random_instances_pass_and_match_direct_evaluation(self):
@@ -160,6 +157,46 @@ def offset_and_values(draw):
         st.integers(1, 10**4).map(lambda m: 2 * (a + m)),  # even, as half of the a are
     )
     return a, draw(st.lists(value, min_size=1, max_size=60))
+
+
+def residual_by_fractions(state):
+    return Fraction(1, state.a) - state.S_k == state.R_k / state.a
+
+
+def recursion_by_fractions(state):
+    return state.T_k == (1 - state.a * state.S_k) / (state.F_k - state.a)
+
+
+def changed_states(state):
+    """Copies of `state` with a field changed: T_k, S_k or R_k nudged,
+    negated or zero, a moved, zero or F_k, and F_k a + 1, zero or negated,
+    the last two also with the T_k that the recursion gives for them."""
+    for field in ("T_k", "S_k", "R_k"):
+        value = getattr(state, field)
+        for changed in (value + Fraction(1, 7), value - Fraction(1, 10**9), -value, 0):
+            yield state._replace(**{field: changed})
+    for a in (state.a + 1, state.a - 1, -state.a, 0, state.F_k):
+        yield state._replace(a=a)
+    yield state._replace(F_k=state.a + 1)
+    for f in (0, -state.F_k):  # F_k - a < 0
+        yield state._replace(F_k=f)
+        yield state._replace(F_k=f, T_k=(1 - state.a * state.S_k) / (f - state.a))
+
+
+class TestChecksOnIntegers:
+    """The identity checks compare reduced integers; they must agree with
+    the rational forms they stand for, exceptions included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(offset_and_values())
+    @example((1, [2, 3, 5, 7, 11]))
+    @example((6, [8, 9, 12, 18, 7, 30]))
+    def test_checks_match_the_fraction_forms(self, case):
+        a, values = case
+        for state in iter_states(SeriesDefinition(tuple(values), offset_a=a), len(values)):
+            for probe in (state, *changed_states(state)):
+                assert outcome(check_residual_identity, probe) == outcome(residual_by_fractions, probe)
+                assert outcome(check_term_recursion, probe) == outcome(recursion_by_fractions, probe)
 
 
 class TestRunningSumReference:
@@ -281,6 +318,31 @@ class TestSequenceChecks:
         # a concrete sequence is read twice, so an iterator would yield no rows
         with pytest.raises(TypeError, match="sequence or a zero-argument callable"):
             SeriesDefinition(sequence, offset_a=3)
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ({"sequence": iter((4, 5))}, TypeError, "not an iterator"),
+            ({"offset_a": 0}, ValueError, "offset_a must be a positive integer"),
+            ({"depth_guard": 0}, ValueError, "depth_guard must be positive"),
+        ],
+        ids=["iterator", "offset_a", "depth_guard"],
+    )
+    def test_definition_is_checked_when_made_and_when_replaced(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            SeriesDefinition(**{"sequence": (4, 5), **fields})
+        defn = SeriesDefinition((4, 5), offset_a=3)
+        with pytest.raises(error, match=message):
+            defn._replace(**fields)
+        assert defn._replace(offset_a=2) == SeriesDefinition((4, 5), offset_a=2)
+
+    def test_definition_is_a_record(self):
+        defn = SeriesDefinition((4, 5), offset_a=3)
+        assert repr(defn) == "SeriesDefinition(sequence=(4, 5), offset_a=3, depth_guard=5000)"
+        with pytest.raises(AttributeError):
+            defn.offset_a = 1
+        with pytest.raises(AttributeError):
+            defn.extra = 1
 
     def test_terms_takes_only_n_values(self):
         # the bad value past n is never drawn, even from a concrete sequence

@@ -1,7 +1,9 @@
-"""numpy stays off the start-up path: importing the package and running the
-commands that need only Python ints must not load it (it costs about as
-much as the rest of start-up together). Each check runs in a fresh
-interpreter, since this test process has numpy loaded already.
+"""numpy, dataclasses and inspect stay off the start-up path: importing the
+package and running the commands that need only Python ints must load
+none of them. numpy costs about as much as the rest of start-up together;
+dataclasses imports inspect, ast and dis, which is why the package's
+records are NamedTuples. Each check runs in a fresh interpreter, since
+this test process has all of them loaded already.
 """
 
 import json
@@ -10,20 +12,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # After `import sievesum`, each command runs in turn through cli.main, and
-# whether numpy is loaded is recorded after each one. kconst comes last: it
-# builds arrays, so it must load numpy.
+# which of WATCHED are loaded is recorded after each one. kconst comes last:
+# it builds arrays, so it must load numpy, and numpy loads inspect.
+WATCHED = ("numpy", "dataclasses", "inspect")
 PROBE = """
 import contextlib, io, json, sys
+watched = json.loads(sys.argv[2])
 import sievesum
-loaded = {"import sievesum": "numpy" in sys.modules}
+loaded = {"import sievesum": [name for name in watched if name in sys.modules]}
 import sievesum.cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = sievesum.cli.main(argv)
-    loaded[" ".join(argv)] = (code, "numpy" in sys.modules)
+    loaded[" ".join(argv)] = [code, [name for name in watched if name in sys.modules]]
 print(json.dumps(loaded))
 """
 
@@ -53,11 +59,26 @@ def run_python(*argv: str) -> str:
     return result.stdout
 
 
-def test_numpy_loaded_only_by_array_code():
-    loaded = json.loads(run_python("-c", PROBE, json.dumps(NUMPY_FREE + [KCONST])))
-    assert loaded.pop("import sievesum") is False
-    assert loaded.pop(" ".join(KCONST)) == [0, True]
-    assert loaded == {" ".join(argv): [0, False] for argv in NUMPY_FREE}
+@pytest.fixture(scope="module")
+def loaded():
+    """The PROBE's record of the NUMPY_FREE commands and then KCONST."""
+    argv = json.dumps(NUMPY_FREE + [KCONST])
+    return json.loads(run_python("-c", PROBE, argv, json.dumps(WATCHED)))
+
+
+def test_numpy_loaded_only_by_array_code(loaded):
+    assert "numpy" not in loaded["import sievesum"]
+    code, modules = loaded[" ".join(KCONST)]
+    assert (code, "numpy" in modules) == (0, True)
+    for argv in NUMPY_FREE:
+        code, modules = loaded[" ".join(argv)]
+        assert (code, "numpy" in modules) == (0, False), argv
+
+
+def test_neither_dataclasses_nor_inspect_without_numpy(loaded):
+    assert loaded["import sievesum"] == []
+    for argv in NUMPY_FREE:
+        assert loaded[" ".join(argv)] == [0, []], argv
 
 
 def test_twin_constant_does_without_numpy():
