@@ -45,17 +45,20 @@ from .series import (
     square_free_definition,
     twin_prime_definition,
 )
-from .sieve import PRIME_CAP, iter_primes, prime_lists, twin_lesser_lists
+from .sieve import PRIME_CAP, _usable_cpus, iter_primes, prime_lists, twin_lesser_lists
 
 DEFAULT_SEED = 1000003
 _INT64_MAX = 2**63 - 1
 # between two elements of a list in a top-level object, as json.dumps(indent=2) writes it
 _JSON_SEP = ",\n    "
-# float rows per chunk that a render worker takes, and the fewest chunks
-# worth starting the workers for (some 50 ms); fewer rows are rendered in
-# the command's own process
-_CHUNK_ROWS = 4096
-_POOL_MIN_CHUNKS = 8
+# float rows per chunk, rendered in one `%`, and the fewest chunks worth
+# starting render workers for (some 50 ms); fewer rows are rendered in the
+# command's own process, which, with workers, draws at most _DRAWN_AHEAD
+# chunks ahead of the output and sends a worker at most _TASK_CHUNKS at once
+_CHUNK_ROWS = 1024
+_POOL_MIN_CHUNKS = 32
+_DRAWN_AHEAD = 12
+_TASK_CHUNKS = 4
 # Below this many bits, int -> Decimal is converted directly.
 _LEAF_BITS = 128
 # Exact integer arithmetic in decimal: no operation may round, and one that
@@ -248,10 +251,10 @@ def _float_renderer(keys: tuple[str, ...], fmt: str, digits: int):
 
 
 def _render_worker(render, tasks, results, command_ends) -> None:
-    """Send render(chunk) to `results` for each chunk from `tasks`, until
-    the command closes its end of either pipe or ends. Ctrl-C reaches
-    every process of the terminal's group; a worker leaves it to the
-    command, which stops the workers."""
+    """Send [render(chunk) for each chunk] to `results` for each list of
+    chunks from `tasks`, until the command closes its end of either pipe or
+    ends. Ctrl-C reaches every process of the terminal's group; a worker
+    leaves it to the command, which stops the workers."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -259,24 +262,23 @@ def _render_worker(render, tasks, results, command_ends) -> None:
         end.close()
     try:
         while True:
-            results.send(render(tasks.recv()))
+            results.send([render(chunk) for chunk in tasks.recv()])
     except (EOFError, BrokenPipeError):
         pass
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on macOS or Windows
-        return os.cpu_count() or 1
-
-
 def _pooled(render, chunks: Iterable, workers: int) -> Iterator[str]:
-    """render(chunk) of each of `chunks`, in order, each run in one of
-    `workers` forked processes, which take the chunks in turn, one at a
-    time. The chunks are drawn here: the next while the workers render
-    the last ones, so at most workers + 1 are out.
+    """render(chunk) of each of `chunks`, in order, rendered by up to
+    `workers` forked processes and by this one, which draws the chunks.
+
+    A worker that holds no task is sent the oldest chunks neither rendered
+    nor sent, up to _TASK_CHUNKS of them, so that no pipe ever holds more
+    than one task or its texts, whatever its size. This process draws a
+    chunk at a time until _DRAWN_AHEAD chunks are out (drawn and not yet
+    yielded); then it renders the newest chunk neither rendered nor sent,
+    or, if there is none, waits for the oldest task out. Between two of
+    these steps it takes in what the workers have rendered and sends them
+    more, so that neither side waits on the other for long.
 
     The workers are terminated and joined however the generator ends:
     exhausted, by an error, or closed by its consumer. A worker that ends
@@ -287,31 +289,59 @@ def _pooled(render, chunks: Iterable, workers: int) -> Iterator[str]:
 
     context = multiprocessing.get_context("fork")
     processes, ends = [], []  # ends: the task writers and result readers
-    lanes = collections.deque()  # (task writer, result reader) with a chunk out, oldest first
+    idle = collections.deque()  # the lane (task writer, result reader) of each idle worker
+    tasks = collections.deque()  # (lane, entries of its chunks) per task out, oldest first
+    out = collections.deque()  # [chunk, text] per chunk out, oldest first; chunk None once taken
+
+    def start() -> None:
+        task_reader, task_writer = context.Pipe(duplex=False)
+        result_reader, result_writer = context.Pipe(duplex=False)
+        ends.extend((task_writer, result_reader))
+        process = context.Process(target=_render_worker, daemon=True,
+                                  args=(render, task_reader, result_writer, ends))
+        process.start()
+        processes.append(process)  # only a started one can be terminated
+        task_reader.close()
+        result_writer.close()
+        idle.append((task_writer, result_reader))
+
+    def receive(task) -> None:
+        lane, entries = task
+        for entry, text in zip(entries, lane[1].recv()):
+            entry[1] = text
+        idle.append(lane)
+
+    chunks = iter(chunks)
+    drawing = True
     try:
-        for chunk in chunks:
-            text = None
-            if len(lanes) < workers:
-                tasks, task_writer = context.Pipe(duplex=False)
-                result_reader, results = context.Pipe(duplex=False)
-                lane = task_writer, result_reader
-                ends += lane
-                process = context.Process(
-                    target=_render_worker, args=(render, tasks, results, ends), daemon=True
-                )
-                process.start()
-                processes.append(process)  # only a started one can be terminated
-                tasks.close()
-                results.close()
-            else:
-                lane = lanes.popleft()
-                text = lane[1].recv()
-            lane[0].send(chunk)
-            lanes.append(lane)
-            if text is not None:
-                yield text
-        while lanes:
-            yield lanes.popleft()[1].recv()
+        while drawing or out:
+            if drawing and len(out) < _DRAWN_AHEAD:
+                chunk = next(chunks, None)
+                drawing = chunk is not None
+                if drawing:
+                    out.append([chunk, None])
+            for task in [task for task in tasks if task[0][1].poll()]:
+                tasks.remove(task)
+                receive(task)
+            waiting = [entry for entry in out if entry[0] is not None]
+            while waiting and (idle or len(processes) < workers):
+                if not idle:
+                    start()
+                lane = idle.popleft()
+                entries, waiting = waiting[:_TASK_CHUNKS], waiting[_TASK_CHUNKS:]
+                lane[0].send([entry[0] for entry in entries])
+                for entry in entries:
+                    entry[0] = None
+                tasks.append((lane, entries))
+            while out and out[0][1] is not None:
+                yield out.popleft()[1]
+            if drawing and len(out) < _DRAWN_AHEAD or not out:
+                continue
+            if waiting:
+                newest = waiting[-1]
+                newest[1], newest[0] = render(newest[0]), None
+            else:  # the oldest chunk is in the oldest task
+                receive(tasks.popleft())
     except (EOFError, BrokenPipeError):
         # from a pipe to a worker (drawing a row raises neither), which
         # main() must not take for a closed stdout
@@ -331,14 +361,15 @@ def _emit_float_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...]
     Rows are drawn in this process, in order, and rendered by one
     _float_renderer, so the text is the same either way: each row here as
     it is drawn, or, from _POOL_MIN_CHUNKS chunks of _CHUNK_ROWS rows on,
-    where fork exists and two CPUs are usable, each chunk on one of two
-    forked workers (see _pooled), sent as one flat list of its rows' cells
+    where fork exists and two CPUs are usable, each chunk by this process
+    or by one of up to two forked workers, one for each CPU but this
+    process's (see _pooled). A chunk is one flat list of its rows' cells
     (which pickles several times faster than ReportRows, and faster than
-    tuples) and printed whole in one `%` where it passes the gate.
+    tuples), printed whole in one `%` where it passes the gate.
     """
     render = _float_renderer(keys, args.format, args.digits)
-    workers = min(2, _usable_cpus())
-    if n_rows < _POOL_MIN_CHUNKS * _CHUNK_ROWS or workers < 2 or not hasattr(os, "fork"):
+    workers = min(2, _usable_cpus() - 1)
+    if n_rows < _POOL_MIN_CHUNKS * _CHUNK_ROWS or workers < 1 or not hasattr(os, "fork"):
         chunks = (render(row) for row in rows)
     else:
         flat = iter(lambda: list(chain.from_iterable(islice(rows, _CHUNK_ROWS))), [])
@@ -603,9 +634,11 @@ def _dominance_holds(previous: SeriesState | None, state: SeriesState) -> bool:
 
     T_k F_k = R_{k-1}, a product of k - 1 factors 1 - a/F_i, each in (0, 1),
     so this holds by construction for k >= 2 and catches tampered states.
+    Cross-multiplied, as T_k's numerator times F_k against its positive
+    denominator, so that no product is reduced.
     """
-    bound = state.T_k * state.F_k
-    return bound < 1 if state.k >= 2 else bound <= 1
+    bound, one = state.T_k.numerator * state.F_k, state.T_k.denominator
+    return bound < one if state.k >= 2 else bound <= one
 
 
 def _check_states(states: Iterable[SeriesState], extra: tuple = (), **context) -> dict | None:

@@ -22,10 +22,12 @@ carry an explicit error estimate; they are not proof-grade bounds.
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from .sieve import iter_twin_lesser_arrays, primes_up_to
+from . import sieve
+from .sieve import _twin_lesser_range, _usable_cpus, iter_twin_lesser_arrays, primes_up_to
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -35,7 +37,10 @@ if TYPE_CHECKING:
 
 _C2_CUTOFFS = (64, 128)  # prime cut-offs of the two C2 computations
 _C2_DIGITS = 50
-_LOG_BLOCK = 1 << 13  # values per block of _log_sums
+_LOG_BLOCK = 1 << 13  # values per block of _exact_log_sums
+_UNITS = 2**1126  # an exact log sum counts units of 1 / _UNITS
+# pairs (6k - 1, 6k + 1) from which a twin sweep is split between two processes
+_SPLIT_MIN_CANDIDATES = 1 << 22
 HL_ASSUMPTIONS = (
     "conditional on sieved twin pairs up to the stated limit plus the "
     "2*C2/ln^2(t) pair-density tail model; error estimate is heuristic"
@@ -85,21 +90,32 @@ def _log_sums(
     limits: list[int],
 ) -> list[tuple[float, int]]:
     """For each ascending limit, the sum and count of transform(v) over the
-    values v <= limit of the ascending `arrays` (one sieve sweep), taken in
-    blocks of _LOG_BLOCK values, so that every float and int temporary has
-    the size of a block, not of an array.
+    values v <= limit of the ascending `arrays` (one sieve sweep): the exact
+    sums of _exact_log_sums, each rounded once by true division, so that it
+    equals math.fsum of the same terms bit for bit, whatever the
+    segmentation."""
+    return [(total / _UNITS, count) for total, count in _exact_log_sums(arrays, transform, limits)]
 
-    `transform` maps a float64 array elementwise to finite float64 terms.
-    Each term is q * 2**(e - 53) with int64 |q| < 2**53 and np.frexp
-    exponent e >= -1073, so the exact sum is a Python int in units of
-    2**-1126. Runs of equal e are summed in int64 with q split into 26-bit
-    halves, so no sum overflows (every caller's terms are monotone, so runs
-    are few). Each sum is rounded once by true division: it equals
-    math.fsum of the same terms bit for bit, whatever the segmentation.
+
+def _exact_log_sums(
+    arrays: Iterable[np.ndarray],
+    transform: Callable[[np.ndarray], np.ndarray],
+    limits: list[int],
+) -> list[tuple[int, int]]:
+    """_log_sums with each sum exact: an int in units of 1 / _UNITS.
+
+    The values are taken in blocks of _LOG_BLOCK, so that every float and
+    int temporary has the size of a block, not of an array. `transform`
+    maps a float64 array elementwise to finite float64 terms. Each term is
+    q * 2**(e - 53) with int64 |q| < 2**53 and np.frexp exponent
+    e >= -1073, so it is an integer number of units of 2**-1126. Runs of
+    equal e are summed in int64 with q split into 26-bit halves, so no sum
+    overflows (every caller's terms are monotone, so runs are few). Exact
+    sums of disjoint runs of values add up to the exact sum of all of them.
     """
     import numpy as np
 
-    out: list[tuple[float, int]] = []
+    out: list[tuple[int, int]] = []
     total = count = 0
     blocks = (arr[i : i + _LOG_BLOCK] for arr in arrays for i in range(0, arr.size, _LOG_BLOCK))
     for block in blocks:
@@ -120,8 +136,8 @@ def _log_sums(
                 count += stop - start
                 start = stop
             if stop < block.size:
-                out.append((total / 2**1126, count))
-    return out + [(total / 2**1126, count)] * (len(limits) - len(out))
+                out.append((total, count))
+    return out + [(total, count)] * (len(limits) - len(out))
 
 
 def partial_product(limit: int) -> PartialProduct:
@@ -129,18 +145,88 @@ def partial_product(limit: int) -> PartialProduct:
     greater member <= limit (the repeated 5 contributes twice).
 
     Per-pair contributions are computed vectorised and reduced exactly
-    (see _log_sums), so the result is bit-identical for any segmentation
-    of the same limit. Limits below the first pair yield the empty product
-    (log_value 0.0).
+    (see _exact_log_sums), so the result is bit-identical for any
+    segmentation of the same limit. Limits below the first pair yield the
+    empty product (log_value 0.0). From _SPLIT_MIN_CANDIDATES pairs
+    (6k - 1, 6k + 1) on, where fork exists and two CPUs are usable, the
+    sweep is split at the segment edge nearest its middle, and its halves
+    are summed at once (see _split_sums); their exact sums add up to that
+    of the whole, which is rounded once.
     """
+    last = (limit - 1) // 6  # the last k with 6k + 1 <= limit
+    if last < _SPLIT_MIN_CANDIDATES or _usable_cpus() < 2 or not hasattr(os, "fork"):
+        [(total, pair_count)] = _exact_log_sums(
+            iter_twin_lesser_arrays(limit), _pair_log_terms, [limit]
+        )
+    else:
+        size = sieve.SEGMENT_SIZE
+        total, pair_count = _split_sums(limit, 1 + (last + size) // (2 * size) * size)
+    return PartialProduct(limit=limit, log_value=total / _UNITS, pair_count=pair_count)
+
+
+def _pair_log_terms(v: np.ndarray) -> np.ndarray:
+    """log1p(-1/v) + log1p(-1/(v + 2)): a twin pair's term, from its lesser member."""
     import numpy as np
 
-    [(log_value, pair_count)] = _log_sums(
-        iter_twin_lesser_arrays(limit),
-        lambda v: np.log1p(-1.0 / v) + np.log1p(-1.0 / (v + 2.0)),
-        [limit],
-    )
-    return PartialProduct(limit=limit, log_value=log_value, pair_count=pair_count)
+    return np.log1p(-1.0 / v) + np.log1p(-1.0 / (v + 2.0))
+
+
+def _split_sums(limit: int, mid: int) -> tuple[int, int]:
+    """The exact sum and count of the _pair_log_terms of the twin pairs up
+    to `limit`, in two sweeps run at once: the pairs (6k - 1, 6k + 1) with
+    k >= `mid` in a forked child, the others here.
+
+    The child ignores SIGINT, which the terminal sends to the whole process
+    group, writes its two ints in decimal to a pipe and leaves through
+    os._exit, so it runs no exit handler and flushes no stdio buffer it
+    inherited. A child that fails or is killed raises ChildProcessError
+    here, and whatever ends this call early, Ctrl-C included, kills the
+    child and reaps it. The child may be forked from a process that runs
+    numpy's BLAS threads; it calls no BLAS routine, only numpy's
+    elementwise functions.
+    """
+    import signal
+    import warnings
+
+    upper = _twin_lesser_range(mid, limit)  # which checks limit before the fork
+    reader, writer = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of fork in a process with threads
+            warnings.filterwarnings("ignore", ".* use of fork", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(reader)
+            [(total, count)] = _exact_log_sums(upper, _pair_log_terms, [limit])
+            # some 350 bytes, below PIPE_BUF, so that one write takes them whole
+            os.write(writer, f"{total} {count}".encode())
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        os.close(writer)
+        lower = iter_twin_lesser_arrays(6 * mid - 1)  # the pairs with k < mid
+        [(total, count)] = _exact_log_sums(lower, _pair_log_terms, [limit])
+        reply = b"".join(iter(lambda: os.read(reader, 1 << 12), b""))
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"a sieve sweep's child process ended with exit code {code}")
+        upper_total, upper_count = map(int, reply.split())
+        return total + upper_total, count + upper_count
+    finally:
+        os.close(reader)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @lru_cache(maxsize=None)

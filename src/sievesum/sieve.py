@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from itertools import accumulate, chain, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -56,14 +57,19 @@ class _Wheel(NamedTuple):
     head: bytes
 
 
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division (for the few small n of a head)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def _wheel(stride: int, offsets: tuple[int, ...], primes: tuple[int, ...]) -> _Wheel:
     pattern = bytearray(b"\x01") * math.prod(primes)
     for p in primes:
         for r in _residues(stride, offsets, p):
             pattern[r::p] = bytes(len(range(r, len(pattern), p)))
-    # a number of these wheels up to max(primes) is prime iff it is in `primes`
+    # a candidate's other numbers may lie above max(primes), so each is tested
     head = bytes(
-        all(stride * i + c in primes for c in offsets)
+        all(_is_prime(stride * i + c) for c in offsets)
         for i in range((primes[-1] - offsets[0]) // stride + 1)
     )
     return _Wheel(stride, offsets, primes, bytes(pattern), head)
@@ -172,14 +178,19 @@ def _unbounded(wheel: _Wheel) -> Iterator[tuple[int, bytearray]]:
 
 def _masks(wheel: _Wheel, limit: int) -> Iterator[tuple[int, bytearray]]:
     """_segments of `wheel` over every candidate from 1 whose numbers are at
-    most the inclusive `limit`, once it is checked to be an int in
-    [0, PRIME_CAP]."""
+    most the inclusive `limit` (see _last)."""
+    return _segments(wheel, 1, _last(wheel, limit), SEGMENT_SIZE)
+
+
+def _last(wheel: _Wheel, limit: int) -> int:
+    """The last candidate of `wheel` whose numbers are at most the inclusive
+    `limit`, once it is checked to be an int in [0, PRIME_CAP]."""
     limit = operator.index(limit)
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     if limit > PRIME_CAP:
         raise CapacityError(f"limit {limit} exceeds supported cap {PRIME_CAP}")
-    return _segments(wheel, 1, (limit - wheel.offsets[-1]) // wheel.stride, SEGMENT_SIZE)
+    return (limit - wheel.offsets[-1]) // wheel.stride
 
 
 def prime_lists(limit: int) -> Iterator[list[int]]:
@@ -232,6 +243,20 @@ def iter_twin_lesser_arrays(limit: int) -> Iterator[np.ndarray]:
     masks = _masks(_TWIN, limit)
     if limit >= 5:
         yield np.array([3], dtype=np.int64)
+    yield from _twin_lesser_arrays(masks)
+
+
+def _twin_lesser_range(first: int, limit: int) -> Iterator[np.ndarray]:
+    """The arrays of iter_twin_lesser_arrays(limit) without [3] and the
+    pairs (6k - 1, 6k + 1) with k < first. limit is checked by this call,
+    not by the first next()."""
+    return _twin_lesser_arrays(_segments(_TWIN, first, _last(_TWIN, limit), SEGMENT_SIZE))
+
+
+def _twin_lesser_arrays(masks: Iterator[tuple[int, bytearray]]) -> Iterator[np.ndarray]:
+    """One int64 array per (low, mask) of the twin wheel: its lesser members."""
+    import numpy as np
+
     for low, mask in masks:
         lessers = 6 * (low + np.flatnonzero(np.frombuffer(mask, dtype=bool))) - 1
         del mask  # so that the next mask is built once this one is freed
@@ -286,3 +311,11 @@ def nth_twin_values(n: int) -> list[int]:
     while len(out) < n:
         out += _flattened(list(_marked(_TWIN, *next(masks))))
     return out[:n]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on macOS or Windows
+        return os.cpu_count() or 1

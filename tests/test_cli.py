@@ -845,9 +845,9 @@ POOLED_CASES = {
 
 
 def use_pool(monkeypatch, chunk_rows):
-    """Render float rows in chunks of `chunk_rows` on worker processes from
-    two chunks on, as on a host with two usable CPUs. Returns the list of
-    the processes started."""
+    """Render float rows in chunks of `chunk_rows` on a worker process and
+    the command's own from two chunks on, as on a host with two usable
+    CPUs. Returns the list of the processes started."""
     monkeypatch.setattr(sievesum.cli, "_CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(sievesum.cli, "_POOL_MIN_CHUNKS", 2)
     monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: 2)
@@ -871,7 +871,7 @@ class TestPooledFloatRows:
         serial = run_cli(capsys, *argv)
         started = use_pool(monkeypatch, POOL_TEST_CHUNK)
         assert run_cli(capsys, *argv) == serial
-        assert len(started) == 2
+        assert len(started) == 1
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -882,7 +882,7 @@ class TestPooledFloatRows:
         assert run_cli(capsys, *argv, "--output", str(serial)) == (0, "", "")
         started = use_pool(monkeypatch, POOL_TEST_CHUNK)
         assert run_cli(capsys, *argv, "--output", str(pooled)) == (0, "", "")
-        assert len(started) == 2
+        assert len(started) == 1
         assert pooled.read_bytes() == serial.read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["pooled", "serial"]
 
@@ -902,10 +902,11 @@ class TestPooledFloatRows:
         monkeypatch.setattr(sievesum.cli, "float_rows", watched)
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["series", "--kind", "twin", "--mode", "float", "--terms", "500"]) == 0
-        assert len(started) == 2
+        assert len(started) == 1
         assert stdout.getvalue().count("\n") == 501
-        # a chunk out with each of the two workers, and the one being drawn
-        assert chunk < max(ahead) < (2 + 1) * chunk
+        # the command draws a chunk only while fewer than _DRAWN_AHEAD = 12
+        # are out, and it draws 11 more before the worker's first text is back
+        assert 11 * chunk < max(ahead) < 12 * chunk
 
     @pytest.mark.parametrize("cpus, terms", [(1, 500), (2, 2 * 16 - 1)],
                              ids=["one-cpu", "below-two-chunks"])
@@ -929,9 +930,14 @@ class TestPooledFloatRows:
 
     def test_a_killed_worker_is_an_error_not_a_hang(self, monkeypatch):
         started = use_pool(monkeypatch, 1)
-        texts = sievesum.cli._pooled(repr, iter([[k] for k in range(8)]), 2)
-        assert [next(texts), next(texts)] == ["[0]", "[1]"]
-        started[0].kill()
+
+        def chunks():
+            yield [0]  # the worker is started and sent it
+            started[0].kill()
+            started[0].join()
+            yield from ([k] for k in range(1, 8))
+
+        texts = sievesum.cli._pooled(repr, chunks(), 1)
         with pytest.raises(ChildProcessError, match="a render worker ended"):
             list(texts)
         assert multiprocessing.active_children() == []
@@ -941,6 +947,13 @@ class TestPooledFloatRows:
         monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: 64)
         assert run_cli(capsys, *POOLED_CASES["twin"])[0] == 0
         assert len(started) == 2
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 1), (3, 2)])
+    def test_a_worker_for_each_cpu_but_the_commands(self, capsys, monkeypatch, cpus, workers):
+        started = use_pool(monkeypatch, 16)
+        monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: cpus)
+        assert run_cli(capsys, *POOLED_CASES["twin"])[0] == 0
+        assert len(started) == workers
 
 
 # Runs sievesum.cli.main(argv) in a fresh interpreter, as on a host with
@@ -1654,6 +1667,29 @@ class TestVerifyCommand:
                 assert outcome(sievesum.cli._totient_holds, *pair) == outcome(by_fractions, *pair)
             previous = state
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(3, 10**6), min_size=1, max_size=40, unique=True).map(sorted),
+           st.integers(1, 2))
+    @example([3, 5, 7, 11, 13], 2)
+    def test_dominance_check_matches_its_fraction_form(self, values, a):
+        def by_fractions(previous, state):
+            bound = state.T_k * state.F_k
+            return bound < 1 if state.k >= 2 else bound <= 1
+
+        def changed(state):  # T_k tampered, nudged, negated, 0 or 1/F_k; F_k 1, 0 or negated
+            t, f = state.T_k, state.F_k
+            tampered = Fraction(t.numerator ^ 1, t.denominator)
+            return [state,
+                    *(state._replace(T_k=v) for v in (tampered, t + Fraction(1, 7), -t, 0,
+                                                      Fraction(1, f))),
+                    *(state._replace(F_k=v) for v in (1, 0, -f))]
+
+        states = iter_states(SeriesDefinition(tuple(values), offset_a=a), len(values))
+        for state in states:
+            for probe in changed(state):
+                assert (outcome(sievesum.cli._dominance_holds, None, probe)
+                        == outcome(by_fractions, None, probe))
+
     def test_depth_guard_has_no_mode_hint(self, capsys):
         # verify has no --mode flag to suggest
         code, out, err = run_cli(capsys, "verify", "--terms", "5001")
@@ -1930,7 +1966,7 @@ class TestFailedWrite:
         code, _, err = run_cli(capsys, *WRITE_CASES[case])
         assert (code, err) == (2, NO_SPACE.format("stdout"))
         if case == "pooled":
-            assert len(started) == 2
+            assert len(started) == 1
         assert multiprocessing.active_children() == []
 
     def test_an_os_error_from_drawing_a_row_is_not_an_output_error(self, monkeypatch):

@@ -1,9 +1,12 @@
-"""numpy, dataclasses and inspect stay off the start-up path: importing the
-package and running the commands that need only Python ints must load
-none of them. numpy costs about as much as the rest of start-up together;
-dataclasses imports inspect, ast and dis, which is why the package's
-records are NamedTuples. Each check runs in a fresh interpreter, since
-this test process has all of them loaded already.
+"""numpy, dataclasses, inspect, multiprocessing and pickle stay off the
+start-up path: importing the package and running the commands that need
+only Python ints, float series below the render pool's row count
+included, must load none of them. numpy costs about as much as the rest of
+start-up together; dataclasses imports inspect, ast and dis, which is why
+the package's records are NamedTuples. kconst needs numpy (which loads
+pickle), but its split sweeps fork without multiprocessing, which would
+raise its peak memory. Each check runs in a fresh interpreter, since this
+test process has all of them loaded already.
 """
 
 import json
@@ -18,8 +21,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # After `import sievesum`, each command runs in turn through cli.main, and
 # which of WATCHED are loaded is recorded after each one. kconst comes last:
-# it builds arrays, so it must load numpy, and numpy loads inspect.
-WATCHED = ("numpy", "dataclasses", "inspect")
+# it builds arrays, so it must load numpy, and numpy loads inspect and pickle.
+WATCHED = ("numpy", "dataclasses", "inspect", "multiprocessing", "pickle")
 PROBE = """
 import contextlib, io, json, sys
 watched = json.loads(sys.argv[2])
@@ -46,6 +49,7 @@ NUMPY_FREE = [
     ["primes", "--limit", "100", "--twins", "--format", "json"],
 ]
 KCONST = ["kconst", "--limit", "1e4"]
+KCONST_SPLIT = ["kconst", "--limit", "3e7"]  # its sweep is split between two processes
 
 
 def run_python(*argv: str) -> str:
@@ -61,8 +65,8 @@ def run_python(*argv: str) -> str:
 
 @pytest.fixture(scope="module")
 def loaded():
-    """The PROBE's record of the NUMPY_FREE commands and then KCONST."""
-    argv = json.dumps(NUMPY_FREE + [KCONST])
+    """The PROBE's record of the NUMPY_FREE commands, KCONST and KCONST_SPLIT."""
+    argv = json.dumps(NUMPY_FREE + [KCONST, KCONST_SPLIT])
     return json.loads(run_python("-c", PROBE, argv, json.dumps(WATCHED)))
 
 
@@ -87,3 +91,28 @@ def test_twin_constant_does_without_numpy():
         "twin_constant(); print('numpy' in sys.modules)"
     )
     assert run_python("-c", probe) == "False\n"
+
+
+def test_split_kconst_does_without_multiprocessing(loaded):
+    import sievesum.kconst
+
+    assert (3 * 10**7 - 1) // 6 >= sievesum.kconst._SPLIT_MIN_CANDIDATES
+    code, modules = loaded[" ".join(KCONST_SPLIT)]
+    assert (code, "numpy" in modules, "multiprocessing" in modules) == (0, True, False)
+
+
+# The standard modules that the package's modules import at their top level
+TOP_LEVEL_IMPORTS = (
+    "__future__, argparse, collections, contextlib, decimal, fractions, functools, itertools, "
+    "json, math, operator, os, random, re, sys, tempfile, typing"
+)
+
+
+def test_cli_import_loads_only_the_package_beyond_its_top_level_imports():
+    probe = (
+        f"import sys, {TOP_LEVEL_IMPORTS}; before = set(sys.modules); import sievesum.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    modules = ("cli", "engine", "kconst", "series", "sieve")
+    package = ["sievesum", *(f"sievesum.{module}" for module in modules)]
+    assert run_python("-c", probe).split() == package

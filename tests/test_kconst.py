@@ -1,6 +1,16 @@
+import contextlib
 import decimal
+import errno
+import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -11,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sievesum.cli
 import sievesum.kconst
 import sievesum.sieve
 from conftest import patched_segment_size
@@ -21,7 +32,10 @@ from sievesum.kconst import (
     PartialProduct,
     _bernoulli_term,
     _c2_at,
+    _exact_log_sums,
     _log_sums,
+    _pair_log_terms,
+    _split_sums,
     _zeta,
     estimate_K,
     extrapolate_aitken,
@@ -30,7 +44,14 @@ from sievesum.kconst import (
     partial_product,
     twin_constant,
 )
-from sievesum.sieve import primes_up_to, twin_pairs_up_to, twin_sequence_up_to
+from sievesum.sieve import (
+    iter_twin_lesser_arrays,
+    primes_up_to,
+    twin_pairs_up_to,
+    twin_sequence_up_to,
+)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def exact_partial(limit: int) -> Fraction:
@@ -94,6 +115,242 @@ class TestPartialProduct:
         lessers = np.array([p.lesser for p in twin_pairs_up_to(limit)], dtype=np.float64)
         terms = np.log1p(-1.0 / lessers) + np.log1p(-1.0 / (lessers + 2.0))
         assert partial_product(limit).log_value == math.fsum(terms.tolist())
+
+
+def serial_sums(limit: int) -> tuple[int, int]:
+    """The exact sum and count of one unsplit sweep to `limit`."""
+    [sums] = _exact_log_sums(iter_twin_lesser_arrays(limit), _pair_log_terms, [limit])
+    return sums
+
+
+def split_every_sweep(monkeypatch) -> list[int]:
+    """Split every sweep of partial_product, as on a host with two usable
+    CPUs. Returns the list of the split points taken."""
+    monkeypatch.setattr(sievesum.kconst, "_SPLIT_MIN_CANDIDATES", 1)
+    monkeypatch.setattr(sievesum.kconst, "_usable_cpus", lambda: 2)
+    mids = []
+    split = sievesum.kconst._split_sums
+
+    def recording(limit, mid):
+        mids.append(mid)
+        return split(limit, mid)
+
+    monkeypatch.setattr(sievesum.kconst, "_split_sums", recording)
+    return mids
+
+
+def recorded_forks(monkeypatch) -> list[int]:
+    """The list of the pids of the children that os.fork starts from now on."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # neither running nor a zombie
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestSplitSweep:
+    @pytest.mark.parametrize("segment_size, limit", [
+        (1, 20_000), (64, 10**6), (5005, 10**6), (sievesum.sieve.SEGMENT_SIZE, 10**7),
+    ])
+    def test_equals_the_unsplit_sweep(self, monkeypatch, segment_size, limit):
+        with patched_segment_size(segment_size):
+            whole = partial_product(limit)
+            mids = split_every_sweep(monkeypatch)
+            pids = recorded_forks(monkeypatch)
+            split = partial_product(limit)
+        assert split == whole  # log_value bit for bit, and pair_count
+        last = (limit - 1) // 6
+        # the segment edge nearest the middle, with candidates on both sides
+        [mid] = mids
+        assert (mid - 1) % segment_size == 0 and 1 < mid <= last
+        assert abs(mid - 1 - last / 2) <= segment_size / 2
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    # segments of 64 candidates start at 1 + 64 j; the last candidate of 1e6
+    # is 166666, so the child may also sweep all, one or no candidate
+    @pytest.mark.parametrize("mid", [1, 2, 64 * 1000, 64 * 1000 + 1, 64 * 1000 + 2, 166666, 166667])
+    def test_any_split_point_gives_the_same_sums(self, mid):
+        with patched_segment_size(64):
+            assert _split_sums(10**6, mid) == serial_sums(10**6)
+
+    @pytest.mark.parametrize("cpus, above_gate, split",
+                             [(2, 0, True), (2, 1, False), (1, 0, False)])
+    def test_split_from_the_gate_on_and_with_two_cpus(self, monkeypatch, cpus, above_gate, split):
+        whole = partial_product(10**6)
+        mids = split_every_sweep(monkeypatch)
+        monkeypatch.setattr(sievesum.kconst, "_usable_cpus", lambda: cpus)
+        last = (10**6 - 1) // 6
+        monkeypatch.setattr(sievesum.kconst, "_SPLIT_MIN_CANDIDATES", last + above_gate)
+        assert partial_product(10**6) == whole
+        assert bool(mids) == split
+
+    @pytest.mark.parametrize("limit, error", [
+        (10.0**6, TypeError), (sievesum.sieve.PRIME_CAP + 1, sievesum.sieve.CapacityError),
+        (-7, ValueError),
+    ])
+    def test_a_bad_limit_is_refused_before_any_fork(self, monkeypatch, limit, error):
+        split_every_sweep(monkeypatch)
+        pids = recorded_forks(monkeypatch)
+        with pytest.raises(error):
+            partial_product(limit)
+        assert pids == []
+
+    @pytest.mark.parametrize("end, code", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+        (lambda: 1 / 0, 1),
+    ], ids=["killed", "failed"])
+    def test_a_child_that_ends_early_is_an_error(self, monkeypatch, end, code):
+        def ending(first, limit):
+            end()
+            yield
+
+        pids = recorded_forks(monkeypatch)
+        monkeypatch.setattr(sievesum.kconst, "_twin_lesser_range", ending)
+        with pytest.raises(ChildProcessError, match=f"child process ended with exit code {code}$"):
+            _split_sums(10**6, 1 + 10**5)
+        assert_reaped(pids)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_failed_fork_raises_and_closes_the_pipe(self, monkeypatch):
+        def failed_fork():
+            raise BlockingIOError(errno.EAGAIN, "fork failed")
+
+        monkeypatch.setattr(os, "fork", failed_fork)
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="fork failed"):
+            _split_sums(10**6, 1 + 10**5)
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_an_error_here_kills_the_child(self, monkeypatch):
+        def stalled(first, limit):
+            time.sleep(600)
+            yield
+
+        def interrupted(limit):
+            raise KeyboardInterrupt
+            yield
+
+        pids = recorded_forks(monkeypatch)
+        monkeypatch.setattr(sievesum.kconst, "_twin_lesser_range", stalled)
+        monkeypatch.setattr(sievesum.kconst, "iter_twin_lesser_arrays", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _split_sums(10**6, 1 + 10**5)
+        assert time.monotonic() - start < 60
+        assert_reaped(pids)
+
+    def test_fork_warning_of_a_threaded_process_is_not_shown(self, monkeypatch):
+        # Python 3.12 warns so on fork in a process with threads, numpy's BLAS pool
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _split_sums(10**6, 1 + 10**5) == serial_sums(10**6)
+
+
+# Runs sievesum.cli.main(argv) in a fresh interpreter with every twin sweep
+# split and 4096 candidates per segment, then writes to stderr its exit code
+# (or the ChildProcessError it raised) and whether a child process of it is
+# left. With SLOW_CHILD=1 the child's
+# half of a sweep stalls; with INTERRUPT=1 the command's half sends SIGINT
+# to the process group, as Ctrl-C does, at its third array; with
+# KILL_CHILD=1 the child kills itself.
+SPLIT_SCRIPT = textwrap.dedent("""
+    import os, signal, sys, time
+    import sievesum.cli as cli, sievesum.kconst as kconst, sievesum.sieve as sieve
+
+    kconst._SPLIT_MIN_CANDIDATES, kconst._usable_cpus, sieve.SEGMENT_SIZE = 1, lambda: 2, 4096
+    lower, upper = kconst.iter_twin_lesser_arrays, kconst._twin_lesser_range
+
+    def lower_half(limit):
+        for i, array in enumerate(lower(limit)):
+            if i == 2 and os.environ.get("INTERRUPT"):
+                os.killpg(0, signal.SIGINT)
+            yield array
+
+    def upper_half(first, limit):
+        if os.environ.get("SLOW_CHILD"):
+            time.sleep(600)
+        if os.environ.get("KILL_CHILD"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield from upper(first, limit)
+
+    kconst.iter_twin_lesser_arrays, kconst._twin_lesser_range = lower_half, upper_half
+    try:
+        code = cli.main(sys.argv[1:])
+    except ChildProcessError as exc:
+        code = f"ChildProcessError: {exc}"
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = "child left"
+    except ChildProcessError:
+        left = "no child"
+    print(code, left, file=sys.stderr)
+""")
+
+
+def run_split_script(*argv: str, **env: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of SPLIT_SCRIPT on argv, run with
+    warnings as errors in a process group of its own. stderr is read to
+    its end, which comes only when every process holding it has exited."""
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-c", SPLIT_SCRIPT, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # whatever is left of the group
+            os.killpg(proc.pid, signal.SIGKILL)
+    return proc.returncode, out, err
+
+
+class TestSplitSweepCommand:
+    def test_output_is_that_of_the_unsplit_sweeps(self, capsys):
+        argv = ("kconst", "--limit", "1e6", "--method", "both")
+        assert sievesum.cli.main(list(argv)) == 0
+        unsplit = capsys.readouterr().out
+        assert run_split_script(*argv) == (0, unsplit, "0 no child\n")
+
+    def test_ctrl_c_is_exit_130_and_leaves_no_child(self):
+        result = run_split_script("kconst", "--limit", "1e6", SLOW_CHILD="1", INTERRUPT="1")
+        assert result == (0, "", "error: interrupted\n130 no child\n")
+
+    def test_a_killed_child_is_an_error(self):
+        result = run_split_script("kconst", "--limit", "1e6", KILL_CHILD="1")
+        error = "ChildProcessError: a sieve sweep's child process ended with exit code -9"
+        assert result == (0, "", f"{error} no child\n")
+
+    def test_no_warning_at_a_split_size(self):
+        assert (10**8 - 1) // 6 >= sievesum.kconst._SPLIT_MIN_CANDIDATES
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sievesum", "kconst", "--limit", "1e8"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout)["pair_count"] == 440312
 
 
 # Finite doubles across the whole exponent range, subnormals and both zeros

@@ -17,6 +17,7 @@ from sievesum.sieve import (
     _marked,
     _masks,
     _segments,
+    _wheel,
     iter_prime_arrays,
     iter_primes,
     iter_twin_lesser_arrays,
@@ -330,6 +331,26 @@ class TestTwinKernel:
             for edge in edges:
                 for n in range(edge - 2, edge + 3):
                     assert nth_twin_values(n) == reference[:n]
+
+
+PRESIEVE_PRIMES = [3, 5, 7, 11, 13, 17, 19]
+
+
+class TestWheelHead:
+    """Every wheel, built on any prefix of the odd primes as its pre-sieve,
+    marks the first 10**4 candidates as trial division does, its head
+    included: a candidate whose number is a pre-sieve prime, or has a
+    number above the largest of them, as (17, 19) on (5, 7, 11, 13, 17)."""
+
+    @pytest.mark.parametrize("stride, offsets, first", [(6, (-1, 1), 5), (2, (1,), 3)],
+                             ids=["twin", "odd"])
+    @pytest.mark.parametrize("count", range(1, 7))
+    def test_masks_match_trial_division(self, stride, offsets, first, count):
+        start = PRESIEVE_PRIMES.index(first)
+        wheel = _wheel(stride, offsets, tuple(PRESIEVE_PRIMES[start : start + count]))
+        got = list(chain.from_iterable(mask for _, mask in _segments(wheel, 0, 9999, 1 << 20)))
+        expected = [int(all(is_prime(stride * i + c) for c in offsets)) for i in range(10**4)]
+        assert got == expected
 
 
 class TestTwinBoundaries:
