@@ -11,9 +11,7 @@ from .engine import (
     advance,
     check_residual_identity,
     check_term_recursion,
-    final_state,
     float_rows,
-    init,
     iter_states,
     report_rows,
 )
@@ -43,7 +41,6 @@ from .series import (
     prime_series,
     primorial,
     square_free_definition,
-    square_free_series,
     square_free_sum_float,
     totient_primorial,
     twin_prime_definition,

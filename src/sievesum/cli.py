@@ -7,7 +7,8 @@ or JSON; exact fractions are never rounded (num/den columns in CSV,
 naming the first violation, 2 on usage errors. Every command exits 2 when
 --output cannot be written, before it computes anything, 2 with one
 "error: cannot write ..." line when a write of the output fails (a full
-disk or /dev/full), and 130 with one "error: interrupted" line on Ctrl-C.
+disk or /dev/full), 1 with one "error: ..." line when a child process
+ends early, and 130 with one "error: interrupted" line on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .series import (
     square_free_definition,
     twin_prime_definition,
 )
-from .sieve import PRIME_CAP, _usable_cpus, iter_primes, prime_lists, twin_lesser_lists
+from .sieve import PRIME_CAP, _Child, _usable_cpus, iter_primes, prime_lists, twin_lesser_lists
 
 DEFAULT_SEED = 1000003
 _INT64_MAX = 2**63 - 1
@@ -250,26 +251,10 @@ def _float_renderer(keys: tuple[str, ...], fmt: str, digits: int):
     return render
 
 
-def _render_worker(render, tasks, results, command_ends) -> None:
-    """Send [render(chunk) for each chunk] to `results` for each list of
-    chunks from `tasks`, until the command closes its end of either pipe or
-    ends. Ctrl-C reaches every process of the terminal's group; a worker
-    leaves it to the command, which stops the workers."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in command_ends:  # fork's copies, so that the command holds the last ones
-        end.close()
-    try:
-        while True:
-            results.send([render(chunk) for chunk in tasks.recv()])
-    except (EOFError, BrokenPipeError):
-        pass
-
-
 def _pooled(render, chunks: Iterable, workers: int) -> Iterator[str]:
     """render(chunk) of each of `chunks`, in order, rendered by up to
-    `workers` forked processes and by this one, which draws the chunks.
+    `workers` forked processes (see sieve._Child) and by this one, which
+    draws the chunks.
 
     A worker that holds no task is sent the oldest chunks neither rendered
     nor sent, up to _TASK_CHUNKS of them, so that no pipe ever holds more
@@ -278,38 +263,20 @@ def _pooled(render, chunks: Iterable, workers: int) -> Iterator[str]:
     yielded); then it renders the newest chunk neither rendered nor sent,
     or, if there is none, waits for the oldest task out. Between two of
     these steps it takes in what the workers have rendered and sends them
-    more, so that neither side waits on the other for long.
-
-    The workers are terminated and joined however the generator ends:
-    exhausted, by an error, or closed by its consumer. A worker that ends
-    early raises ChildProcessError here; if the command is killed, each
-    worker sees its pipes close, and ends.
+    more, so that neither side waits on the other for long. The workers are
+    stopped however the generator ends: exhausted, by an error, or closed
+    by its consumer.
     """
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    processes, ends = [], []  # ends: the task writers and result readers
-    idle = collections.deque()  # the lane (task writer, result reader) of each idle worker
-    tasks = collections.deque()  # (lane, entries of its chunks) per task out, oldest first
+    children: list[_Child] = []
+    idle = collections.deque()  # the idle workers
+    tasks = collections.deque()  # (worker, entries of its chunks) per task out, oldest first
     out = collections.deque()  # [chunk, text] per chunk out, oldest first; chunk None once taken
 
-    def start() -> None:
-        task_reader, task_writer = context.Pipe(duplex=False)
-        result_reader, result_writer = context.Pipe(duplex=False)
-        ends.extend((task_writer, result_reader))
-        process = context.Process(target=_render_worker, daemon=True,
-                                  args=(render, task_reader, result_writer, ends))
-        process.start()
-        processes.append(process)  # only a started one can be terminated
-        task_reader.close()
-        result_writer.close()
-        idle.append((task_writer, result_reader))
-
     def receive(task) -> None:
-        lane, entries = task
-        for entry, text in zip(entries, lane[1].recv()):
+        child, entries = task
+        for entry, text in zip(entries, child.receive()):
             entry[1] = text
-        idle.append(lane)
+        idle.append(child)
 
     chunks = iter(chunks)
     drawing = True
@@ -320,19 +287,20 @@ def _pooled(render, chunks: Iterable, workers: int) -> Iterator[str]:
                 drawing = chunk is not None
                 if drawing:
                     out.append([chunk, None])
-            for task in [task for task in tasks if task[0][1].poll()]:
+            for task in [task for task in tasks if task[0].ready()]:
                 tasks.remove(task)
                 receive(task)
             waiting = [entry for entry in out if entry[0] is not None]
-            while waiting and (idle or len(processes) < workers):
+            while waiting and (idle or len(children) < workers):
                 if not idle:
-                    start()
-                lane = idle.popleft()
+                    children.append(_Child(lambda task: list(map(render, task)), children))
+                    idle.append(children[-1])
+                child = idle.popleft()
                 entries, waiting = waiting[:_TASK_CHUNKS], waiting[_TASK_CHUNKS:]
-                lane[0].send([entry[0] for entry in entries])
+                child.send([entry[0] for entry in entries])
                 for entry in entries:
                     entry[0] = None
-                tasks.append((lane, entries))
+                tasks.append((child, entries))
             while out and out[0][1] is not None:
                 yield out.popleft()[1]
             if drawing and len(out) < _DRAWN_AHEAD or not out:
@@ -342,15 +310,9 @@ def _pooled(render, chunks: Iterable, workers: int) -> Iterator[str]:
                 newest[1], newest[0] = render(newest[0]), None
             else:  # the oldest chunk is in the oldest task
                 receive(tasks.popleft())
-    except (EOFError, BrokenPipeError):
-        # from a pipe to a worker (drawing a row raises neither), which
-        # main() must not take for a closed stdout
-        raise ChildProcessError("a render worker ended before the command") from None
     finally:
-        for process in processes:
-            process.terminate()
-        for process in processes:
-            process.join()
+        for child in children:
+            child.stop()
 
 
 def _emit_float_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...],
@@ -916,8 +878,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except BrokenPipeError:
         return 0
-    # Ctrl-C: the render workers are joined and an --output file is left as
-    # it was on the way here
+    # Ctrl-C: the child processes are stopped and an --output file is left
+    # as it was on the way here
     except KeyboardInterrupt:
         _error("interrupted")
         return 130
@@ -929,8 +891,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OutputError, ValueError) as exc:
         _error(str(exc))
         return 2
-    # an internal self-check failed, such as twin_constant's
-    except ArithmeticError as exc:
+    # an internal failure: a self-check, such as twin_constant's, or a
+    # child process that ended before it answered
+    except (ArithmeticError, ChildProcessError) as exc:
         _error(str(exc))
         return 1
 

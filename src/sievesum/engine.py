@@ -123,11 +123,6 @@ class ReportRow(NamedTuple):
     residual: Fraction | float
 
 
-def init(defn: SeriesDefinition) -> SeriesState:
-    """State after the first term: T_1 = 1/F_1, R_1 = (F_1 - a)/F_1."""
-    return next(iter_states(defn, 1))
-
-
 def advance(state: SeriesState, F_next: int) -> SeriesState:
     """Consume one more sequence value; all arithmetic exact and reduced."""
     f = operator.index(F_next)
@@ -154,14 +149,6 @@ def iter_states(defn: SeriesDefinition, n_terms: int) -> Iterator[SeriesState]:
     for f in defn.terms(n_terms):
         state = advance(state, f)
         yield state
-
-
-def final_state(defn: SeriesDefinition, n_terms: int) -> SeriesState:
-    state = None
-    for state in iter_states(defn, n_terms):
-        pass
-    assert state is not None
-    return state
 
 
 def _one_minus_a_times(a: int, s: Fraction) -> tuple[int, int]:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import sieve
-from .sieve import _twin_lesser_range, _usable_cpus, iter_twin_lesser_arrays, primes_up_to
+from .sieve import _Child, _twin_lesser_range, _usable_cpus, iter_twin_lesser_arrays, primes_up_to
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -174,59 +174,17 @@ def _pair_log_terms(v: np.ndarray) -> np.ndarray:
 def _split_sums(limit: int, mid: int) -> tuple[int, int]:
     """The exact sum and count of the _pair_log_terms of the twin pairs up
     to `limit`, in two sweeps run at once: the pairs (6k - 1, 6k + 1) with
-    k >= `mid` in a forked child, the others here.
-
-    The child ignores SIGINT, which the terminal sends to the whole process
-    group, writes its two ints in decimal to a pipe and leaves through
-    os._exit, so it runs no exit handler and flushes no stdio buffer it
-    inherited. A child that fails or is killed raises ChildProcessError
-    here, and whatever ends this call early, Ctrl-C included, kills the
-    child and reaps it. The child may be forked from a process that runs
-    numpy's BLAS threads; it calls no BLAS routine, only numpy's
-    elementwise functions.
-    """
-    import signal
-    import warnings
-
+    k >= `mid` in a forked child (see sieve._Child), the others here."""
     upper = _twin_lesser_range(mid, limit)  # which checks limit before the fork
-    reader, writer = os.pipe()
+    child = _Child(lambda _: _exact_log_sums(upper, _pair_log_terms, [limit])[0])
     try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns of fork in a process with threads
-            warnings.filterwarnings("ignore", ".* use of fork", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(reader)
-        os.close(writer)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            os.close(reader)
-            [(total, count)] = _exact_log_sums(upper, _pair_log_terms, [limit])
-            # some 350 bytes, below PIPE_BUF, so that one write takes them whole
-            os.write(writer, f"{total} {count}".encode())
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        os.close(writer)
+        child.send(None)
         lower = iter_twin_lesser_arrays(6 * mid - 1)  # the pairs with k < mid
         [(total, count)] = _exact_log_sums(lower, _pair_log_terms, [limit])
-        reply = b"".join(iter(lambda: os.read(reader, 1 << 12), b""))
-        _, status = os.waitpid(pid, 0)
-        pid = 0
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            raise ChildProcessError(f"a sieve sweep's child process ended with exit code {code}")
-        upper_total, upper_count = map(int, reply.split())
+        upper_total, upper_count = child.receive()
         return total + upper_total, count + upper_count
     finally:
-        os.close(reader)
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        child.stop()
 
 
 @lru_cache(maxsize=None)

@@ -89,10 +89,6 @@ def prime_series(n_terms: int) -> list[ReportRow]:
     return report_rows(prime_definition(), n_terms)
 
 
-def square_free_series(n_terms: int) -> list[ReportRow]:
-    return report_rows(square_free_definition(), n_terms)
-
-
 def twin_prime_series(n_terms: int) -> list[ReportRow]:
     return report_rows(twin_prime_definition(), n_terms)
 

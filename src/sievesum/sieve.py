@@ -24,7 +24,7 @@ import math
 import operator
 import os
 from itertools import accumulate, chain, islice
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, NoReturn
 
 if TYPE_CHECKING:
     import numpy as np
@@ -319,3 +319,99 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on macOS or Windows
         return os.cpu_count() or 1
+
+
+class _Child:
+    """A forked child process that answers each value sent to it with
+    serve(value), both pickled over pipes of its own, until this process
+    closes its ends or dies; stop() it however the caller ends.
+
+    The child ignores SIGINT, which the terminal sends to the whole process
+    group, and closes its copies of the ends of `siblings`, this process's
+    other _Childs, so that each child sees its requests end once this
+    process closes its ends. It leaves through os._exit: it runs no exit
+    handler, flushes no stdio buffer it inherited and never returns into
+    the caller. A child that ends before it answers raises
+    ChildProcessError here. It may be forked from a process that runs
+    numpy's BLAS threads, so serve must call no BLAS routine.
+    """
+
+    def __init__(self, serve, siblings: Iterable[_Child] = ()) -> None:
+        import pickle
+        import signal
+        import warnings
+
+        ends: list[int] = []
+        try:
+            ends += os.pipe()
+            ends += os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12 warns of fork in a process with threads
+                warnings.filterwarnings("ignore", ".* use of fork", DeprecationWarning)
+                pid = os.fork()
+        except BaseException:
+            for end in ends:
+                os.close(end)
+            raise
+        request_reader, request_writer, answer_reader, answer_writer = ends
+        if pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                for end in (request_writer, answer_reader, *(e for c in siblings for e in c.ends)):
+                    os.close(end)
+                requests, answers = open(request_reader, "rb"), open(answer_writer, "wb")
+                while True:
+                    pickle.dump(serve(pickle.load(requests)), answers)
+                    answers.flush()
+            except EOFError:  # the requests ended: this process closed its ends or died
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(request_reader)
+        os.close(answer_writer)
+        self.pid, self.ends = pid, (request_writer, answer_reader)
+        self._requests, self._answers = open(request_writer, "wb"), open(answer_reader, "rb")
+
+    def send(self, value) -> None:
+        import pickle
+
+        try:
+            pickle.dump(value, self._requests)
+            self._requests.flush()
+        except BrokenPipeError:
+            self._ended()
+
+    def ready(self) -> bool:
+        """Whether receive() returns at once: an answer, or the child's end, waits."""
+        import select
+
+        return bool(select.select([self._answers], [], [], 0)[0])
+
+    def receive(self):
+        """The answer to the oldest value sent and not yet answered."""
+        import pickle
+
+        try:
+            return pickle.load(self._answers)
+        except (EOFError, pickle.UnpicklingError):  # no answer, or part of one
+            self._ended()
+
+    def _ended(self) -> NoReturn:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        code = os.waitstatus_to_exitcode(status)
+        raise ChildProcessError(f"a child process ended with exit code {code} before it answered")
+
+    def stop(self) -> None:
+        """Kill the child and reap it, and close this process's ends."""
+        import signal
+
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        self._answers.close()
+        try:
+            self._requests.close()
+        except BrokenPipeError:  # the rest of a request the child did not read
+            pass

@@ -1,6 +1,7 @@
 import contextlib
 import decimal
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,28 @@ def trial_division_primes(limit: int) -> list[int]:
 @pytest.fixture(scope="session")
 def oracle_primes_1m() -> list[int]:
     return trial_division_primes(10**6)
+
+
+@pytest.fixture
+def forked(monkeypatch) -> list[int]:
+    """The pids of the child processes that os.fork starts in the test."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def assert_no_child_left() -> None:
+    """This process has no child process, neither running nor a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def patched_segment_size(size: int) -> contextlib.AbstractContextManager:

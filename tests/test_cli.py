@@ -8,7 +8,6 @@ import io
 import itertools
 import json
 import math
-import multiprocessing
 import random
 import re
 import shlex
@@ -49,7 +48,7 @@ from sievesum.series import (
     square_free_definition,
     twin_prime_definition,
 )
-from conftest import outcome, patched_segment_size, trial_division_primes
+from conftest import assert_no_child_left, outcome, patched_segment_size, trial_division_primes
 from sievesum.sieve import nth_primes, primes_up_to, twin_pairs_up_to, twin_sequence_up_to
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -847,48 +846,39 @@ POOLED_CASES = {
 def use_pool(monkeypatch, chunk_rows):
     """Render float rows in chunks of `chunk_rows` on a worker process and
     the command's own from two chunks on, as on a host with two usable
-    CPUs. Returns the list of the processes started."""
+    CPUs. The `forked` fixture records the workers started."""
     monkeypatch.setattr(sievesum.cli, "_CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(sievesum.cli, "_POOL_MIN_CHUNKS", 2)
     monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: 2)
-    started = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def recording(process):
-        started.append(process)
-        start(process)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
-    return started
 
 
 class TestPooledFloatRows:
     @pytest.mark.parametrize("digits", [1, 15, 16, 17])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("case", POOLED_CASES)
-    def test_output_is_the_serial_output(self, capsys, monkeypatch, case, fmt, digits):
+    def test_output_is_the_serial_output(self, capsys, monkeypatch, forked, case, fmt, digits):
         argv = (*POOLED_CASES[case], "--format", fmt, "--digits", str(digits))
         serial = run_cli(capsys, *argv)
-        started = use_pool(monkeypatch, POOL_TEST_CHUNK)
+        use_pool(monkeypatch, POOL_TEST_CHUNK)
         assert run_cli(capsys, *argv) == serial
-        assert len(started) == 1
-        assert multiprocessing.active_children() == []
+        assert len(forked) == 1
+        assert_no_child_left()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_output_file_is_the_serial_one(self, capsys, monkeypatch, tmp_path, fmt):
+    def test_output_file_is_the_serial_one(self, capsys, monkeypatch, forked, tmp_path, fmt):
         argv = (*POOLED_CASES["twin"], "--format", fmt)
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
         pooled.write_text("replaced\n")
         assert run_cli(capsys, *argv, "--output", str(serial)) == (0, "", "")
-        started = use_pool(monkeypatch, POOL_TEST_CHUNK)
+        use_pool(monkeypatch, POOL_TEST_CHUNK)
         assert run_cli(capsys, *argv, "--output", str(pooled)) == (0, "", "")
-        assert len(started) == 1
+        assert len(forked) == 1
         assert pooled.read_bytes() == serial.read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["pooled", "serial"]
 
-    def test_rows_drawn_ahead_of_the_output_are_bounded(self, monkeypatch):
+    def test_rows_drawn_ahead_of_the_output_are_bounded(self, monkeypatch, forked):
         chunk = 16
-        started = use_pool(monkeypatch, chunk)
+        use_pool(monkeypatch, chunk)
         stdout = io.StringIO()
         ahead = []  # rows drawn and not yet written, as each row is drawn
         compute = sievesum.cli.float_rows
@@ -902,7 +892,7 @@ class TestPooledFloatRows:
         monkeypatch.setattr(sievesum.cli, "float_rows", watched)
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["series", "--kind", "twin", "--mode", "float", "--terms", "500"]) == 0
-        assert len(started) == 1
+        assert len(forked) == 1
         assert stdout.getvalue().count("\n") == 501
         # the command draws a chunk only while fewer than _DRAWN_AHEAD = 12
         # are out, and it draws 11 more before the worker's first text is back
@@ -910,81 +900,109 @@ class TestPooledFloatRows:
 
     @pytest.mark.parametrize("cpus, terms", [(1, 500), (2, 2 * 16 - 1)],
                              ids=["one-cpu", "below-two-chunks"])
-    def test_no_pool_with_one_cpu_or_few_rows(self, capsys, monkeypatch, cpus, terms):
-        started = use_pool(monkeypatch, 16)
+    def test_no_pool_with_one_cpu_or_few_rows(self, capsys, monkeypatch, forked, cpus, terms):
+        use_pool(monkeypatch, 16)
         monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: cpus)
         code, out, _ = run_cli(capsys, "series", "--kind", "twin", "--mode", "float",
                                "--terms", str(terms))
-        assert (code, started) == (0, [])
+        assert (code, forked) == (0, [])
         assert out == reference_float_series("csv", "twin", twin_prime_definition(), terms, 15)
 
-    def test_workers_ignore_ctrl_c(self, monkeypatch):
-        started = use_pool(monkeypatch, 1)
-        chunks = [[k] for k in range(8)]
-        texts = sievesum.cli._pooled(repr, iter(chunks), 2)
-        head = [next(texts), next(texts)]  # both workers have answered
-        for process in started:
-            os.kill(process.pid, signal.SIGINT)
-        assert head + list(texts) == [repr(chunk) for chunk in chunks]
-        assert multiprocessing.active_children() == []
+    def test_workers_ignore_ctrl_c(self, forked):
+        chunks = [[k] for k in range(64)]
+        drawn = []  # the chunks drawn so far
 
-    def test_a_killed_worker_is_an_error_not_a_hang(self, monkeypatch):
-        started = use_pool(monkeypatch, 1)
+        def render(chunk):  # by the command or a worker, as its pid tells
+            return f"{os.getpid()} {chunk}"
 
+        def counted():
+            for chunk in chunks:
+                drawn.append(chunk)
+                yield chunk
+
+        texts = map(lambda text: text.split(" ", 1), sievesum.cli._pooled(render, counted(), 2))
+        rendered = [next(texts)]
+        # until each worker started has answered, and so ignores SIGINT
+        while not {int(pid) for pid, _ in rendered} >= set(forked):
+            rendered.append(next(texts))
+        signalled, after = list(forked), len(drawn)
+        for pid in signalled:
+            os.kill(pid, signal.SIGINT)
+        rendered += texts
+        assert [chunk for _, chunk in rendered] == [repr(chunk) for chunk in chunks]
+        # a worker answered a chunk drawn after the signal: it lived on
+        assert {int(pid) for pid, _ in rendered[after:]} & set(signalled)
+        assert_no_child_left()
+
+    def test_a_killed_worker_is_an_error_not_a_hang(self, forked):
         def chunks():
             yield [0]  # the worker is started and sent it
-            started[0].kill()
-            started[0].join()
+            os.kill(forked[0], signal.SIGKILL)
             yield from ([k] for k in range(1, 8))
 
         texts = sievesum.cli._pooled(repr, chunks(), 1)
-        with pytest.raises(ChildProcessError, match="a render worker ended"):
+        error = f"a child process ended with exit code {-signal.SIGKILL} before it answered$"
+        with pytest.raises(ChildProcessError, match=error):
             list(texts)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    def test_never_more_than_two_workers(self, capsys, monkeypatch):
-        started = use_pool(monkeypatch, 16)
+    def test_never_more_than_two_workers(self, capsys, monkeypatch, forked):
+        use_pool(monkeypatch, 16)
         monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: 64)
         assert run_cli(capsys, *POOLED_CASES["twin"])[0] == 0
-        assert len(started) == 2
+        assert len(forked) == 2
 
     @pytest.mark.parametrize("cpus, workers", [(2, 1), (3, 2)])
-    def test_a_worker_for_each_cpu_but_the_commands(self, capsys, monkeypatch, cpus, workers):
-        started = use_pool(monkeypatch, 16)
+    def test_a_worker_for_each_cpu_but_the_commands(self, capsys, monkeypatch, forked, cpus,
+                                                     workers):
+        use_pool(monkeypatch, 16)
         monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: cpus)
         assert run_cli(capsys, *POOLED_CASES["twin"])[0] == 0
-        assert len(started) == workers
+        assert len(forked) == workers
 
 
 # Runs sievesum.cli.main(argv) in a fresh interpreter, as on a host with
-# two usable CPUs, and then writes to stderr the exit code (or
-# "interrupted", should main let KeyboardInterrupt through), the number of
-# pools made and the number of worker processes still alive. With FAIL_AT=k, drawing float row k raises
-# FAIL_WITH, ValueError or KeyboardInterrupt.
+# CPUS usable CPUs (default two), and then writes to stderr the exit code
+# (or "interrupted", should main let KeyboardInterrupt through), the number
+# of pools made and whether a child process is left (1) or not (0). With
+# FAIL_AT=k, drawing float row k raises FAIL_WITH, ValueError or
+# KeyboardInterrupt, or, with FAIL_WITH=SIGKILL, kills the first worker.
 POOL_SCRIPT = textwrap.dedent("""
-    import builtins, multiprocessing, os, sys
+    import builtins, os, signal, sys
     import sievesum.cli as cli
 
-    cli._usable_cpus = lambda: 2
-    pools, pooled, compute = [], cli._pooled, cli.float_rows
+    cli._usable_cpus = lambda: int(os.environ.get("CPUS", "2"))
+    pools, pooled, compute, fork, workers = [], cli._pooled, cli.float_rows, os.fork, []
     fail_at = int(os.environ.get("FAIL_AT", "0"))
 
     def counted(*args):
         pools.append(args)
         return pooled(*args)
 
+    def recorded():
+        pid = fork()
+        workers.append(pid)
+        return pid
+
     def failing(defn, n_terms):
         for row in compute(defn, n_terms):
-            if row.n == fail_at:
+            if row.n == fail_at and os.environ["FAIL_WITH"] == "SIGKILL":
+                os.kill(workers[0], signal.SIGKILL)
+            elif row.n == fail_at:
                 raise getattr(builtins, os.environ["FAIL_WITH"])(f"row {fail_at} failed")
             yield row
 
-    cli._pooled, cli.float_rows = counted, failing
+    cli._pooled, cli.float_rows, os.fork = counted, failing, recorded
     try:
         code = cli.main(sys.argv[1:])
     except KeyboardInterrupt:
         code = "interrupted"
-    print(code, len(pools), len(multiprocessing.active_children()), file=sys.stderr)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = 1
+    except ChildProcessError:
+        left = 0
+    print(code, len(pools), left, file=sys.stderr)
 """)
 
 # above the row count from which the pool renders
@@ -1030,9 +1048,15 @@ class TestNoWorkerOutlivesTheCommand:
         argv = (*POOLED_ARGV[:-1], "1000000")
         assert run_pool_script(argv, after_first) == result
 
+    def test_two_workers_end_with_a_killed_command(self):
+        argv = (*POOLED_ARGV[:-1], "1000000")
+        result = run_pool_script(argv, lambda pid: os.kill(pid, signal.SIGKILL), CPUS="3")
+        assert result == (-signal.SIGKILL, "")
+
     @pytest.mark.parametrize("fail_with, report", [
         ("ValueError", "error: row 20000 failed\n2 1 0\n"),
         ("KeyboardInterrupt", "error: interrupted\n130 1 0\n"),
+        ("SIGKILL", "error: a child process ended with exit code -9 before it answered\n1 1 0\n"),
     ])
     def test_error_mid_stream(self, fail_with, report):
         assert run_pool_script(POOLED_ARGV, FAIL_AT="20000", FAIL_WITH=fail_with) == (0, report)
@@ -1959,36 +1983,36 @@ def run_module(argv, env, **kwargs):
 class TestFailedWrite:
     @pytest.mark.parametrize("failing", ["write", "flush"])
     @pytest.mark.parametrize("case", WRITE_CASES)
-    def test_one_error_line_and_exit_2(self, capsys, monkeypatch, case, failing):
+    def test_one_error_line_and_exit_2(self, capsys, monkeypatch, forked, case, failing):
         if case == "pooled":
-            started = use_pool(monkeypatch, POOL_TEST_CHUNK)
+            use_pool(monkeypatch, POOL_TEST_CHUNK)
         monkeypatch.setattr(sys, "stdout", FullStream(failing))
         code, _, err = run_cli(capsys, *WRITE_CASES[case])
         assert (code, err) == (2, NO_SPACE.format("stdout"))
-        if case == "pooled":
-            assert len(started) == 1
-        assert multiprocessing.active_children() == []
+        assert len(forked) == (case == "pooled")
+        assert_no_child_left()
 
-    def test_an_os_error_from_drawing_a_row_is_not_an_output_error(self, monkeypatch):
+    def test_an_os_error_from_drawing_a_row_is_not_an_output_error(self, capsys, monkeypatch):
         compute = sievesum.cli.float_rows
+        message = "a child process ended with exit code -9 before it answered"
 
         def failing(defn, n_terms):
             for row in compute(defn, n_terms):
                 if row.n == 3:  # rows 1 and 2 are written by now
-                    raise ChildProcessError("a render worker ended before the command")
+                    raise ChildProcessError(message)
                 yield row
 
         monkeypatch.setattr(sievesum.cli, "float_rows", failing)
         monkeypatch.setattr(sys, "stdout", io.StringIO())
-        with pytest.raises(ChildProcessError, match="a render worker ended"):
-            main(["series", "--kind", "twin", "--mode", "float", "--terms", "5"])
+        assert main(["series", "--kind", "twin", "--mode", "float", "--terms", "5"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_a_failed_fork_raises_its_own_error(self, monkeypatch):
-        def failed_fork(*args):
+        def failed_fork():
             raise BlockingIOError(errno.EAGAIN, "fork failed")
 
         use_pool(monkeypatch, POOL_TEST_CHUNK)
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", failed_fork)
+        monkeypatch.setattr(os, "fork", failed_fork)
         with pytest.raises(BlockingIOError, match="fork failed"):
             main(list(WRITE_CASES["pooled"]))
 

@@ -14,9 +14,7 @@ from sievesum.engine import (
     advance,
     check_residual_identity,
     check_term_recursion,
-    final_state,
     float_rows,
-    init,
     iter_states,
     report_rows,
 )
@@ -24,6 +22,17 @@ from sievesum.series import prime_definition, twin_prime_definition
 from conftest import outcome
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def first_state(defn):
+    """The state after the first term: the first that iter_states yields."""
+    return next(iter_states(defn, 1))
+
+
+def last_state(defn, n_terms):
+    """The state after n_terms terms: the last that iter_states yields."""
+    *_, state = iter_states(defn, n_terms)
+    return state
 
 
 def direct_products(values, a):
@@ -45,33 +54,33 @@ def direct_products(values, a):
     return out
 
 
-class TestInit:
+class TestFirstState:
     def test_prime_first_term(self):
-        assert init(prime_definition()).T_k == Fraction(1, 2)
+        assert first_state(prime_definition()).T_k == Fraction(1, 2)
 
     def test_twin_first_term(self):
-        state = init(twin_prime_definition())
+        state = first_state(twin_prime_definition())
         assert state.T_k == Fraction(1, 3)
         assert state.F_k == 3 and state.a == 2
 
     def test_successors_first_term(self):
         defn = SeriesDefinition(lambda: iter(range(2, 100)), offset_a=1)
-        assert init(defn).T_k == Fraction(1, 2)
+        assert first_state(defn).T_k == Fraction(1, 2)
 
     def test_first_value_at_most_a_rejected(self):
         defn = SeriesDefinition((3, 5, 7), offset_a=3)
         with pytest.raises(SeriesDomainError, match="undefined or nonpositive"):
-            init(defn)
+            first_state(defn)
 
 
 class TestAdvance:
     def test_prime_second_term(self):
-        state = advance(init(prime_definition()), 3)
+        state = advance(first_state(prime_definition()), 3)
         assert state.T_k == Fraction(1, 6)
         assert state.S_k == Fraction(2, 3)
 
     def test_prime_five_terms_match_term_list(self):
-        state = final_state(prime_definition(), 5)
+        state = last_state(prime_definition(), 5)
         expected = (
             Fraction(1, 2)
             + Fraction(1, 6)
@@ -88,12 +97,12 @@ class TestAdvance:
             assert state.S_k == 1 - Fraction(1, state.F_k)
 
     def test_rejects_value_at_most_a(self):
-        state = init(SeriesDefinition((5, 9), offset_a=4))
+        state = first_state(SeriesDefinition((5, 9), offset_a=4))
         with pytest.raises(SeriesDomainError):
             advance(state, 4)
 
     def test_states_are_immutable_snapshots(self):
-        base = init(prime_definition())
+        base = first_state(prime_definition())
         one = advance(base, 3)
         two = advance(base, 3)
         assert one == two
@@ -104,22 +113,22 @@ class TestAdvance:
 
 class TestIdentityChecks:
     def test_residual_at_prime_k2(self):
-        state = advance(init(prime_definition()), 3)
+        state = advance(first_state(prime_definition()), 3)
         assert 1 - state.S_k == Fraction(1, 3)
         assert state.R_k == Fraction(1, 2) * Fraction(2, 3)
         assert check_residual_identity(state)
 
     def test_fresh_state_passes(self):
-        assert check_residual_identity(init(prime_definition()))
-        assert check_term_recursion(init(twin_prime_definition()))
+        assert check_residual_identity(first_state(prime_definition()))
+        assert check_term_recursion(first_state(twin_prime_definition()))
 
     def test_recursion_at_prime_k2(self):
-        state = advance(init(prime_definition()), 3)
+        state = advance(first_state(prime_definition()), 3)
         assert state.T_k == (1 - state.S_k) / (3 - 1)
         assert check_term_recursion(state)
 
     def test_recursion_at_twin_k2_needs_offset_prefactor(self):
-        state = advance(init(twin_prime_definition()), 5)
+        state = advance(first_state(twin_prime_definition()), 5)
         assert state.T_k == Fraction(1, 15)
         # the bare (1/a - S)/(F - a) quotient is off by the factor a = 2
         assert (Fraction(1, 2) - state.S_k) / (5 - 2) == Fraction(1, 30)
@@ -127,7 +136,7 @@ class TestIdentityChecks:
         assert check_term_recursion(state)
 
     def test_tampered_state_fails_checks(self):
-        state = final_state(prime_definition(), 6)
+        state = last_state(prime_definition(), 6)
         bad_T = state._replace(T_k=state.T_k + Fraction(1, state.F_k**3))
         assert not check_term_recursion(bad_T)
         bad_S = state._replace(S_k=state.S_k + Fraction(1, 10**9))
@@ -254,7 +263,7 @@ class TestDepthGuard:
         defn = SeriesDefinition(
             lambda: iter(range(2, 10**6)), offset_a=1, depth_guard=6000
         )
-        assert final_state(defn, 5500).k == 5500
+        assert last_state(defn, 5500).k == 5500
 
     def test_default_guard_is_5000(self):
         assert SeriesDefinition((3, 4, 5)).depth_guard == 5000

@@ -4,8 +4,9 @@ only Python ints, float series below the render pool's row count
 included, must load none of them. numpy costs about as much as the rest of
 start-up together; dataclasses imports inspect, ast and dis, which is why
 the package's records are NamedTuples. kconst needs numpy (which loads
-pickle), but its split sweeps fork without multiprocessing, which would
-raise its peak memory. Each check runs in a fresh interpreter, since this
+pickle), and a pooled float series needs pickle, but both fork their
+child processes without multiprocessing, which would raise their start-up
+time and peak memory. Each check runs in a fresh interpreter, since this
 test process has all of them loaded already.
 """
 
@@ -19,9 +20,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# After `import sievesum`, each command runs in turn through cli.main, and
-# which of WATCHED are loaded is recorded after each one. kconst comes last:
-# it builds arrays, so it must load numpy, and numpy loads inspect and pickle.
+# After `import sievesum`, each command runs in turn through cli.main, as on
+# a host with two usable CPUs, and which of WATCHED are loaded is recorded
+# after each one. kconst comes last: it builds arrays, so it must load
+# numpy, and numpy loads inspect and pickle.
 WATCHED = ("numpy", "dataclasses", "inspect", "multiprocessing", "pickle")
 PROBE = """
 import contextlib, io, json, sys
@@ -29,6 +31,7 @@ watched = json.loads(sys.argv[2])
 import sievesum
 loaded = {"import sievesum": [name for name in watched if name in sys.modules]}
 import sievesum.cli
+sievesum.cli._usable_cpus = lambda: 2
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = sievesum.cli.main(argv)
@@ -48,6 +51,8 @@ NUMPY_FREE = [
     ["primes", "--limit", "100", "--twins"],
     ["primes", "--limit", "100", "--twins", "--format", "json"],
 ]
+# above the 32,768 rows from which a float series is rendered by a pool
+POOLED = ["series", "--kind", "twin", "--terms", "40000", "--mode", "float"]
 KCONST = ["kconst", "--limit", "1e4"]
 KCONST_SPLIT = ["kconst", "--limit", "3e7"]  # its sweep is split between two processes
 
@@ -65,8 +70,8 @@ def run_python(*argv: str) -> str:
 
 @pytest.fixture(scope="module")
 def loaded():
-    """The PROBE's record of the NUMPY_FREE commands, KCONST and KCONST_SPLIT."""
-    argv = json.dumps(NUMPY_FREE + [KCONST, KCONST_SPLIT])
+    """The PROBE's record of the NUMPY_FREE commands, POOLED, KCONST and KCONST_SPLIT."""
+    argv = json.dumps(NUMPY_FREE + [POOLED, KCONST, KCONST_SPLIT])
     return json.loads(run_python("-c", PROBE, argv, json.dumps(WATCHED)))
 
 
@@ -91,6 +96,13 @@ def test_twin_constant_does_without_numpy():
         "twin_constant(); print('numpy' in sys.modules)"
     )
     assert run_python("-c", probe) == "False\n"
+
+
+def test_pooled_float_series_does_without_multiprocessing(loaded):
+    import sievesum.cli
+
+    assert int(POOLED[4]) >= sievesum.cli._POOL_MIN_CHUNKS * sievesum.cli._CHUNK_ROWS
+    assert loaded[" ".join(POOLED)] == [0, ["pickle"]]
 
 
 def test_split_kconst_does_without_multiprocessing(loaded):

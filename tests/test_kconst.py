@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import sievesum.cli
 import sievesum.kconst
 import sievesum.sieve
-from conftest import patched_segment_size
+from conftest import assert_no_child_left, patched_segment_size
 from sievesum.kconst import (
     _C2_CUTOFFS,
     DegenerateDataError,
@@ -139,36 +139,14 @@ def split_every_sweep(monkeypatch) -> list[int]:
     return mids
 
 
-def recorded_forks(monkeypatch) -> list[int]:
-    """The list of the pids of the children that os.fork starts from now on."""
-    pids = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
-def assert_reaped(pids: list[int]) -> None:
-    for pid in pids:
-        with pytest.raises(ChildProcessError):  # neither running nor a zombie
-            os.waitpid(pid, os.WNOHANG)
-
-
 class TestSplitSweep:
     @pytest.mark.parametrize("segment_size, limit", [
         (1, 20_000), (64, 10**6), (5005, 10**6), (sievesum.sieve.SEGMENT_SIZE, 10**7),
     ])
-    def test_equals_the_unsplit_sweep(self, monkeypatch, segment_size, limit):
+    def test_equals_the_unsplit_sweep(self, monkeypatch, forked, segment_size, limit):
         with patched_segment_size(segment_size):
             whole = partial_product(limit)
             mids = split_every_sweep(monkeypatch)
-            pids = recorded_forks(monkeypatch)
             split = partial_product(limit)
         assert split == whole  # log_value bit for bit, and pair_count
         last = (limit - 1) // 6
@@ -176,8 +154,8 @@ class TestSplitSweep:
         [mid] = mids
         assert (mid - 1) % segment_size == 0 and 1 < mid <= last
         assert abs(mid - 1 - last / 2) <= segment_size / 2
-        assert len(pids) == 1
-        assert_reaped(pids)
+        assert len(forked) == 1
+        assert_no_child_left()
 
     # segments of 64 candidates start at 1 + 64 j; the last candidate of 1e6
     # is 166666, so the child may also sweep all, one or no candidate
@@ -201,27 +179,26 @@ class TestSplitSweep:
         (10.0**6, TypeError), (sievesum.sieve.PRIME_CAP + 1, sievesum.sieve.CapacityError),
         (-7, ValueError),
     ])
-    def test_a_bad_limit_is_refused_before_any_fork(self, monkeypatch, limit, error):
+    def test_a_bad_limit_is_refused_before_any_fork(self, monkeypatch, forked, limit, error):
         split_every_sweep(monkeypatch)
-        pids = recorded_forks(monkeypatch)
         with pytest.raises(error):
             partial_product(limit)
-        assert pids == []
+        assert forked == []
 
     @pytest.mark.parametrize("end, code", [
         (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
         (lambda: 1 / 0, 1),
     ], ids=["killed", "failed"])
-    def test_a_child_that_ends_early_is_an_error(self, monkeypatch, end, code):
+    def test_a_child_that_ends_early_is_an_error(self, monkeypatch, forked, end, code):
         def ending(first, limit):
             end()
             yield
 
-        pids = recorded_forks(monkeypatch)
         monkeypatch.setattr(sievesum.kconst, "_twin_lesser_range", ending)
-        with pytest.raises(ChildProcessError, match=f"child process ended with exit code {code}$"):
+        with pytest.raises(ChildProcessError, match=f"exit code {code} before it answered$"):
             _split_sums(10**6, 1 + 10**5)
-        assert_reaped(pids)
+        assert len(forked) == 1
+        assert_no_child_left()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_a_failed_fork_raises_and_closes_the_pipe(self, monkeypatch):
@@ -234,7 +211,7 @@ class TestSplitSweep:
             _split_sums(10**6, 1 + 10**5)
         assert sorted(os.listdir("/proc/self/fd")) == open_fds
 
-    def test_an_error_here_kills_the_child(self, monkeypatch):
+    def test_an_error_here_kills_the_child(self, monkeypatch, forked):
         def stalled(first, limit):
             time.sleep(600)
             yield
@@ -243,14 +220,14 @@ class TestSplitSweep:
             raise KeyboardInterrupt
             yield
 
-        pids = recorded_forks(monkeypatch)
         monkeypatch.setattr(sievesum.kconst, "_twin_lesser_range", stalled)
         monkeypatch.setattr(sievesum.kconst, "iter_twin_lesser_arrays", interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             _split_sums(10**6, 1 + 10**5)
         assert time.monotonic() - start < 60
-        assert_reaped(pids)
+        assert len(forked) == 1
+        assert_no_child_left()
 
     def test_fork_warning_of_a_threaded_process_is_not_shown(self, monkeypatch):
         # Python 3.12 warns so on fork in a process with threads, numpy's BLAS pool
@@ -269,8 +246,7 @@ class TestSplitSweep:
 
 # Runs sievesum.cli.main(argv) in a fresh interpreter with every twin sweep
 # split and 4096 candidates per segment, then writes to stderr its exit code
-# (or the ChildProcessError it raised) and whether a child process of it is
-# left. With SLOW_CHILD=1 the child's
+# and whether a child process of it is left. With SLOW_CHILD=1 the child's
 # half of a sweep stalls; with INTERRUPT=1 the command's half sends SIGINT
 # to the process group, as Ctrl-C does, at its third array; with
 # KILL_CHILD=1 the child kills itself.
@@ -295,10 +271,7 @@ SPLIT_SCRIPT = textwrap.dedent("""
         yield from upper(first, limit)
 
     kconst.iter_twin_lesser_arrays, kconst._twin_lesser_range = lower_half, upper_half
-    try:
-        code = cli.main(sys.argv[1:])
-    except ChildProcessError as exc:
-        code = f"ChildProcessError: {exc}"
+    code = cli.main(sys.argv[1:])
     try:
         os.waitpid(-1, os.WNOHANG)
         left = "child left"
@@ -339,8 +312,8 @@ class TestSplitSweepCommand:
 
     def test_a_killed_child_is_an_error(self):
         result = run_split_script("kconst", "--limit", "1e6", KILL_CHILD="1")
-        error = "ChildProcessError: a sieve sweep's child process ended with exit code -9"
-        assert result == (0, "", f"{error} no child\n")
+        error = "error: a child process ended with exit code -9 before it answered"
+        assert result == (0, "", f"{error}\n1 no child\n")
 
     def test_no_warning_at_a_split_size(self):
         assert (10**8 - 1) // 6 >= sievesum.kconst._SPLIT_MIN_CANDIDATES

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievesum.series
+from sievesum.engine import report_rows
 from sievesum.series import (
     EULER_GAMMA,
     _coprime_fraction,
@@ -17,7 +18,7 @@ from sievesum.series import (
     mertens_residual,
     prime_series,
     primorial,
-    square_free_series,
+    square_free_definition,
     square_free_sum_float,
     totient_primorial,
     twin_prime_series,
@@ -130,23 +131,23 @@ class TestPrimeSeries:
 
 class TestSquareFreeSeries:
     def test_first_term_counts_multiples_of_four(self):
-        assert square_free_series(1)[0].T == Fraction(1, 4)
+        assert report_rows(square_free_definition(), 1)[0].T == Fraction(1, 4)
         brute = sum(1 for x in range(1, 5) if x % 4 == 0)
-        assert square_free_series(1)[0].T == Fraction(brute, 4)
+        assert report_rows(square_free_definition(), 1)[0].T == Fraction(brute, 4)
 
     def test_second_term_counts_nine_not_four(self):
-        rows = square_free_series(2)
+        rows = report_rows(square_free_definition(), 2)
         brute = sum(1 for x in range(1, 37) if x % 9 == 0 and x % 4 != 0)
         assert brute == 3
         assert rows[1].T == Fraction(3, 36)
 
     def test_residual_after_two_terms(self):
-        rows = square_free_series(2)
+        rows = report_rows(square_free_definition(), 2)
         assert 1 - rows[-1].S == (1 - Fraction(1, 4)) * (1 - Fraction(1, 9))
         assert 1 - rows[-1].S == Fraction(2, 3)
 
     def test_residual_product_identity_to_100(self):
-        rows = square_free_series(100)
+        rows = report_rows(square_free_definition(), 100)
         product = Fraction(1)
         for p, row in zip(nth_primes(100), rows):
             product *= Fraction(p * p - 1, p * p)

@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 from itertools import chain, compress, islice
 from unittest import mock
 
@@ -8,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sievesum.sieve
-from conftest import patched_segment_size, trial_division_primes
+from conftest import assert_no_child_left, patched_segment_size, trial_division_primes
 from sievesum.sieve import (
     _ODD,
     _TWIN,
     PRIME_CAP,
     CapacityError,
+    _Child,
     _marked,
     _masks,
     _segments,
@@ -474,3 +478,47 @@ class TestLimitChecks:
         assert next(iter_prime_arrays(PRIME_CAP)).tolist() == [2]
         assert next(twin_lesser_lists(PRIME_CAP)) == [3]
         assert next(iter_twin_lesser_arrays(PRIME_CAP)).tolist() == [3]
+
+
+def open_descriptors(fds: list[int]) -> list[int]:
+    """Those of `fds` that are open in this process; opens none itself."""
+    out = []
+    for fd in fds:
+        try:
+            os.fstat(fd)
+        except OSError:
+            continue
+        out.append(fd)
+    return out
+
+
+def test_a_child_holds_no_end_of_its_siblings():
+    first = _Child(open_descriptors)
+    children = [first, _Child(open_descriptors, [first]), _Child(open_descriptors)]
+    try:
+        answers = []
+        for child in children[1:]:
+            child.send(list(first.ends))
+            answers.append(child.receive())
+    finally:
+        for child in children:
+            child.stop()
+    # a child told of `first` closed its copies; one that was not kept them
+    assert answers == [[], list(first.ends)]
+    assert_no_child_left()
+
+
+def test_a_child_killed_mid_answer_is_an_error():
+    child = _Child(bytes)
+    try:
+        child.send(1 << 20)  # an answer far larger than a pipe holds: the child blocks in it
+        deadline = time.monotonic() + 60
+        while not child.ready() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(child.pid, signal.SIGKILL)
+        error = f"exit code {-signal.SIGKILL} before it answered$"
+        with pytest.raises(ChildProcessError, match=error):
+            child.receive()  # part of an answer
+    finally:
+        child.stop()
+    assert_no_child_left()
