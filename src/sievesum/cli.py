@@ -26,27 +26,13 @@ import sys
 import tempfile
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import __version__
-from .engine import (
-    DepthGuardError,
-    SeriesDefinition,
-    SeriesState,
-    check_residual_identity,
-    check_term_recursion,
-    float_rows,
-    iter_states,
-)
-from .kconst import ExtrapolationError, estimate_K, partial_product
-from .series import (
-    brun_partial,
-    mertens_rows,
-    prime_definition,
-    square_free_definition,
-    twin_prime_definition,
-)
 from .sieve import PRIME_CAP, _Child, _usable_cpus, iter_primes, prime_lists, twin_lesser_lists
+
+if TYPE_CHECKING:
+    from .engine import SeriesDefinition, SeriesState
 
 DEFAULT_SEED = 1000003
 _INT64_MAX = 2**63 - 1
@@ -504,12 +490,16 @@ def _parse_seq(spec: str, terms: int):
 
 def _definition_for(args: argparse.Namespace) -> SeriesDefinition:
     if args.kind == "custom":
+        from .engine import SeriesDefinition
+
         if not args.seq:
             raise ValueError("custom kind requires --seq")
         return SeriesDefinition(_parse_seq(args.seq, args.terms), offset_a=args.a or 1)
     for flag, value in (("--seq", args.seq), ("--a", args.a)):
         if value is not None:
             raise ValueError(f"{flag} needs --kind custom")
+    from .series import prime_definition, square_free_definition, twin_prime_definition
+
     definitions = {"prime": prime_definition, "square-free": square_free_definition,
                    "twin": twin_prime_definition}
     return definitions[args.kind]()
@@ -553,6 +543,8 @@ def _exact_cells(states: Iterable[SeriesState], a: int) -> Iterator[tuple[int, i
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from .engine import DepthGuardError, float_rows, iter_states
+
     defn = _definition_for(args)
     a = defn.offset_a
     meta = {"kind": args.kind, "a": a, "terms": args.terms, "mode": args.mode,
@@ -567,7 +559,10 @@ def cmd_series(args: argparse.Namespace) -> int:
             template % (k, f, *map(show, cells))
             for k, f, cells in _exact_cells(iter_states(defn, args.terms), a)
         )
-        _emit(args, {"meta": meta}, "rows", header, chunks)
+        try:
+            _emit(args, {"meta": meta}, "rows", header, chunks)
+        except DepthGuardError as exc:
+            raise ValueError(f"{exc} (or use --mode float)") from None
         return 0
     keys = ("n", "F_n", "T", "S", "residual")
     try:
@@ -615,7 +610,11 @@ def _check_states(states: Iterable[SeriesState], extra: tuple = (), **context) -
       every power of two k and, after the last state, at the last one;
     - recursion: check_term_recursion;
     - each (identity, check) of `extra`: check(previous state or None, state).
+
+    1 - a S_k, which both engine checks read, is computed once per state.
     """
+    from .engine import _one_minus_a_times, _recursion_holds, _residual_holds
+
     s_hat, n_prod, d_prod = 0, 1, 1
     previous = None
     for state in states:
@@ -624,9 +623,10 @@ def _check_states(states: Iterable[SeriesState], extra: tuple = (), **context) -
         sum_holds = a * s_hat == d_prod - n_prod and (
             k & (k - 1) or s.numerator * d_prod == s_hat * s.denominator
         )
-        if not (check_residual_identity(state) and sum_holds):
+        one_minus_as = _one_minus_a_times(a, s)
+        if not (_residual_holds(state, one_minus_as) and sum_holds):
             failed = "residual"
-        elif not check_term_recursion(state):
+        elif not _recursion_holds(state, one_minus_as):
             failed = "recursion"
         else:
             failed = next((name for name, check in extra if not check(previous, state)), None)
@@ -652,6 +652,8 @@ def _tamper(states: Iterable[SeriesState], index: int) -> Iterator[SeriesState]:
 
 
 def _run_identity_checks(args: argparse.Namespace) -> dict:
+    from .engine import DepthGuardError, iter_states
+
     states = iter_states(_definition_for(args), args.terms)
     if args.tamper_index is not None:
         if args.tamper_index > args.terms:
@@ -661,7 +663,10 @@ def _run_identity_checks(args: argparse.Namespace) -> dict:
         "prime": (("totient-primorial", _totient_holds),),
         "twin": (("dominance", _dominance_holds),),
     }.get(args.kind, ())
-    failure = _check_states(states, extra)
+    try:
+        failure = _check_states(states, extra)
+    except DepthGuardError as exc:
+        raise ValueError(str(exc)) from None
     if failure:
         return failure
     checks = ["residual", "recursion", *(name for name, _ in extra)]
@@ -669,6 +674,8 @@ def _run_identity_checks(args: argparse.Namespace) -> dict:
 
 
 def _run_random_suite(args: argparse.Namespace) -> dict:
+    from .engine import SeriesDefinition, iter_states
+
     rng = random.Random(args.seed)
     for instance in range(1, args.random_instances + 1):
         a = rng.randint(1, 50)
@@ -706,6 +713,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_kconst(args: argparse.Namespace) -> int:
+    from .kconst import ExtrapolationError, estimate_K, partial_product
+
     if args.limit < 10**4:
         raise ExtrapolationError("kconst needs --limit at least 1e4")
     estimate = estimate_K(args.limit, args.method)
@@ -727,6 +736,8 @@ def cmd_kconst(args: argparse.Namespace) -> int:
 
 
 def cmd_brun(args: argparse.Namespace) -> int:
+    from .series import brun_partial
+
     result = brun_partial(args.limit)
     num, den = _exact_decimal(result.sum.numerator), _exact_decimal(result.sum.denominator)
     context = decimal.Context(prec=args.digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
@@ -744,6 +755,8 @@ def cmd_brun(args: argparse.Namespace) -> int:
 
 
 def cmd_mertens(args: argparse.Namespace) -> int:
+    from .series import mertens_rows
+
     rows = mertens_rows(args.terms, last=args.last)  # streamed
     first = args.terms if args.last else 1
     meta = {"terms": args.terms, "version": __version__}
@@ -883,11 +896,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         _error("interrupted")
         return 130
-    except DepthGuardError as exc:
-        _error(f"{exc} (or use --mode float)" if args.subcommand == "series" else str(exc))
-        return 2
     # the library's input errors (SeriesDomainError, ExtrapolationError,
-    # CapacityError) are ValueErrors
+    # CapacityError) are ValueErrors; series and verify raise the depth
+    # guard's DepthGuardError as one
     except (OutputError, ValueError) as exc:
         _error(str(exc))
         return 2

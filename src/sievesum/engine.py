@@ -171,10 +171,16 @@ def check_residual_identity(state: SeriesState) -> bool:
     sum, an unreduced integer sum built term by term, lives in the CLI's
     `verify`.
     """
+    return _residual_holds(state, _one_minus_a_times(state.a, state.S_k))
+
+
+def _residual_holds(state: SeriesState, one_minus_as: tuple[int, int]) -> bool:
+    """check_residual_identity(state), given 1 - a*S_k as
+    _one_minus_a_times(state.a, state.S_k) returns it."""
     if not state.a:
         raise ZeroDivisionError("Fraction(1, 0)")
     r = state.R_k
-    return _one_minus_a_times(state.a, state.S_k) == (r.numerator, r.denominator)
+    return one_minus_as == (r.numerator, r.denominator)
 
 
 def check_term_recursion(state: SeriesState) -> bool:
@@ -186,11 +192,17 @@ def check_term_recursion(state: SeriesState) -> bool:
     m = F_k - a, x/(d*m) is reduced by h = gcd(x, m), signed as m, since
     gcd(x, d) = 1; F_k = a raises ZeroDivisionError, as the division does.
     """
+    return _recursion_holds(state, _one_minus_a_times(state.a, state.S_k))
+
+
+def _recursion_holds(state: SeriesState, one_minus_as: tuple[int, int]) -> bool:
+    """check_term_recursion(state), given 1 - a*S_k as
+    _one_minus_a_times(state.a, state.S_k) returns it."""
     a, t = state.a, state.T_k
     m = state.F_k - a
     if not m:
         return t == (1 - a * state.S_k) / m  # raises
-    x, d = _one_minus_a_times(a, state.S_k)
+    x, d = one_minus_as
     h = math.gcd(x, m) if m > 0 else -math.gcd(x, m)
     return t.numerator == x // h and t.denominator == d * (m // h)
 

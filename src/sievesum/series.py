@@ -11,7 +11,6 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .engine import ReportRow, SeriesDefinition, report_rows
-from .kconst import _log_sums
 from .sieve import (
     iter_prime_arrays,
     iter_primes,
@@ -204,6 +203,8 @@ def square_free_sum_float(limit: int) -> float:
     """Floating S^SF using all primes <= limit: 1 - prod(1 - 1/p^2)."""
     import numpy as np
 
+    from .kconst import _log_sums
+
     [(log_r, _)] = _log_sums(
         iter_prime_arrays(limit),
         lambda x: np.log1p(-1.0 / (x * x)),
@@ -215,6 +216,8 @@ def square_free_sum_float(limit: int) -> float:
 def twin_residual_float(limit: int) -> float:
     """Floating 1/2 - S^TP using odd primes <= limit: (1/2) prod(1 - 2/p)."""
     import numpy as np
+
+    from .kconst import _log_sums
 
     [(log_r, _)] = _log_sums(
         (arr[arr > 2] for arr in iter_prime_arrays(limit)),

@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sievesum.cli
+import sievesum.engine
 import sievesum.kconst
 import sievesum.series
 from sievesum import __version__
@@ -54,16 +55,16 @@ from sievesum.sieve import nth_primes, primes_up_to, twin_pairs_up_to, twin_sequ
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# every command's compute entry, as the CLI module names it
+# every command's compute entry, in the module the command reads it from
 COMPUTE_ENTRIES = (
-    "iter_states",
-    "float_rows",
-    "prime_lists",
-    "twin_lesser_lists",
-    "iter_primes",
-    "estimate_K",
-    "brun_partial",
-    "mertens_rows",
+    (sievesum.engine, "iter_states"),
+    (sievesum.engine, "float_rows"),
+    (sievesum.cli, "prime_lists"),
+    (sievesum.cli, "twin_lesser_lists"),
+    (sievesum.cli, "iter_primes"),
+    (sievesum.kconst, "estimate_K"),
+    (sievesum.series, "brun_partial"),
+    (sievesum.series, "mertens_rows"),
 )
 
 
@@ -73,8 +74,32 @@ def must_not_compute(monkeypatch, reason):
     def must_not_run(*args, **kwargs):
         raise AssertionError(reason)
 
-    for name in COMPUTE_ENTRIES:
-        monkeypatch.setattr(sievesum.cli, name, must_not_run)
+    for module, name in COMPUTE_ENTRIES:
+        monkeypatch.setattr(module, name, must_not_run)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "--kind", "prime", "--terms", "3"),
+        ("series", "--kind", "custom", "--seq", "2,3", "--terms", "2"),
+        ("series", "--kind", "twin", "--terms", "3", "--mode", "float"),
+        ("verify", "--terms", "3"),
+        ("verify", "--random", "1"),
+        ("kconst", "--limit", "1e4"),
+        ("brun", "--limit", "100"),
+        ("mertens", "--terms", "3"),
+        ("primes", "--limit", "100"),
+        ("primes", "--limit", "100", "--twins"),
+        ("primes", "--count", "5"),
+    ],
+)
+def test_must_not_compute_stops_every_valid_command(monkeypatch, argv):
+    """The control of the tests that a command computes nothing: with
+    must_not_compute, each valid command reaches an entry it replaced."""
+    must_not_compute(monkeypatch, "computed")
+    with pytest.raises(AssertionError, match="^computed$"):
+        main(list(argv))
 
 
 def run_cli(capsys, *argv):
@@ -702,14 +727,14 @@ class TestStreaming:
     def test_each_row_is_written_before_the_next_is_drawn(self, monkeypatch, fmt, entry, argv):
         stdout = io.StringIO()
         written = []  # the output so far, as each row is drawn
-        compute = getattr(sievesum.cli, entry)
+        compute = getattr(sievesum.engine, entry)
 
         def watched(defn, n_terms):
             for row in compute(defn, n_terms):
                 written.append(stdout.getvalue())
                 yield row
 
-        monkeypatch.setattr(sievesum.cli, entry, watched)
+        monkeypatch.setattr(sievesum.engine, entry, watched)
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["series", *argv, "--terms", "4", "--format", fmt]) == 0
         assert written[0] == ""
@@ -740,14 +765,14 @@ class TestStreaming:
     def test_custom_float_rows_stream(self, monkeypatch, seq):
         stdout = io.StringIO()
         written = []  # the output so far, as each row is drawn
-        compute = sievesum.cli.float_rows
+        compute = sievesum.engine.float_rows
 
         def watched(defn, n_terms):
             for row in compute(defn, n_terms):
                 written.append(stdout.getvalue())
                 yield row
 
-        monkeypatch.setattr(sievesum.cli, "float_rows", watched)
+        monkeypatch.setattr(sievesum.engine, "float_rows", watched)
         monkeypatch.setattr(sys, "stdout", stdout)
         argv = ["series", "--kind", "custom", "--a", "2", "--seq", seq, "--terms", "4",
                 "--mode", "float"]
@@ -881,7 +906,7 @@ class TestPooledFloatRows:
         use_pool(monkeypatch, chunk)
         stdout = io.StringIO()
         ahead = []  # rows drawn and not yet written, as each row is drawn
-        compute = sievesum.cli.float_rows
+        compute = sievesum.engine.float_rows
 
         def watched(defn, n_terms):
             for row in compute(defn, n_terms):
@@ -889,7 +914,7 @@ class TestPooledFloatRows:
                 ahead.append(row.n - 1 - written)
                 yield row
 
-        monkeypatch.setattr(sievesum.cli, "float_rows", watched)
+        monkeypatch.setattr(sievesum.engine, "float_rows", watched)
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["series", "--kind", "twin", "--mode", "float", "--terms", "500"]) == 0
         assert len(forked) == 1
@@ -969,10 +994,10 @@ class TestPooledFloatRows:
 # KeyboardInterrupt, or, with FAIL_WITH=SIGKILL, kills the first worker.
 POOL_SCRIPT = textwrap.dedent("""
     import builtins, os, signal, sys
-    import sievesum.cli as cli
+    import sievesum.cli as cli, sievesum.engine as engine
 
     cli._usable_cpus = lambda: int(os.environ.get("CPUS", "2"))
-    pools, pooled, compute, fork, workers = [], cli._pooled, cli.float_rows, os.fork, []
+    pools, pooled, compute, fork, workers = [], cli._pooled, engine.float_rows, os.fork, []
     fail_at = int(os.environ.get("FAIL_AT", "0"))
 
     def counted(*args):
@@ -992,7 +1017,7 @@ POOL_SCRIPT = textwrap.dedent("""
                 raise getattr(builtins, os.environ["FAIL_WITH"])(f"row {fail_at} failed")
             yield row
 
-    cli._pooled, cli.float_rows, os.fork = counted, failing, recorded
+    cli._pooled, engine.float_rows, os.fork = counted, failing, recorded
     try:
         code = cli.main(sys.argv[1:])
     except KeyboardInterrupt:
@@ -1092,7 +1117,7 @@ class TestNoWorkerOutlivesTheCommand:
             raise KeyboardInterrupt
             yield
 
-        monkeypatch.setattr(sievesum.cli, "float_rows", interrupted)
+        monkeypatch.setattr(sievesum.engine, "float_rows", interrupted)
         assert run_cli(capsys, "series", "--kind", "twin", "--mode", "float", "--terms", "5") == (
             130, "", "error: interrupted\n"
         )
@@ -1532,7 +1557,7 @@ class TestVerifyCommand:
             raise AssertionError("computed before checking --tamper-index")
             yield
 
-        monkeypatch.setattr(sievesum.cli, "iter_states", must_not_run)
+        monkeypatch.setattr(sievesum.engine, "iter_states", must_not_run)
         code, out, err = run_cli(capsys, "verify", "--terms", "5000", "--tamper-index", "5001")
         assert code == 2
         assert out == ""
@@ -1564,7 +1589,7 @@ class TestVerifyCommand:
                 refs.append(weakref.ref(probe))
                 yield state._replace(T_k=probe)
 
-        monkeypatch.setattr(sievesum.cli, "iter_states", watched)
+        monkeypatch.setattr(sievesum.engine, "iter_states", watched)
         code, _, _ = run_cli(capsys, "verify", "--kind", "prime", "--terms", "40", *tamper)
         assert code == (1 if tamper else 0)
         assert len(alive) == 40
@@ -1632,7 +1657,7 @@ class TestVerifyCommand:
                     state = state._replace(R_k=R, S_k=(1 - R) / a, T_k=R / (state.F_k - a))
                 yield state
 
-        monkeypatch.setattr(sievesum.cli, "iter_states", wrong_at_index)
+        monkeypatch.setattr(sievesum.engine, "iter_states", wrong_at_index)
         code, out, _ = run_cli(capsys, "verify", "--kind", kind, *extra, "--terms", "20")
         assert code == 1
         assert json.loads(out) == {"status": "fail", "identity": identity, "index": index}
@@ -1648,7 +1673,7 @@ class TestVerifyCommand:
                     state = state._replace(a=a, S_k=(1 - R) / a, T_k=R / (state.F_k - a))
                 yield state
 
-        monkeypatch.setattr(sievesum.cli, "iter_states", other_offset)
+        monkeypatch.setattr(sievesum.engine, "iter_states", other_offset)
         code, out, _ = run_cli(
             capsys, "verify", "--kind", "custom", "--a", "3", "--seq", "4:3", "--terms", "20"
         )
@@ -1663,7 +1688,7 @@ class TestVerifyCommand:
                     state = state._replace(S_k=state.S_k + Fraction(1, 10**9))
                 yield state
 
-        monkeypatch.setattr(sievesum.cli, "iter_states", wrong_sum)
+        monkeypatch.setattr(sievesum.engine, "iter_states", wrong_sum)
         code, out, _ = run_cli(capsys, "verify", "--kind", "prime", "--terms", "20")
         assert code == 1
         assert json.loads(out) == {"status": "fail", "identity": "residual", "index": index}
@@ -1993,7 +2018,7 @@ class TestFailedWrite:
         assert_no_child_left()
 
     def test_an_os_error_from_drawing_a_row_is_not_an_output_error(self, capsys, monkeypatch):
-        compute = sievesum.cli.float_rows
+        compute = sievesum.engine.float_rows
         message = "a child process ended with exit code -9 before it answered"
 
         def failing(defn, n_terms):
@@ -2002,7 +2027,7 @@ class TestFailedWrite:
                     raise ChildProcessError(message)
                 yield row
 
-        monkeypatch.setattr(sievesum.cli, "float_rows", failing)
+        monkeypatch.setattr(sievesum.engine, "float_rows", failing)
         monkeypatch.setattr(sys, "stdout", io.StringIO())
         assert main(["series", "--kind", "twin", "--mode", "float", "--terms", "5"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

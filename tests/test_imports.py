@@ -8,10 +8,17 @@ pickle), and a pooled float series needs pickle, but both fork their
 child processes without multiprocessing, which would raise their start-up
 time and peak memory. Each check runs in a fresh interpreter, since this
 test process has all of them loaded already.
+
+The package's own modules load on demand too: `import sievesum` loads none
+of its submodules, `import sievesum.cli` only the sieve, and each command
+the submodules it runs. The package exports its names lazily, each the
+object its submodule defines.
 """
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,8 +122,8 @@ def test_split_kconst_does_without_multiprocessing(loaded):
 
 # The standard modules that the package's modules import at their top level
 TOP_LEVEL_IMPORTS = (
-    "__future__, argparse, collections, contextlib, decimal, fractions, functools, itertools, "
-    "json, math, operator, os, random, re, sys, tempfile, typing"
+    "__future__, argparse, collections, contextlib, decimal, fractions, functools, importlib, "
+    "itertools, json, math, operator, os, random, re, sys, tempfile, typing"
 )
 
 
@@ -125,6 +132,113 @@ def test_cli_import_loads_only_the_package_beyond_its_top_level_imports():
         f"import sys, {TOP_LEVEL_IMPORTS}; before = set(sys.modules); import sievesum.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    modules = ("cli", "engine", "kconst", "series", "sieve")
-    package = ["sievesum", *(f"sievesum.{module}" for module in modules)]
-    assert run_python("-c", probe).split() == package
+    assert run_python("-c", probe).split() == ["sievesum", "sievesum.cli", "sievesum.sieve"]
+
+
+LOADED_PACKAGE = "print(*sorted(name for name in sys.modules if name.startswith('sievesum')))"
+
+
+def test_package_import_loads_no_submodule():
+    assert run_python("-c", f"import sys, sievesum; {LOADED_PACKAGE}").split() == ["sievesum"]
+
+
+# Runs one command through cli.main in a fresh interpreter, then prints its
+# exit code and the package's modules then loaded.
+COMMAND_PROBE = f"""
+import contextlib, io, json, sys
+import sievesum.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = sievesum.cli.main(json.loads(sys.argv[1]))
+print(code, end=" ")
+{LOADED_PACKAGE}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (KCONST, ("kconst", "sieve")),
+        (["series", "--kind", "prime", "--terms", "30"], ("engine", "series", "sieve")),
+        (["series", "--kind", "custom", "--seq", "2,3", "--terms", "2"], ("engine", "sieve")),
+        (["series", "--kind", "twin", "--terms", "200", "--mode", "float"],
+         ("engine", "series", "sieve")),
+        (["verify", "--terms", "30"], ("engine", "series", "sieve")),
+        (["verify", "--random", "3"], ("engine", "sieve")),
+        (["brun", "--limit", "10000"], ("engine", "series", "sieve")),
+        (["mertens", "--terms", "100"], ("engine", "series", "sieve")),
+        (["primes", "--count", "10"], ("sieve",)),
+        (["primes", "--limit", "100", "--twins"], ("sieve",)),
+    ],
+    ids=" ".join,
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    """kconst loads neither the exact engine nor the series, the series
+    commands no kconst, and primes none of the three."""
+    code, *loaded = run_python("-c", COMMAND_PROBE, json.dumps(argv)).split()
+    assert code == "0"
+    assert loaded == ["sievesum", "sievesum.cli", *(f"sievesum.{m}" for m in modules)]
+
+
+# The names the package exports, by the submodule that defines them, as
+# they were when the package imported them all eagerly
+EXPORTS = {
+    "engine": [
+        "DepthGuardError", "ReportRow", "SeriesDefinition", "SeriesDomainError", "SeriesState",
+        "advance", "check_residual_identity", "check_term_recursion", "float_rows",
+        "iter_states", "report_rows",
+    ],
+    "kconst": [
+        "DegenerateDataError", "ExtrapolationError", "PartialProduct", "ProductEstimate",
+        "TwinConstant", "estimate_K", "extrapolate_aitken", "extrapolate_hl",
+        "hl_tail_correction", "partial_product", "twin_constant",
+    ],
+    "series": [
+        "EULER_GAMMA", "BrunPartial", "PrimorialValue", "TotientOfPrimorial",
+        "brun_dominance_check", "brun_partial", "mertens_residual", "mertens_rows",
+        "prime_definition", "prime_series", "primorial", "square_free_definition",
+        "square_free_sum_float", "totient_primorial", "twin_prime_definition",
+        "twin_prime_series", "twin_residual_float",
+    ],
+    "sieve": [
+        "CapacityError", "TwinPair", "iter_primes", "nth_primes", "nth_twin_values",
+        "primes_up_to", "twin_pairs_up_to", "twin_sequence_up_to",
+    ],
+}
+
+
+def test_every_export_is_the_object_its_module_defines():
+    import sievesum
+
+    exported = {name for names in EXPORTS.values() for name in names}
+    assert sorted(sievesum.__all__) == sorted(exported)
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module(f"sievesum.{module}")
+        for name in names:
+            scope = {}
+            exec(f"from sievesum import {name}", scope)
+            assert scope[name] is getattr(owner, name), name
+            assert name in dir(sievesum), name
+    scope = {}
+    exec("from sievesum import *", scope)
+    assert set(scope) - {"__builtins__"} == exported
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    import sievesum
+
+    with pytest.raises(AttributeError, match="module 'sievesum' has no attribute 'no_such_name'"):
+        sievesum.no_such_name
+    with pytest.raises(ImportError, match="cannot import name 'no_such_name'"):
+        exec("from sievesum import no_such_name", {})
+
+
+def test_an_export_loads_only_its_module_and_what_that_imports():
+    probe = f"import sys; from sievesum import estimate_K; {LOADED_PACKAGE}"
+    assert run_python("-c", probe).split() == ["sievesum", "sievesum.kconst", "sievesum.sieve"]
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sketch = re.search(r"^## Library sketch\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    k_estimate, error_estimate = map(float, run_python("-c", sketch.group(1)).split())
+    assert abs(k_estimate - 0.1293) < error_estimate < 0.01
