@@ -29,7 +29,7 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import __version__
-from .sieve import PRIME_CAP, _Child, _usable_cpus, iter_primes, prime_lists, twin_lesser_lists
+from .sieve import PRIME_CAP, _Child, _spare_cpus, iter_primes, prime_lists, twin_lesser_lists
 
 if TYPE_CHECKING:
     from .engine import SeriesDefinition, SeriesState
@@ -309,15 +309,15 @@ def _emit_float_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...]
     Rows are drawn in this process, in order, and rendered by one
     _float_renderer, so the text is the same either way: each row here as
     it is drawn, or, from _POOL_MIN_CHUNKS chunks of _CHUNK_ROWS rows on,
-    where fork exists and two CPUs are usable, each chunk by this process
-    or by one of up to two forked workers, one for each CPU but this
-    process's (see _pooled). A chunk is one flat list of its rows' cells
-    (which pickles several times faster than ReportRows, and faster than
-    tuples), printed whole in one `%` where it passes the gate.
+    where a CPU is spare, each chunk by this process or by one of the
+    forked workers that sieve._spare_cpus allows (see _pooled). A chunk is
+    one flat list of its rows' cells (which pickles several times faster
+    than ReportRows, and faster than tuples), printed whole in one `%`
+    where it passes the gate.
     """
     render = _float_renderer(keys, args.format, args.digits)
-    workers = min(2, _usable_cpus() - 1)
-    if n_rows < _POOL_MIN_CHUNKS * _CHUNK_ROWS or workers < 1 or not hasattr(os, "fork"):
+    workers = _spare_cpus()
+    if n_rows < _POOL_MIN_CHUNKS * _CHUNK_ROWS or workers < 1:
         chunks = (render(row) for row in rows)
     else:
         flat = iter(lambda: list(chain.from_iterable(islice(rows, _CHUNK_ROWS))), [])
@@ -492,7 +492,7 @@ def _definition_for(args: argparse.Namespace) -> SeriesDefinition:
     if args.kind == "custom":
         from .engine import SeriesDefinition
 
-        if not args.seq:
+        if args.seq is None:
             raise ValueError("custom kind requires --seq")
         return SeriesDefinition(_parse_seq(args.seq, args.terms), offset_a=args.a or 1)
     for flag, value in (("--seq", args.seq), ("--a", args.a)):

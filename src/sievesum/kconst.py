@@ -22,12 +22,11 @@ carry an explicit error estimate; they are not proof-grade bounds.
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import sieve
-from .sieve import _Child, _twin_lesser_range, _usable_cpus, iter_twin_lesser_arrays, primes_up_to
+from .sieve import _TWIN, _arrays, _Child, _spare_cpus, iter_twin_lesser_arrays, primes_up_to
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -148,13 +147,13 @@ def partial_product(limit: int) -> PartialProduct:
     (see _exact_log_sums), so the result is bit-identical for any
     segmentation of the same limit. Limits below the first pair yield the
     empty product (log_value 0.0). From _SPLIT_MIN_CANDIDATES pairs
-    (6k - 1, 6k + 1) on, where fork exists and two CPUs are usable, the
+    (6k - 1, 6k + 1) on, where a CPU is spare (see sieve._spare_cpus), the
     sweep is split at the segment edge nearest its middle, and its halves
     are summed at once (see _split_sums); their exact sums add up to that
     of the whole, which is rounded once.
     """
     last = (limit - 1) // 6  # the last k with 6k + 1 <= limit
-    if last < _SPLIT_MIN_CANDIDATES or _usable_cpus() < 2 or not hasattr(os, "fork"):
+    if last < _SPLIT_MIN_CANDIDATES or _spare_cpus() < 1:
         [(total, pair_count)] = _exact_log_sums(
             iter_twin_lesser_arrays(limit), _pair_log_terms, [limit]
         )
@@ -174,12 +173,13 @@ def _pair_log_terms(v: np.ndarray) -> np.ndarray:
 def _split_sums(limit: int, mid: int) -> tuple[int, int]:
     """The exact sum and count of the _pair_log_terms of the twin pairs up
     to `limit`, in two sweeps run at once: the pairs (6k - 1, 6k + 1) with
-    k >= `mid` in a forked child (see sieve._Child), the others here."""
-    upper = _twin_lesser_range(mid, limit)  # which checks limit before the fork
+    k >= `mid` in a forked child (see sieve._Child), the others here. (3, 5)
+    is the child's only if `mid` is 1, as _arrays takes it."""
+    upper = _arrays(_TWIN, mid, limit)  # which checks limit before the fork
     child = _Child(lambda _: _exact_log_sums(upper, _pair_log_terms, [limit])[0])
     try:
         child.send(None)
-        lower = iter_twin_lesser_arrays(6 * mid - 1)  # the pairs with k < mid
+        lower = iter_twin_lesser_arrays(6 * (mid - 1) + 1)  # the pairs with k < mid
         [(total, count)] = _exact_log_sums(lower, _pair_log_terms, [limit])
         upper_total, upper_count = child.receive()
         return total + upper_total, count + upper_count

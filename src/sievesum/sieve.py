@@ -3,19 +3,23 @@
 Primes are sieved over the odd candidates, twin pairs over the candidate
 pairs (6k - 1, 6k + 1), which hold every twin pair but (3, 5): byte k of a
 twin mask is 1 iff both members are prime, so no pair straddles two
-segments. Each kind of candidate is a wheel (see _Wheel), and one segment
-loop serves both. Base primes up to sqrt(limit) are kept resident, so
-memory stays O(sqrt(limit) + segment) and limits of 1e8-1e9 are practical
-on a desktop. Each segment starts as one period of a pattern with the
-multiples of the wheel's small primes already crossed off (a pre-sieve, as
-in Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014), rotated to the
-segment's offset and repeated to its length, so only larger base primes
-are struck segment by segment, and a sweep holds no more than one
-segment's mask. The functions that return Python ints read a mask from
-the lengths of the gaps between its marks (see _marked) and do without
-numpy; only the generators of arrays, iter_prime_arrays and
-iter_twin_lesser_arrays, import it. Every function reads SEGMENT_SIZE when
-it is called, and its results do not depend on it.
+segments. Each kind of candidate is a wheel (see _Wheel), which also names
+its lone candidate, the one prime candidate it leaves out: 2, or the pair
+(3, 5). One segment loop serves both wheels, and two sweeps turn its masks
+into values for either: _lists, one list of Python ints per segment, and
+_arrays, one int64 array per segment, each after the lone candidate's
+first number where the limit reaches it. Base primes up to sqrt(limit) are
+kept resident, so memory stays O(sqrt(limit) + segment) and limits of
+1e8-1e9 are practical on a desktop. Each segment starts as one period of a
+pattern with the multiples of the wheel's small primes already crossed off
+(a pre-sieve, as in Oliveira e Silva, Herzog & Pardi, Math. Comp. 83,
+2014), rotated to the segment's offset and repeated to its length, so only
+larger base primes are struck segment by segment, and a sweep holds no
+more than one segment's mask. The lists are read from the lengths of the
+gaps between a mask's marks (see _marked) without numpy; only _arrays, and
+so iter_prime_arrays and iter_twin_lesser_arrays, import it. Every
+function reads SEGMENT_SIZE when it is called, and its results do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ class _Wheel(NamedTuple):
     offset c: candidate i is prime iff all of its numbers are. `pattern` is
     one period of flags over i, 1 iff no number of i has a factor in the
     pre-sieve `primes`, and `head` holds the true flags of the candidates
-    with a number up to max(primes), which the pattern gets wrong."""
+    with a number up to max(primes), which the pattern gets wrong. `lone`
+    holds the numbers of the one prime candidate that no i stands for."""
 
     stride: int
     offsets: tuple[int, ...]
     primes: tuple[int, ...]
+    lone: tuple[int, ...]
     pattern: bytes
     head: bytes
 
@@ -62,7 +68,9 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def _wheel(stride: int, offsets: tuple[int, ...], primes: tuple[int, ...]) -> _Wheel:
+def _wheel(
+    stride: int, offsets: tuple[int, ...], primes: tuple[int, ...], lone: tuple[int, ...]
+) -> _Wheel:
     pattern = bytearray(b"\x01") * math.prod(primes)
     for p in primes:
         for r in _residues(stride, offsets, p):
@@ -72,7 +80,7 @@ def _wheel(stride: int, offsets: tuple[int, ...], primes: tuple[int, ...]) -> _W
         all(_is_prime(stride * i + c) for c in offsets)
         for i in range((primes[-1] - offsets[0]) // stride + 1)
     )
-    return _Wheel(stride, offsets, primes, bytes(pattern), head)
+    return _Wheel(stride, offsets, primes, lone, bytes(pattern), head)
 
 
 def _residues(stride: int, offsets: tuple[int, ...], p: int) -> list[int]:
@@ -82,8 +90,8 @@ def _residues(stride: int, offsets: tuple[int, ...], p: int) -> list[int]:
     return [-c * inverse % p for c in offsets]
 
 
-_ODD = _wheel(2, (1,), (3, 5, 7, 11, 13))  # the odd number 2i + 1
-_TWIN = _wheel(6, (-1, 1), (5, 7, 11, 13))  # the pair (6i - 1, 6i + 1); 3 divides neither
+_ODD = _wheel(2, (1,), (3, 5, 7, 11, 13), (2,))  # the odd number 2i + 1
+_TWIN = _wheel(6, (-1, 1), (5, 7, 11, 13), (3, 5))  # the pair (6i - 1, 6i + 1); 3 divides neither
 
 
 def _segments(
@@ -102,7 +110,7 @@ def _segments(
     stride, offsets = wheel.stride, wheel.offsets
     classes = sorted(
         (bound + (r - bound) % p, p)
-        for p in _odd_base_primes(stride * last + offsets[-1])
+        for p in chain.from_iterable(_lists(_ODD, math.isqrt(stride * last + offsets[-1])))
         if p > wheel.primes[-1]
         for c, r in zip(offsets, _residues(stride, offsets, p))
         for bound in [-((c - p * p) // stride)]  # ceil((p*p - c) / stride)
@@ -129,12 +137,6 @@ def _segments(
             mask[i::p] = bytearray((n - 1 - i) // p + 1)  # i < p if start < low: >= 0
         yield low, mask
         low = hi
-
-
-def _odd_base_primes(limit: int) -> list[int]:
-    """Odd primes up to sqrt(limit), as Python ints (index math must not wrap)."""
-    masks = _segments(_ODD, 1, (math.isqrt(limit) - 1) // 2, SEGMENT_SIZE)
-    return [p for low, mask in masks for p in _marked(_ODD, low, mask)]
 
 
 def _marked(wheel: _Wheel, low: int, mask: bytearray) -> Iterator[int]:
@@ -176,12 +178,6 @@ def _unbounded(wheel: _Wheel) -> Iterator[tuple[int, bytearray]]:
         first, limit = last + 1, min(limit * 4, PRIME_CAP)
 
 
-def _masks(wheel: _Wheel, limit: int) -> Iterator[tuple[int, bytearray]]:
-    """_segments of `wheel` over every candidate from 1 whose numbers are at
-    most the inclusive `limit` (see _last)."""
-    return _segments(wheel, 1, _last(wheel, limit), SEGMENT_SIZE)
-
-
 def _last(wheel: _Wheel, limit: int) -> int:
     """The last candidate of `wheel` whose numbers are at most the inclusive
     `limit`, once it is checked to be an int in [0, PRIME_CAP]."""
@@ -193,74 +189,60 @@ def _last(wheel: _Wheel, limit: int) -> int:
     return (limit - wheel.offsets[-1]) // wheel.stride
 
 
+def _lists(wheel: _Wheel, limit: int) -> Iterator[list[int]]:
+    """The first numbers of the prime candidates of `wheel` whose numbers
+    are at most `limit`, ascending: [lone[0]] (if limit >= lone[-1]), then
+    one list per segment (see _marked)."""
+    masks = _segments(wheel, 1, _last(wheel, limit), SEGMENT_SIZE)
+    if limit >= wheel.lone[-1]:
+        yield [wheel.lone[0]]
+    for low, mask in masks:
+        values = list(_marked(wheel, low, mask))
+        del mask  # so that the next mask is built once this one is freed
+        yield values
+
+
+def _arrays(wheel: _Wheel, first: int, limit: int) -> Iterator[np.ndarray]:
+    """The values of _lists(wheel, limit) as int64 arrays, one per segment,
+    without those of the candidates below `first` ([lone[0]] with them if
+    `first` > 1). limit is checked by this call, not by the first next()."""
+    import numpy as np
+
+    masks = _segments(wheel, first, _last(wheel, limit), SEGMENT_SIZE)
+
+    def arrays() -> Iterator[np.ndarray]:
+        if first == 1 and limit >= wheel.lone[-1]:
+            yield np.array(wheel.lone[:1], dtype=np.int64)
+        for low, mask in masks:
+            marks = np.frombuffer(mask, dtype=bool)
+            values = wheel.stride * (low + np.flatnonzero(marks)) + wheel.offsets[0]
+            del mask, marks  # so that the next mask is built once this one is freed
+            yield values
+
+    return arrays()
+
+
 def prime_lists(limit: int) -> Iterator[list[int]]:
     """The primes p <= limit, ascending, as one list per sieve segment."""
-    masks = _masks(_ODD, limit)
-    if limit >= 2:
-        yield [2]
-    for low, mask in masks:
-        primes = list(_marked(_ODD, low, mask))
-        del mask  # so that the next mask is built once this one is freed
-        yield primes
-
-
-def _twin_lesser_lists(limit: int) -> Iterator[list[int]]:
-    """The lists of twin_lesser_lists, for the functions that return one list."""
-    masks = _masks(_TWIN, limit)
-    if limit >= 5:
-        yield [3]
-    for low, mask in masks:
-        lessers = list(_marked(_TWIN, low, mask))
-        del mask  # so that the next mask is built once this one is freed
-        yield lessers
+    yield from _lists(_ODD, limit)
 
 
 def twin_lesser_lists(limit: int) -> Iterator[list[int]]:
     """The lesser members p of the twin pairs (p, p + 2) with p + 2 <= limit,
     ascending: [3] (if limit >= 5), then one list per twin sieve segment."""
-    yield from _twin_lesser_lists(limit)
+    yield from _lists(_TWIN, limit)
 
 
 def iter_prime_arrays(limit: int) -> Iterator[np.ndarray]:
     """Yield ascending int64 arrays of primes p <= limit, one array per segment."""
-    import numpy as np
-
-    masks = _masks(_ODD, limit)
-    if limit >= 2:
-        yield np.array([2], dtype=np.int64)
-    for low, mask in masks:
-        primes = 2 * (low + np.flatnonzero(np.frombuffer(mask, dtype=bool))) + 1
-        del mask  # so that the next mask is built once this one is freed
-        yield primes
+    yield from _arrays(_ODD, 1, limit)
 
 
 def iter_twin_lesser_arrays(limit: int) -> Iterator[np.ndarray]:
     """Yield ascending int64 arrays of the lesser members p of the twin pairs
     (p, p + 2) with p + 2 <= limit: [3] (if limit >= 5), then one array per
     twin sieve segment."""
-    import numpy as np
-
-    masks = _masks(_TWIN, limit)
-    if limit >= 5:
-        yield np.array([3], dtype=np.int64)
-    yield from _twin_lesser_arrays(masks)
-
-
-def _twin_lesser_range(first: int, limit: int) -> Iterator[np.ndarray]:
-    """The arrays of iter_twin_lesser_arrays(limit) without [3] and the
-    pairs (6k - 1, 6k + 1) with k < first. limit is checked by this call,
-    not by the first next()."""
-    return _twin_lesser_arrays(_segments(_TWIN, first, _last(_TWIN, limit), SEGMENT_SIZE))
-
-
-def _twin_lesser_arrays(masks: Iterator[tuple[int, bytearray]]) -> Iterator[np.ndarray]:
-    """One int64 array per (low, mask) of the twin wheel: its lesser members."""
-    import numpy as np
-
-    for low, mask in masks:
-        lessers = 6 * (low + np.flatnonzero(np.frombuffer(mask, dtype=bool))) - 1
-        del mask  # so that the next mask is built once this one is freed
-        yield lessers
+    yield from _arrays(_TWIN, 1, limit)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -277,7 +259,7 @@ def nth_primes(n: int) -> list[int]:
 
 def iter_primes() -> Iterator[int]:
     """Unbounded ascending prime generator (sieves in growing windows)."""
-    yield 2
+    yield from _ODD.lone
     for low, mask in _unbounded(_ODD):
         primes = _marked(_ODD, low, mask)
         del mask  # freed once `primes` is exhausted, before the next mask is built
@@ -286,7 +268,7 @@ def iter_primes() -> Iterator[int]:
 
 def twin_pairs_up_to(limit: int) -> list[TwinPair]:
     """All twin pairs (p, p+2) with p+2 <= limit, ascending by lesser member."""
-    return [TwinPair(p, p + 2) for lessers in _twin_lesser_lists(limit) for p in lessers]
+    return [TwinPair(p, p + 2) for lessers in _lists(_TWIN, limit) for p in lessers]
 
 
 def _flattened(lessers: list[int]) -> Iterator[int]:
@@ -299,14 +281,14 @@ def twin_sequence_up_to(limit: int) -> list[int]:
 
     A prime shared by two pairs (only 5: from (3,5) and (5,7)) appears twice.
     """
-    return list(chain.from_iterable(map(_flattened, _twin_lesser_lists(limit))))
+    return list(chain.from_iterable(map(_flattened, _lists(_TWIN, limit))))
 
 
 def nth_twin_values(n: int) -> list[int]:
     """First n values of the flattened twin sequence."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = [3, 5]
+    out = list(_TWIN.lone)
     masks = _unbounded(_TWIN)
     while len(out) < n:
         out += _flattened(list(_marked(_TWIN, *next(masks))))
@@ -319,6 +301,13 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on macOS or Windows
         return os.cpu_count() or 1
+
+
+def _spare_cpus() -> int:
+    """The number of child processes (see _Child) a command may run beside
+    itself: one for each usable CPU but its own, at most two, and none
+    where fork is missing."""
+    return min(2, _usable_cpus() - 1) if hasattr(os, "fork") else 0
 
 
 class _Child:

@@ -28,6 +28,7 @@ import sievesum.cli
 import sievesum.engine
 import sievesum.kconst
 import sievesum.series
+import sievesum.sieve
 from sievesum import __version__
 from sievesum.cli import (
     DEFAULT_SEED,
@@ -634,7 +635,7 @@ class TestSeriesCommand:
         assert code == 2
         assert "--seq" in err
 
-    @pytest.mark.parametrize("seq, item", [("2,,3", "''"), ("3:1e2", "'1e2'")])
+    @pytest.mark.parametrize("seq, item", [("2,,3", "''"), ("3:1e2", "'1e2'"), ("", "''")])
     def test_bad_seq_item_is_named(self, capsys, seq, item):
         code, out, err = run_cli(capsys, "series", "--kind", "custom", "--seq", seq, "--terms", "2")
         assert code == 2
@@ -874,7 +875,7 @@ def use_pool(monkeypatch, chunk_rows):
     CPUs. The `forked` fixture records the workers started."""
     monkeypatch.setattr(sievesum.cli, "_CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(sievesum.cli, "_POOL_MIN_CHUNKS", 2)
-    monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sievesum.sieve, "_usable_cpus", lambda: 2)
 
 
 class TestPooledFloatRows:
@@ -923,11 +924,15 @@ class TestPooledFloatRows:
         # are out, and it draws 11 more before the worker's first text is back
         assert 11 * chunk < max(ahead) < 12 * chunk
 
-    @pytest.mark.parametrize("cpus, terms", [(1, 500), (2, 2 * 16 - 1)],
-                             ids=["one-cpu", "below-two-chunks"])
-    def test_no_pool_with_one_cpu_or_few_rows(self, capsys, monkeypatch, forked, cpus, terms):
+    @pytest.mark.parametrize("cpus, terms, fork", [(1, 500, True), (2, 2 * 16 - 1, True),
+                                                   (2, 500, False)],
+                             ids=["one-cpu", "below-two-chunks", "no-fork"])
+    def test_no_pool_with_one_cpu_or_few_rows(self, capsys, monkeypatch, forked, cpus, terms,
+                                              fork):
         use_pool(monkeypatch, 16)
-        monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sievesum.sieve, "_usable_cpus", lambda: cpus)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
         code, out, _ = run_cli(capsys, "series", "--kind", "twin", "--mode", "float",
                                "--terms", str(terms))
         assert (code, forked) == (0, [])
@@ -973,7 +978,7 @@ class TestPooledFloatRows:
 
     def test_never_more_than_two_workers(self, capsys, monkeypatch, forked):
         use_pool(monkeypatch, 16)
-        monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(sievesum.sieve, "_usable_cpus", lambda: 64)
         assert run_cli(capsys, *POOLED_CASES["twin"])[0] == 0
         assert len(forked) == 2
 
@@ -981,7 +986,7 @@ class TestPooledFloatRows:
     def test_a_worker_for_each_cpu_but_the_commands(self, capsys, monkeypatch, forked, cpus,
                                                      workers):
         use_pool(monkeypatch, 16)
-        monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sievesum.sieve, "_usable_cpus", lambda: cpus)
         assert run_cli(capsys, *POOLED_CASES["twin"])[0] == 0
         assert len(forked) == workers
 
@@ -994,9 +999,9 @@ class TestPooledFloatRows:
 # KeyboardInterrupt, or, with FAIL_WITH=SIGKILL, kills the first worker.
 POOL_SCRIPT = textwrap.dedent("""
     import builtins, os, signal, sys
-    import sievesum.cli as cli, sievesum.engine as engine
+    import sievesum.cli as cli, sievesum.engine as engine, sievesum.sieve as sieve
 
-    cli._usable_cpus = lambda: int(os.environ.get("CPUS", "2"))
+    sieve._usable_cpus = lambda: int(os.environ.get("CPUS", "2"))
     pools, pooled, compute, fork, workers = [], cli._pooled, engine.float_rows, os.fork, []
     fail_at = int(os.environ.get("FAIL_AT", "0"))
 
@@ -1090,7 +1095,7 @@ class TestNoWorkerOutlivesTheCommand:
         target = tmp_path / "rows.csv"
         target.write_text("replaced\n")
         assert run_pool_script((*POOLED_ARGV, "--output", str(target))) == (0, "0 1 0\n")
-        monkeypatch.setattr(sievesum.cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(sievesum.sieve, "_usable_cpus", lambda: 1)
         assert run_cli(capsys, *POOLED_ARGV)[1] == target.read_text()
         assert os.listdir(tmp_path) == ["rows.csv"]
 

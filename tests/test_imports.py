@@ -38,7 +38,7 @@ watched = json.loads(sys.argv[2])
 import sievesum
 loaded = {"import sievesum": [name for name in watched if name in sys.modules]}
 import sievesum.cli
-sievesum.cli._usable_cpus = lambda: 2
+sievesum.sieve._usable_cpus = lambda: 2
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = sievesum.cli.main(argv)

@@ -127,7 +127,7 @@ def split_every_sweep(monkeypatch) -> list[int]:
     """Split every sweep of partial_product, as on a host with two usable
     CPUs. Returns the list of the split points taken."""
     monkeypatch.setattr(sievesum.kconst, "_SPLIT_MIN_CANDIDATES", 1)
-    monkeypatch.setattr(sievesum.kconst, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sievesum.sieve, "_usable_cpus", lambda: 2)
     mids = []
     split = sievesum.kconst._split_sums
 
@@ -164,16 +164,21 @@ class TestSplitSweep:
         with patched_segment_size(64):
             assert _split_sums(10**6, mid) == serial_sums(10**6)
 
-    @pytest.mark.parametrize("cpus, above_gate, split",
-                             [(2, 0, True), (2, 1, False), (1, 0, False)])
-    def test_split_from_the_gate_on_and_with_two_cpus(self, monkeypatch, cpus, above_gate, split):
+    @pytest.mark.parametrize("cpus, above_gate, fork, split",
+                             [(2, 0, True, True), (2, 1, True, False), (1, 0, True, False),
+                              (2, 0, False, False)],
+                             ids=["2-0-True", "2-1-False", "1-0-False", "no-fork"])
+    def test_split_from_the_gate_on_and_with_two_cpus(self, monkeypatch, forked, cpus, above_gate,
+                                                      fork, split):
         whole = partial_product(10**6)
         mids = split_every_sweep(monkeypatch)
-        monkeypatch.setattr(sievesum.kconst, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sievesum.sieve, "_usable_cpus", lambda: cpus)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
         last = (10**6 - 1) // 6
         monkeypatch.setattr(sievesum.kconst, "_SPLIT_MIN_CANDIDATES", last + above_gate)
         assert partial_product(10**6) == whole
-        assert bool(mids) == split
+        assert (bool(mids), len(forked)) == (split, split)
 
     @pytest.mark.parametrize("limit, error", [
         (10.0**6, TypeError), (sievesum.sieve.PRIME_CAP + 1, sievesum.sieve.CapacityError),
@@ -190,11 +195,11 @@ class TestSplitSweep:
         (lambda: 1 / 0, 1),
     ], ids=["killed", "failed"])
     def test_a_child_that_ends_early_is_an_error(self, monkeypatch, forked, end, code):
-        def ending(first, limit):
+        def ending(wheel, first, limit):
             end()
             yield
 
-        monkeypatch.setattr(sievesum.kconst, "_twin_lesser_range", ending)
+        monkeypatch.setattr(sievesum.kconst, "_arrays", ending)
         with pytest.raises(ChildProcessError, match=f"exit code {code} before it answered$"):
             _split_sums(10**6, 1 + 10**5)
         assert len(forked) == 1
@@ -212,7 +217,7 @@ class TestSplitSweep:
         assert sorted(os.listdir("/proc/self/fd")) == open_fds
 
     def test_an_error_here_kills_the_child(self, monkeypatch, forked):
-        def stalled(first, limit):
+        def stalled(wheel, first, limit):
             time.sleep(600)
             yield
 
@@ -220,7 +225,7 @@ class TestSplitSweep:
             raise KeyboardInterrupt
             yield
 
-        monkeypatch.setattr(sievesum.kconst, "_twin_lesser_range", stalled)
+        monkeypatch.setattr(sievesum.kconst, "_arrays", stalled)
         monkeypatch.setattr(sievesum.kconst, "iter_twin_lesser_arrays", interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -254,8 +259,8 @@ SPLIT_SCRIPT = textwrap.dedent("""
     import os, signal, sys, time
     import sievesum.cli as cli, sievesum.kconst as kconst, sievesum.sieve as sieve
 
-    kconst._SPLIT_MIN_CANDIDATES, kconst._usable_cpus, sieve.SEGMENT_SIZE = 1, lambda: 2, 4096
-    lower, upper = kconst.iter_twin_lesser_arrays, kconst._twin_lesser_range
+    kconst._SPLIT_MIN_CANDIDATES, sieve._usable_cpus, sieve.SEGMENT_SIZE = 1, lambda: 2, 4096
+    lower, upper = kconst.iter_twin_lesser_arrays, kconst._arrays
 
     def lower_half(limit):
         for i, array in enumerate(lower(limit)):
@@ -263,14 +268,14 @@ SPLIT_SCRIPT = textwrap.dedent("""
                 os.killpg(0, signal.SIGINT)
             yield array
 
-    def upper_half(first, limit):
+    def upper_half(wheel, first, limit):
         if os.environ.get("SLOW_CHILD"):
             time.sleep(600)
         if os.environ.get("KILL_CHILD"):
             os.kill(os.getpid(), signal.SIGKILL)
-        yield from upper(first, limit)
+        yield from upper(wheel, first, limit)
 
-    kconst.iter_twin_lesser_arrays, kconst._twin_lesser_range = lower_half, upper_half
+    kconst.iter_twin_lesser_arrays, kconst._arrays = lower_half, upper_half
     code = cli.main(sys.argv[1:])
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -416,9 +421,9 @@ class TestTwinConstant:
 
             monkeypatch.setattr(sievesum.sieve, name, call)
 
-        # every bounded sieve reader goes through _masks
+        # every bounded sieve reader checks its limit through _last
         spy("prime_lists")
-        spy("_masks")
+        spy("_last")
         twin_constant.cache_clear()
         try:
             tc = twin_constant()

@@ -17,9 +17,10 @@ from sievesum.sieve import (
     _TWIN,
     PRIME_CAP,
     CapacityError,
+    _arrays,
     _Child,
     _marked,
-    _masks,
+    _last,
     _segments,
     _wheel,
     iter_prime_arrays,
@@ -251,33 +252,56 @@ class TestSegmentKernel:
 TWIN_SEGMENT_SIZES = [1, 2, 3, 64, 65, TWIN_PERIOD]
 
 
-def twin_segments(limit: int, segment_size: int) -> int:
-    """The number of twin sieve segments of `limit`: k = 1..(limit - 1) // 6."""
-    return len(range(1, (limit - 1) // 6 + 1, segment_size))
+# the list and the array view of each wheel
+VIEWS = {
+    "odd": (_ODD, prime_lists, iter_prime_arrays),
+    "twin": (_TWIN, twin_lesser_lists, iter_twin_lesser_arrays),
+}
 
 
-def check_twin_views(limit: int, segment_size: int, numpy_twin_masks) -> None:
-    """Every twin view of `limit` under `segment_size` against trial division
-    and the unsegmented numpy masks: [3], then one list or array per
-    k-segment, each inside its own segment, the views all alike."""
+@pytest.fixture(scope="session")
+def numpy_values(numpy_segment_masks, numpy_twin_masks):
+    """numpy_values(kind, limit): the first numbers of the prime candidates
+    of the `kind` wheel up to `limit`, read from the numpy kernels, ascending."""
+
+    def values(kind: str, limit: int) -> list[int]:
+        if kind == "twin":
+            return (6 * np.flatnonzero(numpy_twin_masks(limit)) - 1).tolist()
+        masks = numpy_segment_masks(limit, 1 << 20, 1)
+        return [low + 2 * i for low, mask in masks for i in np.flatnonzero(mask).tolist()]
+
+    return values
+
+
+def check_views(kind: str, limit: int, segment_size: int, numpy_values) -> None:
+    """Every view of the `kind` wheel's sweep to `limit` under `segment_size`
+    against trial division and the numpy kernels: the lone candidate's first
+    number (if limit reaches the lone candidate), then one list or array per
+    segment, each inside its own segment, the views all alike."""
+    wheel, lists_of, arrays_of = VIEWS[kind]
     with patched_segment_size(segment_size):
-        lists = list(twin_lesser_lists(limit))
-        arrays = [a.tolist() for a in iter_twin_lesser_arrays(limit)]
-        pairs = twin_pairs_up_to(limit)
-        sequence = twin_sequence_up_to(limit)
+        lists = list(lists_of(limit))
+        arrays = [a.tolist() for a in arrays_of(limit)]
+        if kind == "odd":
+            flat = primes_up_to(limit)
+        else:
+            flat = [p.lesser for p in twin_pairs_up_to(limit)]
+            assert twin_sequence_up_to(limit) == [v for p in flat for v in (p, p + 2)]
     assert lists == arrays
-    assert len(lists) == (limit >= 5) + twin_segments(limit, segment_size)
-    if limit >= 5:
-        assert lists.pop(0) == [3]
-    for j, lessers in enumerate(lists):
-        assert all(1 + j * segment_size <= (p + 1) // 6 < 1 + (j + 1) * segment_size
-                   for p in lessers)
-    lessers = [p.lesser for p in pairs]
-    assert lessers == ([3] if limit >= 5 else []) + list(chain.from_iterable(lists))
-    assert lessers == [p for p in range(3, limit - 1, 2) if p in ORACLE and p + 2 in ORACLE]
-    flags = numpy_twin_masks(limit)
-    assert lessers[limit >= 5 :] == (6 * np.flatnonzero(flags) - 1).tolist()
-    assert sequence == [v for p in lessers for v in (p, p + 2)]
+    # a candidate's numbers are its first number plus these
+    spans = [c - wheel.offsets[0] for c in wheel.offsets]
+    assert flat == [v for v in range(limit + 1)
+                    if all(v + d <= limit and v + d in ORACLE for d in spans)]
+    lone = limit >= wheel.lone[-1]
+    last = (limit - wheel.offsets[-1]) // wheel.stride
+    assert len(lists) == lone + len(range(1, last + 1, segment_size))
+    assert list(chain.from_iterable(lists)) == flat
+    if lone:
+        assert lists.pop(0) == [wheel.lone[0]]
+    for j, values in enumerate(lists):
+        assert all(1 + j * segment_size <= (v - wheel.offsets[0]) // wheel.stride
+                   < 1 + (j + 1) * segment_size for v in values)
+    assert list(chain.from_iterable(lists)) == numpy_values(kind, limit)
 
 
 class TestTwinKernel:
@@ -299,29 +323,31 @@ class TestTwinKernel:
         # the limits 6k - 1, 6k and 6k + 1 for k near a multiple of the period
         limit = max(6 * (m * TWIN_PERIOD + k_delta) + delta, 0)
         with patched_segment_size(segment_size):
-            segments = list(_masks(_TWIN, limit))
+            segments = list(_segments(_TWIN, 1, _last(_TWIN, limit), segment_size))
         assert [low for low, _ in segments] == list(range(1, (limit - 1) // 6 + 1, segment_size))
         assert all(0 < len(mask) <= segment_size for _, mask in segments)
         got = list(chain.from_iterable(mask for _, mask in segments))
         assert got == numpy_twin_masks(limit)[1:].astype(int).tolist()
 
     @pytest.mark.parametrize("segment_size", TWIN_SEGMENT_SIZES)
-    def test_every_limit_to_200(self, numpy_twin_masks, segment_size):
+    @pytest.mark.parametrize("kind", VIEWS)
+    def test_every_limit_to_200(self, numpy_values, kind, segment_size):
         for limit in range(201):
-            check_twin_views(limit, segment_size, numpy_twin_masks)
+            check_views(kind, limit, segment_size, numpy_values)
 
     @pytest.mark.parametrize("segment_size", TWIN_SEGMENT_SIZES)
-    def test_every_limit_from_201_to_400(self, numpy_twin_masks, segment_size):
+    @pytest.mark.parametrize("kind", VIEWS)
+    def test_every_limit_from_201_to_400(self, numpy_values, kind, segment_size):
         for limit in range(201, 401):
-            check_twin_views(limit, segment_size, numpy_twin_masks)
+            check_views(kind, limit, segment_size, numpy_values)
 
     # (segments of 1 to 3 candidates: the masks above, at these limits)
     @pytest.mark.parametrize("segment_size", [64, 65, TWIN_PERIOD])
     @pytest.mark.parametrize("m", [1, 2])
-    def test_views_near_pattern_periods(self, numpy_twin_masks, segment_size, m):
+    def test_views_near_pattern_periods(self, numpy_values, segment_size, m):
         for k in (m * TWIN_PERIOD - 1, m * TWIN_PERIOD, m * TWIN_PERIOD + 1):
             for limit in (6 * k - 1, 6 * k, 6 * k + 1):
-                check_twin_views(limit, segment_size, numpy_twin_masks)
+                check_views("twin", limit, segment_size, numpy_values)
 
     @pytest.mark.parametrize("segment_size", [64, TWIN_PERIOD, 1 << 20])
     def test_nth_twin_values_across_windows(self, numpy_twin_masks, segment_size):
@@ -346,12 +372,12 @@ class TestWheelHead:
     included: a candidate whose number is a pre-sieve prime, or has a
     number above the largest of them, as (17, 19) on (5, 7, 11, 13, 17)."""
 
-    @pytest.mark.parametrize("stride, offsets, first", [(6, (-1, 1), 5), (2, (1,), 3)],
-                             ids=["twin", "odd"])
+    @pytest.mark.parametrize("stride, offsets, first, lone",
+                             [(6, (-1, 1), 5, (3, 5)), (2, (1,), 3, (2,))], ids=["twin", "odd"])
     @pytest.mark.parametrize("count", range(1, 7))
-    def test_masks_match_trial_division(self, stride, offsets, first, count):
+    def test_masks_match_trial_division(self, stride, offsets, first, lone, count):
         start = PRESIEVE_PRIMES.index(first)
-        wheel = _wheel(stride, offsets, tuple(PRESIEVE_PRIMES[start : start + count]))
+        wheel = _wheel(stride, offsets, tuple(PRESIEVE_PRIMES[start : start + count]), lone)
         got = list(chain.from_iterable(mask for _, mask in _segments(wheel, 0, 9999, 1 << 20)))
         expected = [int(all(is_prime(stride * i + c) for c in offsets)) for i in range(10**4)]
         assert got == expected
@@ -364,30 +390,23 @@ class TestTwinBoundaries:
         limit=st.integers(1_000, ORACLE_LIMIT),
     )
     @example(segment_size=64, limit=6 * 65 + 1)  # the second segment's first pair
-    def test_three_twin_views_agree(self, numpy_twin_masks, segment_size, limit):
+    def test_three_twin_views_agree(self, numpy_values, segment_size, limit):
         # segments of 1 to 3 candidates only up to 2e4, where they stay quick
         limit = limit if segment_size > 3 else limit // 10
-        check_twin_views(limit, segment_size, numpy_twin_masks)
+        check_views("twin", limit, segment_size, numpy_values)
 
 
 class TestPrimeViews:
     @settings(max_examples=40, deadline=None)
     @given(segment_size=st.sampled_from([64, 65, 101, ODD_PERIOD]), limit=st.integers(0, 20_000))
-    def test_lists_and_arrays_agree_per_segment(self, segment_size, limit):
-        with patched_segment_size(segment_size):
-            lists = list(prime_lists(limit))
-            arrays = [a.tolist() for a in iter_prime_arrays(limit)]
-            flat = primes_up_to(limit)
-        # [2], then one list per segment of the patched size
-        assert len(lists) == (limit >= 2) + len(range(3, limit + 1, 2 * segment_size))
-        assert lists == arrays
-        assert list(chain.from_iterable(lists)) == flat == sorted(p for p in ORACLE if p <= limit)
+    def test_lists_and_arrays_agree_per_segment(self, numpy_values, segment_size, limit):
+        check_views("odd", limit, segment_size, numpy_values)
 
     @settings(max_examples=40, deadline=None)
     @given(segment_size=st.sampled_from([1, 2, 64, 65, 101, 105]), limit=st.integers(0, 20_000))
     @example(segment_size=64, limit=643)  # (641, 643) straddled an odd segment boundary
-    def test_twin_lists_and_arrays_agree_per_segment(self, numpy_twin_masks, segment_size, limit):
-        check_twin_views(limit, segment_size, numpy_twin_masks)
+    def test_twin_lists_and_arrays_agree_per_segment(self, numpy_values, segment_size, limit):
+        check_views("twin", limit, segment_size, numpy_values)
 
 
 def compressed(wheel, low: int, mask) -> list[int]:
@@ -432,7 +451,7 @@ class TestGapExtractor:
     def test_segments_match_trial_division(self, wheel, segment_size):
         limit = 30_000 if segment_size > 3 else 3_000
         with patched_segment_size(segment_size):
-            segments = list(_masks(wheel, limit))
+            segments = list(_segments(wheel, 1, _last(wheel, limit), segment_size))
         assert all(0 < len(mask) <= segment_size for _, mask in segments)
         for low, mask in segments:
             numbers = list(_marked(wheel, low, mask))
@@ -442,6 +461,36 @@ class TestGapExtractor:
             assert any(mask[0] for _, mask in segments)
             assert any(mask[-1] for _, mask in segments)
             assert any(not any(mask) for _, mask in segments)
+
+
+class TestArraysFrom:
+    """_arrays(wheel, first, limit), the sweep the split kconst sweep runs
+    in its child: the whole sweep's values from candidate `first` on."""
+
+    @pytest.mark.parametrize("kind", VIEWS)
+    def test_is_the_tail_of_the_whole_sweep(self, kind):
+        wheel = VIEWS[kind][0]
+        limit, size = 6001, 64
+        last = (limit - wheel.offsets[-1]) // wheel.stride
+        with patched_segment_size(size):
+            whole = [a.tolist() for a in _arrays(wheel, 1, limit)]
+            assert whole.pop(0) == [wheel.lone[0]]
+            # segment edges at 1 + 64j, with a candidate either side
+            for first in (2, 3 * size, 3 * size + 1, 3 * size + 2, last, last + 1):
+                arrays = list(_arrays(wheel, first, limit))
+                assert all(a.dtype == np.int64 for a in arrays)
+                tail = [a.tolist() for a in arrays]
+                assert list(chain.from_iterable(tail)) == [
+                    v for v in chain.from_iterable(whole)
+                    if (v - wheel.offsets[0]) // wheel.stride >= first
+                ]
+                if (first - 1) % size == 0:
+                    assert tail == whole[(first - 1) // size :]
+
+    @pytest.mark.parametrize("kind", VIEWS)
+    def test_limit_is_checked_by_the_call(self, kind):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            _arrays(VIEWS[kind][0], 2, -1)
 
 
 # every public function that takes a limit, each run to its end
