@@ -9,50 +9,35 @@ naming the first violation, 2 on usage errors. Every command exits 2 when
 "error: cannot write ..." line when a write of the output fails (a full
 disk or /dev/full), 1 with one "error: ..." line when a child process
 ends early, and 130 with one "error: interrupted" line on Ctrl-C.
+
+This module reads the arguments, runs a command and writes its output.
+Each command imports what it runs when it runs: the library modules, the
+text of its rows from `render` and, for `verify`, the checks from
+`checks`, so that start-up compiles none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
-import decimal
-import json
 import math
 import os
-import random
-import re
 import sys
-import tempfile
-from fractions import Fraction
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__
-from .sieve import PRIME_CAP, _Child, _spare_cpus, iter_primes, prime_lists, twin_lesser_lists
+from .sieve import PRIME_CAP, iter_primes, prime_lists, twin_lesser_lists
 
 if TYPE_CHECKING:
-    from .engine import SeriesDefinition, SeriesState
+    from .engine import SeriesDefinition
 
 DEFAULT_SEED = 1000003
-_INT64_MAX = 2**63 - 1
 # between two elements of a list in a top-level object, as json.dumps(indent=2) writes it
 _JSON_SEP = ",\n    "
-# float rows per chunk, rendered in one `%`, and the fewest chunks worth
-# starting render workers for (some 50 ms); fewer rows are rendered in the
-# command's own process, which, with workers, draws at most _DRAWN_AHEAD
-# chunks ahead of the output and sends a worker at most _TASK_CHUNKS at once
-_CHUNK_ROWS = 1024
-_POOL_MIN_CHUNKS = 32
-_DRAWN_AHEAD = 12
-_TASK_CHUNKS = 4
-# Below this many bits, int -> Decimal is converted directly.
-_LEAF_BITS = 128
-# Exact integer arithmetic in decimal: no operation may round, and one that
-# would raises (an inexact division at this precision runs out of memory
-# before it could round).
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-_EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
+# the most digits an integer argument is built with: a text such as 1e999999999
+# would build far more from a few characters
+_MAX_DIGITS = 4300
 
 
 class OutputError(Exception):
@@ -68,31 +53,45 @@ def _error(message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
-def _parse_int(text: str, invalid: str, fractional: str) -> int:
+def _parse_int(text: str, invalid: str, fractional: str, beyond: int | None = None) -> int:
     """The integer `text` writes in decimal or in scientific notation such
-    as 1e8; an infinity stands for +-2**63, beyond every bound. Text that is
-    no number, or a number with a fraction, raises ArgumentTypeError with
-    `invalid` or `fractional` formatted with text."""
+    as 1e8, read exactly: 1.5e1 is 15, and 10000000000000001e0 is not
+    rounded. Text that is no number (nor a decimal.Decimal, whose exponents
+    reach about 10**18), or a number with a fraction, raises
+    ArgumentTypeError with `invalid` or `fractional` formatted with text.
+
+    An infinity, or a number of more than _MAX_DIGITS digits, is +-`beyond`,
+    a magnitude past every bound of the caller, which then refuses it as it
+    refuses any value out of its range; with no `beyond` it is `invalid`.
+    """
     try:
         return int(text, 10)
     except ValueError:
         pass
+    import decimal
+
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if math.isnan(value):
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        raise argparse.ArgumentTypeError(invalid.format(text)) from None
+    if value.is_nan():
         raise argparse.ArgumentTypeError(invalid.format(text))
-    if math.isinf(value):
-        value = math.copysign(2.0**63, value)
-    if not value.is_integer():
-        raise argparse.ArgumentTypeError(fractional.format(text))
-    return int(value)
+    if value.is_finite():
+        _, digits, exponent = value.as_tuple()
+        if exponent < 0 and any(digits[exponent:]):
+            raise argparse.ArgumentTypeError(fractional.format(text))
+        if value.is_zero():
+            return 0
+        if value.adjusted() < _MAX_DIGITS:
+            return int(value)
+    if beyond is None:
+        raise argparse.ArgumentTypeError(invalid.format(text))
+    return -beyond if value.is_signed() else beyond
 
 
 def parse_limit(text: str) -> int:
     """Integer limit; scientific notation such as 1e8 is accepted."""
-    value = _parse_int(text, "invalid limit {!r}", "limit {!r} is not an integer")
+    value = _parse_int(text, "invalid limit {!r}", "limit {!r} is not an integer", PRIME_CAP + 1)
     if value < 0:
         raise argparse.ArgumentTypeError("limit must be nonnegative")
     if value > PRIME_CAP:
@@ -100,14 +99,14 @@ def parse_limit(text: str) -> int:
     return value
 
 
-def _integer(text: str) -> int:
+def _integer(text: str, beyond: int | None = None) -> int:
     """Integer; scientific notation such as 1e3 is accepted."""
-    return _parse_int(text, "invalid integer {!r}", "invalid integer {!r}")
+    return _parse_int(text, "invalid integer {!r}", "invalid integer {!r}", beyond)
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, beyond: int | None = None) -> int:
     """Integer of at least 1; scientific notation such as 2e5 is accepted."""
-    value = _integer(text)
+    value = _integer(text, beyond)
     if value < 1:
         raise argparse.ArgumentTypeError("value must be at least 1")
     return value
@@ -118,7 +117,7 @@ def _up_to(maximum: int, exceeds: str):
     such as 1e3 accepted; a larger value is refused as `exceeds` the maximum."""
 
     def parse(text: str) -> int:
-        value = _positive_int(text)
+        value = _positive_int(text, maximum + 1)
         if value > maximum:
             raise argparse.ArgumentTypeError(f"{exceeds} the maximum {maximum}")
         return value
@@ -126,204 +125,15 @@ def _up_to(maximum: int, exceeds: str):
     return parse
 
 
-# significant digits; counts of terms or primes, which islice takes up to sys.maxsize
-_digits = _up_to(decimal.MAX_PREC, "digits exceed")
+# counts of terms or primes, which islice takes up to sys.maxsize
 _count_arg = _up_to(sys.maxsize, "count exceeds")
 
 
-def _exact_decimal(n: int) -> decimal.Decimal:
-    """n >= 0 as an exact Decimal, in time below quadratic for huge n (and
-    str() of a Decimal costs only its length, str() of an int its square).
+def _digits(text: str) -> int:
+    """Significant digits, from 1 to decimal.MAX_PREC."""
+    import decimal
 
-    n is split in halves by bits, recursively, and rebuilt as a Decimal,
-    whose multiplication is fast at this size, from the exact halves and
-    powers of two: hi * 2**w + lo. This is the algorithm of CPython 3.12's
-    _pylong.int_to_decimal_string.
-    """
-    two_powers: dict[int, decimal.Decimal] = {}
-
-    def two_to(w: int) -> decimal.Decimal:
-        power = two_powers.get(w)
-        if power is None:
-            if w <= _LEAF_BITS:
-                power = decimal.Decimal(2) ** w
-            elif w - 1 in two_powers:
-                power = two_powers[w - 1] * 2
-            else:
-                # smaller half first, so the larger one is often w - 1 above
-                half = w >> 1
-                power = two_to(half) * two_to(w - half)
-            two_powers[w] = power
-        return power
-
-    def convert(m: int, w: int) -> decimal.Decimal:
-        if w <= _LEAF_BITS:
-            return decimal.Decimal(m)
-        half = w >> 1
-        hi = m >> half
-        return convert(m - (hi << half), half) + convert(hi, w - half) * two_to(half)
-
-    with decimal.localcontext(_EXACT):
-        return convert(n, n.bit_length())
-
-
-def _decimal_json_int(value: decimal.Decimal) -> int | str:
-    """A nonnegative integer held as an exact Decimal: the int itself up to
-    the int64 maximum, its decimal text beyond it; str() of either is the
-    CSV cell."""
-    if value.adjusted() < 19 and (n := int(value)) <= _INT64_MAX:
-        return n
-    return str(value)
-
-
-def _row_template(fmt: str, shape) -> str:
-    """A `%` template of one output row: the fields of `shape` (a `%` field,
-    or a list or dict of them, nested) as a CSV line, or the text that
-    json.dumps(doc, indent=2) writes for `shape` as an element of a list in
-    the top-level object doc, its fields bare. _emit joins such elements
-    with _JSON_SEP."""
-    text = json.dumps(shape, indent=2).replace("\n", "\n    ")
-    if fmt == "csv":
-        return ",".join(re.findall(r'"(%[^"]*)"', text)) + "\n"
-    return re.sub(r'"(%[^"]*)"', r"\1", text)
-
-
-def _float_renderer(keys: tuple[str, ...], fmt: str, digits: int):
-    """render(cells): the CSV lines, or the JSON list elements joined as
-    _emit joins them, of the records with `keys` whose cells, in order, are
-    `cells` (one record, or many flat). A record has two int cells and then
-    float cells x, each rounded to `digits` significant digits and shown as
-    str() (CSV) or json.dumps() (JSON) of the rounded float, the same text
-    but for nan and the infinities.
-
-    For digits <= 15 that text is the one "%.{digits}g" % x prints, so the
-    records are printed with one `%` and gated once: the text has no 'e+'
-    and no 'e-3', and each float cell a '.' or, with a one-digit mantissa
-    such as 2e-09, an 'e-' after that lone digit. A decimal of at most 15
-    significant digits (DBL_DIG) in the normal float range survives the
-    round trip through a double, so repr prints the same shortest digits in
-    the same notation. A cell prints at most one of the two, and the ints,
-    the keys (which may hold no '.', 'e+' or 'e-') and the separators print
-    neither, so the counts reach the number of float cells only if each
-    cell has one.
-    Records that fail the gate (cells that print as integers, +-0, nan,
-    inf, large or near-subnormal exponents) are rendered again one at a
-    time, and those that fail alone, or have more digits, take the
-    reference text.
-    """
-    width = len(keys)
-    spec = f"%.{min(digits, 17)}g"  # 17 digits give back every double
-    fast, slow = (
-        _row_template(fmt, dict(zip(keys, ["%d", "%d", *[field] * (width - 2)])))
-        for field in (spec, "%s")
-    )
-    sep = "" if fmt == "csv" else _JSON_SEP
-    show = str if fmt == "csv" else json.dumps
-
-    def render(cells) -> str:
-        rows = len(cells) // width
-        if digits <= 15:
-            text = sep.join([fast] * rows) % tuple(cells)
-            floats = (width - 2) * rows
-            if "e+" not in text and "e-3" not in text and (
-                (dots := text.count(".")) == floats
-                or dots + len(re.findall(r"(?<![\d.])\de-", text)) == floats
-            ):
-                return text
-        if rows > 1:
-            return sep.join(render(cells[i : i + width]) for i in range(0, len(cells), width))
-        return slow % (cells[0], cells[1], *(show(float(spec % x)) for x in cells[2:]))
-
-    return render
-
-
-def _pooled(render, chunks: Iterable, workers: int) -> Iterator[str]:
-    """render(chunk) of each of `chunks`, in order, rendered by up to
-    `workers` forked processes (see sieve._Child) and by this one, which
-    draws the chunks.
-
-    A worker that holds no task is sent the oldest chunks neither rendered
-    nor sent, up to _TASK_CHUNKS of them, so that no pipe ever holds more
-    than one task or its texts, whatever its size. This process draws a
-    chunk at a time until _DRAWN_AHEAD chunks are out (drawn and not yet
-    yielded); then it renders the newest chunk neither rendered nor sent,
-    or, if there is none, waits for the oldest task out. Between two of
-    these steps it takes in what the workers have rendered and sends them
-    more, so that neither side waits on the other for long. The workers are
-    stopped however the generator ends: exhausted, by an error, or closed
-    by its consumer.
-    """
-    children: list[_Child] = []
-    idle = collections.deque()  # the idle workers
-    tasks = collections.deque()  # (worker, entries of its chunks) per task out, oldest first
-    out = collections.deque()  # [chunk, text] per chunk out, oldest first; chunk None once taken
-
-    def receive(task) -> None:
-        child, entries = task
-        for entry, text in zip(entries, child.receive()):
-            entry[1] = text
-        idle.append(child)
-
-    chunks = iter(chunks)
-    drawing = True
-    try:
-        while drawing or out:
-            if drawing and len(out) < _DRAWN_AHEAD:
-                chunk = next(chunks, None)
-                drawing = chunk is not None
-                if drawing:
-                    out.append([chunk, None])
-            for task in [task for task in tasks if task[0].ready()]:
-                tasks.remove(task)
-                receive(task)
-            waiting = [entry for entry in out if entry[0] is not None]
-            while waiting and (idle or len(children) < workers):
-                if not idle:
-                    children.append(_Child(lambda task: list(map(render, task)), children))
-                    idle.append(children[-1])
-                child = idle.popleft()
-                entries, waiting = waiting[:_TASK_CHUNKS], waiting[_TASK_CHUNKS:]
-                child.send([entry[0] for entry in entries])
-                for entry in entries:
-                    entry[0] = None
-                tasks.append((child, entries))
-            while out and out[0][1] is not None:
-                yield out.popleft()[1]
-            if drawing and len(out) < _DRAWN_AHEAD or not out:
-                continue
-            if waiting:
-                newest = waiting[-1]
-                newest[1], newest[0] = render(newest[0]), None
-            else:  # the oldest chunk is in the oldest task
-                receive(tasks.popleft())
-    finally:
-        for child in children:
-            child.stop()
-
-
-def _emit_float_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...],
-                     rows: Iterable[tuple], n_rows: int) -> None:
-    """_emit the `n_rows` float records `rows` under "rows", rendered with
-    `keys` and the --format and --digits of `args`.
-
-    Rows are drawn in this process, in order, and rendered by one
-    _float_renderer, so the text is the same either way: each row here as
-    it is drawn, or, from _POOL_MIN_CHUNKS chunks of _CHUNK_ROWS rows on,
-    where a CPU is spare, each chunk by this process or by one of the
-    forked workers that sieve._spare_cpus allows (see _pooled). A chunk is
-    one flat list of its rows' cells (which pickles several times faster
-    than ReportRows, and faster than tuples), printed whole in one `%`
-    where it passes the gate.
-    """
-    render = _float_renderer(keys, args.format, args.digits)
-    workers = _spare_cpus()
-    if n_rows < _POOL_MIN_CHUNKS * _CHUNK_ROWS or workers < 1:
-        chunks = (render(row) for row in rows)
-    else:
-        flat = iter(lambda: list(chain.from_iterable(islice(rows, _CHUNK_ROWS))), [])
-        chunks = _pooled(render, flat, workers)
-    with contextlib.closing(chunks):
-        _emit(args, {"meta": meta}, "rows", ",".join(keys) + "\n", chunks)
+    return _up_to(decimal.MAX_PREC, "digits exceed")(text)
 
 
 def _output_error(args: argparse.Namespace, exc: OSError) -> OutputError:
@@ -367,6 +177,8 @@ def _open_output(args: argparse.Namespace, mode: str = "w"):
 def _temp_beside(args: argparse.Namespace) -> tuple[int, str]:
     """A new temporary file in the directory of the --output file, as
     tempfile.mkstemp returns it."""
+    import tempfile
+
     target = os.path.realpath(args.output)
     try:
         return tempfile.mkstemp(
@@ -425,11 +237,14 @@ def _emit(args: argparse.Namespace, doc: dict, key: str | None = None,
     first = next(parts, None)
     if csv:
         texts = chain([header + (first or "")], parts)
-    elif first is None:
-        texts = [json.dumps({**doc, key: []} if key else doc, indent=2) + "\n"]
     else:
-        head, _, tail = json.dumps({**doc, key: [0]}, indent=2).rpartition("0")
-        texts = chain([head + first], (_JSON_SEP + part for part in parts), [tail + "\n"])
+        import json
+
+        if first is None:
+            texts = [json.dumps({**doc, key: []} if key else doc, indent=2) + "\n"]
+        else:
+            head, _, tail = json.dumps({**doc, key: [0]}, indent=2).rpartition("0")
+            texts = chain([head + first], (_JSON_SEP + part for part in parts), [tail + "\n"])
     temp = None
     if _replaceable(args):
         target = os.path.realpath(args.output)
@@ -505,45 +320,9 @@ def _definition_for(args: argparse.Namespace) -> SeriesDefinition:
     return definitions[args.kind]()
 
 
-def _exact_cells(states: Iterable[SeriesState], a: int) -> Iterator[tuple[int, int, list]]:
-    """For each exact state, (k, F_k, cells): the numerators and
-    denominators of T_k, S_k and R_k, in that order, as _decimal_json_int
-    cells.
-
-    str() of a huge int costs the square of its length, str() of a Decimal
-    only its length. So R's numerator rn and denominator rd are mirrored as
-    exact Decimals and T and S are derived from them, every step a huge
-    number times, divided by or added to a small one or another huge one:
-    with R = R_prev (F - a) / F and g0 = gcd(F, a), u = (F - a) / g0 and
-    v = F / g0,
-
-        T = rn_prev / gcd(rn_prev, F) over rd_prev F / gcd(rn_prev, F)
-        R = (rn_prev / g1)(u / g2) over (rd_prev / g2)(v / g1),
-            g1 = gcd(rn_prev, v), g2 = gcd(rd_prev, u)
-        S = (1 - R) / a = (rd - rn) / g over rd a / g, g = gcd(rd - rn, a)
-
-    which are the reduced fractions, since gcd(rn, rd) = 1. The gcds are
-    taken on the rows' own integers, each with one small operand.
-    """
-    rn_int = rd_int = 1
-    with decimal.localcontext(_EXACT):
-        rn = rd = decimal.Decimal(1)
-        for state in states:
-            f = state.F_k
-            g = math.gcd(rn_int, f)
-            t_num, t_den = rn / g, rd * (f // g)
-            g0 = math.gcd(f, a)
-            u, v = (f - a) // g0, f // g0
-            g1, g2 = math.gcd(rn_int, v), math.gcd(rd_int, u)
-            rn, rd = rn / g1 * (u // g2), rd / g2 * (v // g1)
-            rn_int, rd_int = state.R_k.numerator, state.R_k.denominator
-            g = math.gcd(rd_int - rn_int, a)
-            s_num, s_den = (rd - rn) / g, rd * (a // g)
-            yield state.k, f, [_decimal_json_int(x) for x in (t_num, t_den, s_num, s_den, rn, rd)]
-
-
 def cmd_series(args: argparse.Namespace) -> int:
     from .engine import DepthGuardError, float_rows, iter_states
+    from .render import _emit_float_rows, _exact_rows
 
     defn = _definition_for(args)
     a = defn.offset_a
@@ -551,16 +330,9 @@ def cmd_series(args: argparse.Namespace) -> int:
             "version": __version__}
     if args.mode == "exact":
         header = "n,F_n,T_num,T_den,S_num,S_den,R_num,R_den\n"
-        fraction = {"num": "%s", "den": "%s"}
-        shape = {"n": "%d", "F_n": "%d", "T": fraction, "S": fraction, "R": fraction}
-        template = _row_template(args.format, shape)
-        show = str if args.format == "csv" else json.dumps
-        chunks = (
-            template % (k, f, *map(show, cells))
-            for k, f, cells in _exact_cells(iter_states(defn, args.terms), a)
-        )
+        rows = _exact_rows(iter_states(defn, args.terms), a, args.format)
         try:
-            _emit(args, {"meta": meta}, "rows", header, chunks)
+            _emit(args, {"meta": meta}, "rows", header, rows)
         except DepthGuardError as exc:
             raise ValueError(f"{exc} (or use --mode float)") from None
         return 0
@@ -572,124 +344,9 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _totient_holds(previous: SeriesState | None, state: SeriesState) -> bool:
-    """T_k == prod_{i<k} (p_i - 1) / prod_{i<=k} p_i, by induction:
-    T_1 == 1/p_1 and T_k p_k == T_{k-1} (p_{k-1} - 1). Each product of a
-    reduced n/d and an int f is reduced by gcd(f, d), which is small, and
-    the reduced forms are compared."""
-    if previous is None:
-        return state.T_k == Fraction(1, state.F_k)
-    t, f = state.T_k, state.F_k
-    t_prev, f_prev = previous.T_k, previous.F_k - 1
-    g, g_prev = math.gcd(f, t.denominator), math.gcd(f_prev, t_prev.denominator)
-    return (t.denominator // g == t_prev.denominator // g_prev
-            and t.numerator * (f // g) == t_prev.numerator * (f_prev // g_prev))
-
-
-def _dominance_holds(previous: SeriesState | None, state: SeriesState) -> bool:
-    """T_k F_k <= 1, and < 1 for k >= 2: the term is bounded by 1/F_k.
-
-    T_k F_k = R_{k-1}, a product of k - 1 factors 1 - a/F_i, each in (0, 1),
-    so this holds by construction for k >= 2 and catches tampered states.
-    Cross-multiplied, as T_k's numerator times F_k against its positive
-    denominator, so that no product is reduced.
-    """
-    bound, one = state.T_k.numerator * state.F_k, state.T_k.denominator
-    return bound < one if state.k >= 2 else bound <= one
-
-
-def _check_states(states: Iterable[SeriesState], extra: tuple = (), **context) -> dict | None:
-    """The failure report, with `context`, for the first state that breaks
-    an identity; None if all hold. Only the previous state is kept. Each
-    state is checked for, in order:
-
-    - residual: check_residual_identity, and an unreduced integer sum that
-      does not come from R. With N_k = prod(F_i - a), D_k = prod F_i and
-      Sh_k = Sh_{k-1} F_k + N_{k-1}, S_k = Sh_k / D_k; a Sh_k == D_k - N_k
-      is checked at every k, and S_k == Sh_k / D_k, cross-multiplied, at
-      every power of two k and, after the last state, at the last one;
-    - recursion: check_term_recursion;
-    - each (identity, check) of `extra`: check(previous state or None, state).
-
-    1 - a S_k, which both engine checks read, is computed once per state.
-    """
-    from .engine import _one_minus_a_times, _recursion_holds, _residual_holds
-
-    s_hat, n_prod, d_prod = 0, 1, 1
-    previous = None
-    for state in states:
-        k, f, a, s = state.k, state.F_k, state.a, state.S_k
-        s_hat, n_prod, d_prod = s_hat * f + n_prod, n_prod * (f - a), d_prod * f
-        sum_holds = a * s_hat == d_prod - n_prod and (
-            k & (k - 1) or s.numerator * d_prod == s_hat * s.denominator
-        )
-        one_minus_as = _one_minus_a_times(a, s)
-        if not (_residual_holds(state, one_minus_as) and sum_holds):
-            failed = "residual"
-        elif not _recursion_holds(state, one_minus_as):
-            failed = "recursion"
-        else:
-            failed = next((name for name, check in extra if not check(previous, state)), None)
-        if failed:
-            return {"status": "fail", "identity": failed, "index": k, **context}
-        previous = state
-    if (
-        previous is not None
-        and previous.k & (previous.k - 1)
-        and previous.S_k.numerator * d_prod != s_hat * previous.S_k.denominator
-    ):
-        return {"status": "fail", "identity": "residual", "index": previous.k, **context}
-    return None
-
-
-def _tamper(states: Iterable[SeriesState], index: int) -> Iterator[SeriesState]:
-    """`states` with the low bit of T_k's numerator flipped at k = index."""
-    for state in states:
-        if state.k == index:
-            bad = state.T_k
-            state = state._replace(T_k=Fraction(bad.numerator ^ 1, bad.denominator))
-        yield state
-
-
-def _run_identity_checks(args: argparse.Namespace) -> dict:
-    from .engine import DepthGuardError, iter_states
-
-    states = iter_states(_definition_for(args), args.terms)
-    if args.tamper_index is not None:
-        if args.tamper_index > args.terms:
-            raise ValueError("tamper index out of range")
-        states = _tamper(states, args.tamper_index)
-    extra = {
-        "prime": (("totient-primorial", _totient_holds),),
-        "twin": (("dominance", _dominance_holds),),
-    }.get(args.kind, ())
-    try:
-        failure = _check_states(states, extra)
-    except DepthGuardError as exc:
-        raise ValueError(str(exc)) from None
-    if failure:
-        return failure
-    checks = ["residual", "recursion", *(name for name, _ in extra)]
-    return {"status": "pass", "kind": args.kind, "terms": args.terms, "checks": checks}
-
-
-def _run_random_suite(args: argparse.Namespace) -> dict:
-    from .engine import SeriesDefinition, iter_states
-
-    rng = random.Random(args.seed)
-    for instance in range(1, args.random_instances + 1):
-        a = rng.randint(1, 50)
-        length = rng.randint(1, 200)
-        values = sorted(rng.sample(range(a + 1, 10**6), length))
-        defn = SeriesDefinition(tuple(values), offset_a=a)
-        failure = _check_states(iter_states(defn, length), instance=instance, a=a)
-        if failure:
-            return failure
-    return {"status": "pass", "random_instances": args.random_instances, "seed": args.seed,
-            "checks": ["residual", "recursion"]}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import _run_identity_checks, _run_random_suite
+
     if args.random_instances:
         # the random suite draws its own series, and a tamper must never pass
         for flag, value in (
@@ -702,12 +359,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if value is not None:
                 raise ValueError(f"{flag} cannot be combined with --random")
         print(f"seed: {args.seed}", file=sys.stderr)
-        report = _run_random_suite(args)
-        report.setdefault("seed", args.seed)
+        report = _run_random_suite(args.random_instances, args.seed)
     else:
         # argparse leaves these None, so that --random can tell a given value from a default
         args.kind, args.terms = args.kind or "prime", args.terms or 100
-        report = _run_identity_checks(args)
+        report = _run_identity_checks(_definition_for(args), args.kind, args.terms,
+                                      args.tamper_index)
     _emit(args, report)
     return 0 if report["status"] == "pass" else 1
 
@@ -736,10 +393,13 @@ def cmd_kconst(args: argparse.Namespace) -> int:
 
 
 def cmd_brun(args: argparse.Namespace) -> int:
+    import decimal
+
+    from .render import _decimal_json_int, _exact_decimals
     from .series import brun_partial
 
     result = brun_partial(args.limit)
-    num, den = _exact_decimal(result.sum.numerator), _exact_decimal(result.sum.denominator)
+    num, den = _exact_decimals(result.sum.numerator, result.sum.denominator)
     context = decimal.Context(prec=args.digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     decimal_text = str(context.divide(num, den))
     num, den = _decimal_json_int(num), _decimal_json_int(den)
@@ -755,6 +415,7 @@ def cmd_brun(args: argparse.Namespace) -> int:
 
 
 def cmd_mertens(args: argparse.Namespace) -> int:
+    from .render import _emit_float_rows
     from .series import mertens_rows
 
     rows = mertens_rows(args.terms, last=args.last)  # streamed
@@ -767,6 +428,8 @@ def cmd_mertens(args: argparse.Namespace) -> int:
 
 
 def cmd_primes(args: argparse.Namespace) -> int:
+    from .render import _row_template
+
     if args.count is not None:
         if args.twins:
             raise ValueError("--twins needs --limit, not --count")

@@ -1,6 +1,9 @@
 """Concrete series over primes: the prime, square-free and twin-prime sums,
 primorial/totient helpers, reciprocal sums over the twin sequence, and the
 floating companions used once exact denominators become impractical.
+
+The exact engine is imported only by the functions that build on it, so
+that `brun` and `mertens` run without it.
 """
 
 from __future__ import annotations
@@ -8,9 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .engine import ReportRow, SeriesDefinition, report_rows
 from .sieve import (
     iter_prime_arrays,
     iter_primes,
@@ -18,6 +20,9 @@ from .sieve import (
     nth_twin_values,
     twin_sequence_up_to,
 )
+
+if TYPE_CHECKING:
+    from .engine import ReportRow, SeriesDefinition
 
 #: Euler-Mascheroni constant, the double nearest to it (numpy's euler_gamma).
 EULER_GAMMA = 0.5772156649015329
@@ -65,18 +70,23 @@ def totient_primorial(n: int) -> TotientOfPrimorial:
 
 def prime_definition() -> SeriesDefinition:
     """F_i = p_i with a = 1: term n is totient(p_{n-1}#) / p_n#."""
+    from .engine import SeriesDefinition
+
     return SeriesDefinition(iter_primes, offset_a=1)
 
 
 def square_free_definition() -> SeriesDefinition:
     """F_i = p_i^2 with a = 1: term n is the fraction of integers whose first
     squared-prime divisor is p_n^2."""
+    from .engine import SeriesDefinition
+
     return SeriesDefinition(lambda: (p * p for p in iter_primes()), offset_a=1)
 
 
 def twin_prime_definition() -> SeriesDefinition:
     """F = odd primes (3, 5, 7, ...) with a = 2: term n is the fraction of
     odd pairs (x, x+2) first hit when sieving by the n-th odd prime."""
+    from .engine import SeriesDefinition
 
     def odd_primes() -> Iterator[int]:
         return islice(iter_primes(), 1, None)
@@ -85,10 +95,14 @@ def twin_prime_definition() -> SeriesDefinition:
 
 
 def prime_series(n_terms: int) -> list[ReportRow]:
+    from .engine import report_rows
+
     return report_rows(prime_definition(), n_terms)
 
 
 def twin_prime_series(n_terms: int) -> list[ReportRow]:
+    from .engine import report_rows
+
     return report_rows(twin_prime_definition(), n_terms)
 
 

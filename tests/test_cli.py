@@ -24,24 +24,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sievesum.checks
 import sievesum.cli
 import sievesum.engine
 import sievesum.kconst
+import sievesum.render
 import sievesum.series
 import sievesum.sieve
 from sievesum import __version__
 from sievesum.cli import (
     DEFAULT_SEED,
-    _decimal_json_int,
     _emit,
-    _exact_cells,
+    _integer,
     _JSON_SEP,
-    _exact_decimal,
-    _float_renderer,
     build_parser,
     main,
     parse_limit,
 )
+from sievesum.render import _decimal_json_int, _exact_cells, _exact_decimals, _float_renderer
 from sievesum.engine import SeriesDefinition, float_rows, iter_states, report_rows
 from sievesum.kconst import _C2_CUTOFFS, estimate_K, partial_product
 from sievesum.series import (
@@ -442,6 +442,72 @@ class TestIntegerFlags:
         code, out, err = run_cli(capsys, *argv, text)
         assert (code, out) == (2, "")
         assert f"argument --{flag}: count exceeds the maximum {sys.maxsize}" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        digits=st.integers(0, 10**40),
+        point=st.integers(0, 25),
+        exponent=st.integers(-60, 60),
+        sign=st.sampled_from(["", "+", "-"]),
+        marker=st.sampled_from(["e", "E", "e+"]),
+    )
+    @example(digits=50000000000000000001, point=0, exponent=-16, sign="", marker="e")
+    @example(digits=10000000000000001, point=0, exponent=0, sign="", marker="e")
+    @example(digits=1, point=0, exponent=30, sign="", marker="e")
+    def test_scientific_notation_is_read_exactly(self, digits, point, exponent, sign, marker):
+        """m.de±k is read as the exact m.d * 10**k, and refused unless
+        that is an integer: --limit refuses it as --limit refuses the
+        integer's digits, and an integer argument takes it as the integer."""
+        if marker == "e+" and exponent < 0:
+            marker = "e"
+        whole = str(digits).rjust(point + 1, "0")
+        mantissa = f"{whole[: len(whole) - point]}.{whole[len(whole) - point:]}" if point else whole
+        text = f"{sign}{mantissa}{marker}{exponent}"
+        value = Fraction(-digits if sign == "-" else digits) * Fraction(10) ** (exponent - point)
+        if value.denominator != 1:
+            assert outcome(parse_limit, text) == (
+                argparse.ArgumentTypeError, f"limit {text!r} is not an integer")
+            assert outcome(_integer, text) == (argparse.ArgumentTypeError,
+                                               f"invalid integer {text!r}")
+        else:
+            assert outcome(parse_limit, text) == outcome(parse_limit, str(value.numerator))
+            assert _integer(text) == value.numerator
+
+    def test_non_integer_scientific_terms_are_refused(self, capsys, monkeypatch):
+        must_not_compute(monkeypatch, "computed with a fraction of a term")
+        text = "50000000000000000001e-16"  # 5000.0000000000000001
+        code, out, err = run_cli(capsys, "series", "--kind", "prime", "--terms", text)
+        assert (code, out) == (2, "")
+        assert f"argument --terms: invalid integer {text!r}" in err
+
+    def test_scientific_terms_are_not_rounded(self, capsys):
+        code, out, err = run_cli(capsys, "series", "--kind", "prime", "--terms",
+                                 "10000000000000001e0")
+        assert (code, out) == (2, "")
+        assert "10000000000000001 exact terms exceed the depth guard" in err
+
+    @pytest.mark.parametrize(
+        "text, limit, seed",
+        [
+            ("1e999999999999", "limit exceeds supported cap", "invalid integer"),
+            ("-1e999999999999", "limit must be nonnegative", "invalid integer"),
+            ("0e999999999999", 0, 0),
+            ("-0e-999999999999", 0, 0),
+            ("1e-999999999999", "is not an integer", "invalid integer"),
+            ("inf", "limit exceeds supported cap", "invalid integer"),
+            ("1e9999999999999999999", "invalid limit", "invalid integer"),
+        ],
+    )
+    def test_huge_exponents_build_no_huge_number(self, text, limit, seed):
+        """A number of more than a few thousand digits is beyond every
+        bound of --limit, and refused where no bound applies, as an
+        infinity is; an exponent beyond decimal's is no number."""
+        for parse, expected in ((parse_limit, limit), (_integer, seed)):
+            if isinstance(expected, int):
+                assert parse(text) == expected
+            else:
+                with pytest.raises(argparse.ArgumentTypeError, match=expected):
+                    parse(text)
 
     def test_counts_accept_maxsize(self):
         parse = build_parser().parse_args
@@ -873,8 +939,8 @@ def use_pool(monkeypatch, chunk_rows):
     """Render float rows in chunks of `chunk_rows` on a worker process and
     the command's own from two chunks on, as on a host with two usable
     CPUs. The `forked` fixture records the workers started."""
-    monkeypatch.setattr(sievesum.cli, "_CHUNK_ROWS", chunk_rows)
-    monkeypatch.setattr(sievesum.cli, "_POOL_MIN_CHUNKS", 2)
+    monkeypatch.setattr(sievesum.render, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(sievesum.render, "_POOL_MIN_CHUNKS", 2)
     monkeypatch.setattr(sievesum.sieve, "_usable_cpus", lambda: 2)
 
 
@@ -950,7 +1016,7 @@ class TestPooledFloatRows:
                 drawn.append(chunk)
                 yield chunk
 
-        texts = map(lambda text: text.split(" ", 1), sievesum.cli._pooled(render, counted(), 2))
+        texts = map(lambda text: text.split(" ", 1), sievesum.render._pooled(render, counted(), 2))
         rendered = [next(texts)]
         # until each worker started has answered, and so ignores SIGINT
         while not {int(pid) for pid, _ in rendered} >= set(forked):
@@ -970,7 +1036,7 @@ class TestPooledFloatRows:
             os.kill(forked[0], signal.SIGKILL)
             yield from ([k] for k in range(1, 8))
 
-        texts = sievesum.cli._pooled(repr, chunks(), 1)
+        texts = sievesum.render._pooled(repr, chunks(), 1)
         error = f"a child process ended with exit code {-signal.SIGKILL} before it answered$"
         with pytest.raises(ChildProcessError, match=error):
             list(texts)
@@ -999,10 +1065,11 @@ class TestPooledFloatRows:
 # KeyboardInterrupt, or, with FAIL_WITH=SIGKILL, kills the first worker.
 POOL_SCRIPT = textwrap.dedent("""
     import builtins, os, signal, sys
-    import sievesum.cli as cli, sievesum.engine as engine, sievesum.sieve as sieve
+    import sievesum.cli as cli, sievesum.engine as engine, sievesum.render as render
+    import sievesum.sieve as sieve
 
     sieve._usable_cpus = lambda: int(os.environ.get("CPUS", "2"))
-    pools, pooled, compute, fork, workers = [], cli._pooled, engine.float_rows, os.fork, []
+    pools, pooled, compute, fork, workers = [], render._pooled, engine.float_rows, os.fork, []
     fail_at = int(os.environ.get("FAIL_AT", "0"))
 
     def counted(*args):
@@ -1022,7 +1089,7 @@ POOL_SCRIPT = textwrap.dedent("""
                 raise getattr(builtins, os.environ["FAIL_WITH"])(f"row {fail_at} failed")
             yield row
 
-    cli._pooled, engine.float_rows, os.fork = counted, failing, recorded
+    render._pooled, engine.float_rows, os.fork = counted, failing, recorded
     try:
         code = cli.main(sys.argv[1:])
     except KeyboardInterrupt:
@@ -1157,10 +1224,20 @@ class TestExactDecimal:
     @example(n=2**128 - 1)
     @example(n=2**128)
     @example(n=2**128 + 1)
+    @example(n=2**2048 - 1)
+    @example(n=2**2048)
+    @example(n=2**2048 + 1)
     @example(n=2**300_000 - 1)
     def test_str_matches_str_of_the_int(self, n):
         with unlimited_int_str():
-            assert str(_exact_decimal(n)) == str(n)
+            assert str(*_exact_decimals(n)) == str(n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ns=st.lists(st.one_of(st.integers(0, 2**5000), WIDE_INTS), max_size=4))
+    @example(ns=[2**300_000 - 1, 3**180_000, 2**4097 + 1, 0])
+    def test_values_sharing_the_powers_of_two_each_match(self, ns):
+        with unlimited_int_str():
+            assert list(map(str, _exact_decimals(*ns))) == list(map(str, ns))
 
 
 def json_int_cells(state):
@@ -1179,7 +1256,7 @@ class TestDecimalJsonInt:
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     def test_matches_reference_at_the_int64_edge(self, threshold, delta):
         n = threshold + delta
-        cell = _decimal_json_int(_exact_decimal(n))
+        cell = _decimal_json_int(*_exact_decimals(n))
         assert cell == reference_json_int(n) and type(cell) is type(reference_json_int(n))
 
 
@@ -1212,6 +1289,12 @@ class TestExactCells:
     def test_matches_json_int(self, a, values):
         cells, states = exact_cells_of([a + 1 + v for v in values], a)
         assert cells == [json_int_cells(state) for state in states]
+
+    def test_leaves_the_consumers_decimal_context_between_rows(self):
+        # a Decimal division in the exact context would not round but fail
+        with decimal.localcontext() as mine:
+            for _ in _exact_cells(iter_states(prime_definition(), 3), 1):
+                assert decimal.getcontext() is mine
 
 
 def reference_float_line(row, digits):
@@ -1340,7 +1423,7 @@ class TestFloatRenderer:
             parsed.append(text)
             return float(text)
 
-        monkeypatch.setattr(sievesum.cli, "float", recording, raising=False)
+        monkeypatch.setattr(sievesum.render, "float", recording, raising=False)
         render = _float_renderer(FLOAT_KEYS, fmt, 15)
         assert render(list(itertools.chain.from_iterable(rows))) == expected
         assert parsed == ["0.2", "0.3", "nan"]
@@ -1361,7 +1444,7 @@ class TestFloatRenderer:
         }
         # the reference text parses the rounded cell back with float();
         # the one-% text does not
-        monkeypatch.setattr(sievesum.cli, "float", None, raising=False)
+        monkeypatch.setattr(sievesum.render, "float", None, raising=False)
         for fmt, texts in expected.items():
             render = _float_renderer(FLOAT_KEYS, fmt, digits)
             assert render(row) == texts[0]
@@ -1385,18 +1468,18 @@ class TestFloatRenderer:
         # printed whole: a chunk fails the gate only if one of its records
         # does, and that record takes the reference text, so a gate that
         # would lose the one-% speed of the pooled float series shows here
-        rows = list(float_rows(twin_prime_definition(), 10 * sievesum.cli._CHUNK_ROWS))
+        rows = list(float_rows(twin_prime_definition(), 10 * sievesum.render._CHUNK_ROWS))
         reference = reference_float_line if fmt == "csv" else reference_float_element
         expected = [reference(row, digits) for row in rows]
 
         def must_not_parse(text):
             raise AssertionError("a record of the twin series took the reference text")
 
-        monkeypatch.setattr(sievesum.cli, "float", must_not_parse, raising=False)
+        monkeypatch.setattr(sievesum.render, "float", must_not_parse, raising=False)
         render = _float_renderer(FLOAT_KEYS, fmt, digits)
         sep = "" if fmt == "csv" else _JSON_SEP
-        for start in range(0, len(rows), sievesum.cli._CHUNK_ROWS):
-            chunk = rows[start : start + sievesum.cli._CHUNK_ROWS]
+        for start in range(0, len(rows), sievesum.render._CHUNK_ROWS):
+            chunk = rows[start : start + sievesum.render._CHUNK_ROWS]
             text = render(list(itertools.chain.from_iterable(chunk)))
             assert text == sep.join(expected[start : start + len(chunk)])
 
@@ -1613,7 +1696,8 @@ class TestVerifyCommand:
         assert code == 0
         assert "seed: 99" in err
 
-    @pytest.mark.parametrize("seed, same_as", [("1e3", "1000"), ("-5", "-5")])
+    @pytest.mark.parametrize("seed, same_as", [("1e3", "1000"), ("-5", "-5"), ("2.5e1", "25"),
+                                               ("1e30", str(10**30))])
     def test_seed_takes_e_notation_and_negatives(self, capsys, seed, same_as):
         code, out, err = run_cli(capsys, "verify", "--random", "2", "--seed", seed)
         assert code == 0
@@ -1718,7 +1802,7 @@ class TestVerifyCommand:
             if previous is not None:
                 pairs += [(probe, state) for probe in changed(previous)]
             for pair in pairs:
-                assert outcome(sievesum.cli._totient_holds, *pair) == outcome(by_fractions, *pair)
+                assert outcome(sievesum.checks._totient_holds, *pair) == outcome(by_fractions, *pair)
             previous = state
 
     @settings(max_examples=100, deadline=None)
@@ -1741,7 +1825,7 @@ class TestVerifyCommand:
         states = iter_states(SeriesDefinition(tuple(values), offset_a=a), len(values))
         for state in states:
             for probe in changed(state):
-                assert (outcome(sievesum.cli._dominance_holds, None, probe)
+                assert (outcome(sievesum.checks._dominance_holds, None, probe)
                         == outcome(by_fractions, None, probe))
 
     def test_depth_guard_has_no_mode_hint(self, capsys):

@@ -12,7 +12,8 @@ test process has all of them loaded already.
 The package's own modules load on demand too: `import sievesum` loads none
 of its submodules, `import sievesum.cli` only the sieve, and each command
 the submodules it runs. The package exports its names lazily, each the
-object its submodule defines.
+object its submodule defines. Nor does `import sievesum.cli` load a
+standard module that some command runs without, such as json or decimal.
 """
 
 import importlib
@@ -106,9 +107,9 @@ def test_twin_constant_does_without_numpy():
 
 
 def test_pooled_float_series_does_without_multiprocessing(loaded):
-    import sievesum.cli
+    import sievesum.render
 
-    assert int(POOLED[4]) >= sievesum.cli._POOL_MIN_CHUNKS * sievesum.cli._CHUNK_ROWS
+    assert int(POOLED[4]) >= sievesum.render._POOL_MIN_CHUNKS * sievesum.render._CHUNK_ROWS
     assert loaded[" ".join(POOLED)] == [0, ["pickle"]]
 
 
@@ -122,8 +123,8 @@ def test_split_kconst_does_without_multiprocessing(loaded):
 
 # The standard modules that the package's modules import at their top level
 TOP_LEVEL_IMPORTS = (
-    "__future__, argparse, collections, contextlib, decimal, fractions, functools, importlib, "
-    "itertools, json, math, operator, os, random, re, sys, tempfile, typing"
+    "__future__, argparse, collections, contextlib, fractions, functools, importlib, "
+    "itertools, math, operator, os, re, sys, typing"
 )
 
 
@@ -133,6 +134,54 @@ def test_cli_import_loads_only_the_package_beyond_its_top_level_imports():
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     assert run_python("-c", probe).split() == ["sievesum", "sievesum.cli", "sievesum.sieve"]
+
+
+# Standard modules that some command runs without: `primes` in CSV needs
+# neither json nor decimal (nor fractions, which imports decimal), `verify`
+# without --random no random, and only an --output file needs tempfile
+DEFERRED = ("decimal", "fractions", "json", "random", "tempfile")
+LOADED_DEFERRED = f"print(*[name for name in {DEFERRED!r} if name in sys.modules])"
+
+
+@pytest.fixture(scope="module")
+def bare():
+    """Those of DEFERRED that a bare interpreter has loaded (its site may)."""
+    return run_python("-c", f"import sys; {LOADED_DEFERRED}").split()
+
+
+def test_cli_import_loads_no_standard_module_a_command_runs_without(bare):
+    assert run_python("-c", f"import sys, sievesum.cli; {LOADED_DEFERRED}").split() == bare
+
+
+# Runs cli.main(sys.argv[1:]) in a fresh interpreter, then prints its exit
+# code and those of DEFERRED that it loaded and the interpreter had not.
+DEFERRED_PROBE = f"""
+import contextlib, io, sys
+bare = set(sys.modules)
+import sievesum.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = sievesum.cli.main(sys.argv[1:])
+print(code, *[name for name in {DEFERRED!r} if name in sys.modules and name not in bare])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["primes", "--limit", "100"], []),
+        (["primes", "--count", "10"], []),
+        (["series", "--kind", "prime", "--terms", "30"], ["decimal", "fractions"]),
+        (["series", "--kind", "twin", "--terms", "200", "--mode", "float"],
+         ["decimal", "fractions"]),
+        (["brun", "--limit", "10000", "--format", "csv"], ["decimal", "fractions"]),
+        (["verify", "--terms", "30"], ["decimal", "fractions", "json"]),
+        (["verify", "--random", "2"], ["decimal", "fractions", "json", "random"]),
+    ],
+    ids=" ".join,
+)
+def test_each_command_loads_only_the_deferred_modules_it_runs(bare, argv, loaded):
+    code, *modules = run_python("-c", DEFERRED_PROBE, *argv).split()
+    assert (code, modules) == ("0", [name for name in loaded if name not in bare])
 
 
 LOADED_PACKAGE = "print(*sorted(name for name in sys.modules if name.startswith('sievesum')))"
@@ -158,25 +207,28 @@ print(code, end=" ")
     "argv, modules",
     [
         (KCONST, ("kconst", "sieve")),
-        (["series", "--kind", "prime", "--terms", "30"], ("engine", "series", "sieve")),
-        (["series", "--kind", "custom", "--seq", "2,3", "--terms", "2"], ("engine", "sieve")),
+        (["series", "--kind", "prime", "--terms", "30"], ("engine", "render", "series", "sieve")),
+        (["series", "--kind", "custom", "--seq", "2,3", "--terms", "2"],
+         ("engine", "render", "sieve")),
         (["series", "--kind", "twin", "--terms", "200", "--mode", "float"],
-         ("engine", "series", "sieve")),
-        (["verify", "--terms", "30"], ("engine", "series", "sieve")),
-        (["verify", "--random", "3"], ("engine", "sieve")),
-        (["brun", "--limit", "10000"], ("engine", "series", "sieve")),
-        (["mertens", "--terms", "100"], ("engine", "series", "sieve")),
-        (["primes", "--count", "10"], ("sieve",)),
-        (["primes", "--limit", "100", "--twins"], ("sieve",)),
+         ("engine", "render", "series", "sieve")),
+        (["verify", "--terms", "30"], ("checks", "engine", "series", "sieve")),
+        (["verify", "--random", "3"], ("checks", "engine", "sieve")),
+        (["brun", "--limit", "10000"], ("render", "series", "sieve")),
+        (["mertens", "--terms", "100"], ("render", "series", "sieve")),
+        (["primes", "--count", "10"], ("render", "sieve")),
+        (["primes", "--limit", "100", "--twins"], ("render", "sieve")),
     ],
     ids=" ".join,
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, modules):
-    """kconst loads neither the exact engine nor the series, the series
-    commands no kconst, and primes none of the three."""
+    """kconst loads neither the exact engine nor the series, nor the row
+    renderer or the checks; the series commands no kconst; brun and
+    mertens no exact engine; only verify the checks; and primes none of
+    the engine, the series and kconst."""
     code, *loaded = run_python("-c", COMMAND_PROBE, json.dumps(argv)).split()
     assert code == "0"
-    assert loaded == ["sievesum", "sievesum.cli", *(f"sievesum.{m}" for m in modules)]
+    assert loaded == sorted(["sievesum", "sievesum.cli", *(f"sievesum.{m}" for m in modules)])
 
 
 # The names the package exports, by the submodule that defines them, as
