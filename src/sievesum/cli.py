@@ -33,6 +33,7 @@ if TYPE_CHECKING:
     from .engine import SeriesDefinition
 
 DEFAULT_SEED = 1000003
+DEFAULT_DIGITS = 15
 # between two elements of a list in a top-level object, as json.dumps(indent=2) writes it
 _JSON_SEP = ",\n    "
 # the most digits an integer argument is built with: a text such as 1e999999999
@@ -63,11 +64,14 @@ def _parse_int(text: str, invalid: str, fractional: str, beyond: int | None = No
     An infinity, or a number of more than _MAX_DIGITS digits, is +-`beyond`,
     a magnitude past every bound of the caller, which then refuses it as it
     refuses any value out of its range; with no `beyond` it is `invalid`.
+    That holds for plain digits too, whatever the interpreter's own limit
+    on them: a text longer than _MAX_DIGITS is read through decimal.
     """
-    try:
-        return int(text, 10)
-    except ValueError:
-        pass
+    if len(text) <= _MAX_DIGITS:
+        try:
+            return int(text, 10)
+        except ValueError:
+            pass
     import decimal
 
     try:
@@ -324,6 +328,9 @@ def cmd_series(args: argparse.Namespace) -> int:
     from .engine import DepthGuardError, float_rows, iter_states
     from .render import _emit_float_rows, _exact_rows
 
+    if args.mode == "exact" and args.digits is not None:
+        raise ValueError("--digits needs --mode float")
+    args.digits = args.digits or DEFAULT_DIGITS
     defn = _definition_for(args)
     a = defn.offset_a
     meta = {"kind": args.kind, "a": a, "terms": args.terms, "mode": args.mode,
@@ -358,8 +365,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ):
             if value is not None:
                 raise ValueError(f"{flag} cannot be combined with --random")
-        print(f"seed: {args.seed}", file=sys.stderr)
-        report = _run_random_suite(args.random_instances, args.seed)
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        print(f"seed: {seed}", file=sys.stderr)
+        report = _run_random_suite(args.random_instances, seed)
+    elif args.seed is not None:
+        raise ValueError("--seed needs --random")
     else:
         # argparse leaves these None, so that --random can tell a given value from a default
         args.kind, args.terms = args.kind or "prime", args.terms or 100
@@ -468,12 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser, default: str = "csv") -> None:
         p.add_argument("--format", choices=("csv", "json"), default=default)
 
-    def add_digits(p: argparse.ArgumentParser) -> None:
+    def add_digits(p: argparse.ArgumentParser, default: int | None = DEFAULT_DIGITS) -> None:
         p.add_argument(
             "--digits",
             type=_digits,
-            default=15,
-            help="significant digits for decimal rendering (default 15)",
+            default=default,
+            help=f"significant digits for decimal rendering (default {DEFAULT_DIGITS})",
         )
 
     p = sub.add_parser("primes", help="list primes or twin pairs")
@@ -493,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", help="custom sequence: comma list or start:step rule")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     add_format(p)
-    add_digits(p)
+    add_digits(p, None)  # so that cmd_series can tell a given --digits from the default
     add_output(p)
 
     p = sub.add_parser("verify", help="run exact identity checks; exit 0 iff all pass")
@@ -504,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq")
     p.add_argument("--random", type=_positive_int, default=0, dest="random_instances",
                    metavar="N", help="run N randomized (F, a) identity instances")
-    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_integer,
                    help=f"seed for --random (default {DEFAULT_SEED})")
     p.add_argument("--tamper-index", type=_positive_int, default=None,
                    help=argparse.SUPPRESS)

@@ -509,6 +509,33 @@ class TestIntegerFlags:
                 with pytest.raises(argparse.ArgumentTypeError, match=expected):
                     parse(text)
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("verify", "--random", "1", "--seed"), "seed"),
+            (("verify", "--random"), "random"),
+            (("series", "--kind", "custom", "--seq", "2,3", "--terms", "2", "--a"), "a"),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["1" + "0" * 4300, "-" + "9" * 4301, "1_" + "0" * 4300],
+                             ids=["10^4300", "-(10^4301-1)", "1_0...0"])
+    def test_plain_integers_of_more_than_4300_digits_are_refused(
+        self, capsys, monkeypatch, argv, flag, text
+    ):
+        """The digit rule holds for plain digits as for 1e4301, although
+        main lifts the interpreter's own limit on int() of long texts."""
+        must_not_compute(monkeypatch, "computed with a number of more than 4300 digits")
+        code, out, err = run_cli(capsys, *argv, text)
+        assert (code, out) == (2, "")
+        assert f"argument --{flag}: invalid integer" in err
+
+    @pytest.mark.parametrize("text, seed", [("9" * 4300, 10**4300 - 1), ("0" * 5000 + "7", 7)],
+                             ids=["10^4300-1", "0...07"])
+    def test_seeds_of_4300_digits_are_taken(self, capsys, text, seed):
+        code, out, _ = run_cli(capsys, "verify", "--random", "1", "--seed", text)
+        with unlimited_int_str():
+            assert (code, json.loads(out)["seed"]) == (0, seed)
+
     def test_counts_accept_maxsize(self):
         parse = build_parser().parse_args
         assert parse(["primes", "--count", str(sys.maxsize)]).count == sys.maxsize
@@ -731,6 +758,13 @@ class TestSeriesCommand:
         must_not_compute(monkeypatch, "computed with an ignored --seq or --a")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {flag} needs --kind custom\n")
+
+    @pytest.mark.parametrize("mode", [(), ("--mode", "exact")])
+    def test_digits_needs_float_mode(self, capsys, monkeypatch, mode):
+        must_not_compute(monkeypatch, "computed with an ignored --digits")
+        code, out, err = run_cli(capsys, "series", "--kind", "prime", "--terms", "3", *mode,
+                                 "--digits", "5")
+        assert (code, out, err) == (2, "", "error: --digits needs --mode float\n")
 
     def test_custom_a_defaults_to_1(self, capsys):
         code, out, _ = run_cli(capsys, "series", "--kind", "custom", "--seq", "2,3", "--terms", "2",
@@ -1703,6 +1737,13 @@ class TestVerifyCommand:
         assert code == 0
         assert (code, out, err) == run_cli(capsys, "verify", "--random", "2", "--seed", same_as)
         assert json.loads(out)["seed"] == int(same_as)
+
+    @pytest.mark.parametrize("extra", [(), ("--kind", "twin", "--terms", "40")])
+    @pytest.mark.parametrize("seed", [str(DEFAULT_SEED), "7"])
+    def test_seed_needs_random(self, capsys, monkeypatch, extra, seed):
+        must_not_compute(monkeypatch, "computed with an ignored --seed")
+        code, out, err = run_cli(capsys, "verify", *extra, "--seed", seed)
+        assert (code, out, err) == (2, "", "error: --seed needs --random\n")
 
     def test_tamper_with_random_is_usage_error(self, capsys):
         code, out, err = run_cli(

@@ -137,8 +137,9 @@ def test_cli_import_loads_only_the_package_beyond_its_top_level_imports():
 
 
 # Standard modules that some command runs without: `primes` in CSV needs
-# neither json nor decimal (nor fractions, which imports decimal), `verify`
-# without --random no random, and only an --output file needs tempfile
+# neither json nor decimal (nor fractions, which imports decimal), `kconst`
+# no fractions, `verify` without --random no random, and only an --output
+# file needs tempfile
 DEFERRED = ("decimal", "fractions", "json", "random", "tempfile")
 LOADED_DEFERRED = f"print(*[name for name in {DEFERRED!r} if name in sys.modules])"
 
@@ -176,6 +177,7 @@ print(code, *[name for name in {DEFERRED!r} if name in sys.modules and name not 
         (["brun", "--limit", "10000", "--format", "csv"], ["decimal", "fractions"]),
         (["verify", "--terms", "30"], ["decimal", "fractions", "json"]),
         (["verify", "--random", "2"], ["decimal", "fractions", "json", "random"]),
+        (KCONST, ["decimal", "json"]),  # C2 is computed in decimal, with no fractions
     ],
     ids=" ".join,
 )

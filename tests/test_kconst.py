@@ -30,7 +30,7 @@ from sievesum.kconst import (
     DegenerateDataError,
     ExtrapolationError,
     PartialProduct,
-    _bernoulli_term,
+    _borwein_weights,
     _c2_at,
     _exact_log_sums,
     _log_sums,
@@ -434,26 +434,31 @@ class TestTwinConstant:
 
 
 class TestZeta:
-    @pytest.mark.parametrize("s", [2, 3, 7, 30])
-    @pytest.mark.parametrize("m", [32, 64])
-    def test_matches_mpmath(self, s, m):
-        with decimal.localcontext() as ctx:
-            ctx.prec = 55
-            value = _zeta(s, m, Decimal("1e-52"))
+    @pytest.mark.parametrize("s", [2, 3, 7, 30, 60])
+    def test_matches_mpmath(self, s):
         with mpmath.workdps(60):
             reference = Decimal(mpmath.nstr(mpmath.zeta(s), 60))
-        assert abs(value - reference) < Decimal("1e-50")
+        assert abs(_zeta(s) - reference) < Decimal("1e-50")
 
-    def test_diverging_series_raises(self):
-        with pytest.raises(ArithmeticError, match="diverges"):
-            _zeta(2, 16, Decimal("1e-52"))  # its terms bottom out near 1e-44
+    def test_does_not_depend_on_the_callers_context(self):
+        _zeta.cache_clear()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            low = _zeta(3)
+        _zeta.cache_clear()
+        assert low == _zeta(3)
 
-    def test_bernoulli_terms(self):
-        # B_2, B_4, B_6, B_12 over (2j)!
-        assert _bernoulli_term(1) == Fraction(1, 6) / 2
-        assert _bernoulli_term(2) == Fraction(-1, 30) / 24
-        assert _bernoulli_term(3) == Fraction(1, 42) / 720
-        assert _bernoulli_term(6) == Fraction(-691, 2730) / math.factorial(12)
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 74, 120])
+    def test_weights_divide_exactly(self, n):
+        """Every integer division of _borwein_weights is exact: the weights
+        equal Borwein's d_k summed as fractions."""
+        expected, total = [], Fraction(0)
+        for i in range(n + 1):
+            total += Fraction(n * math.factorial(n + i - 1) * 4**i,
+                              math.factorial(n - i) * math.factorial(2 * i))
+            expected.append(total)
+        assert _borwein_weights(n) == expected
+        assert all(d.denominator == 1 for d in expected)
 
 
 class TestExtrapolateHL:
