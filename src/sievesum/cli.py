@@ -405,14 +405,13 @@ def cmd_kconst(args: argparse.Namespace) -> int:
 def cmd_brun(args: argparse.Namespace) -> int:
     import decimal
 
-    from .render import _decimal_json_int, _exact_decimals
+    from .render import _decimal_json_int
     from .series import brun_partial
 
     result = brun_partial(args.limit)
-    num, den = _exact_decimals(result.sum.numerator, result.sum.denominator)
     context = decimal.Context(prec=args.digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    decimal_text = str(context.divide(num, den))
-    num, den = _decimal_json_int(num), _decimal_json_int(den)
+    decimal_text = str(context.divide(result.num, result.den))
+    num, den = _decimal_json_int(result.num), _decimal_json_int(result.den)
     doc = {
         "limit": args.limit,
         "terms": result.terms,
@@ -550,18 +549,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # exact denominators reach tens of thousands of digits; rendering them
-    # must not trip the interpreter's int-to-str conversion cap
-    if hasattr(sys, "set_int_max_str_digits"):
+    # --seq items and F_n cells may have more than 4300 digits (exact
+    # fractions are printed through decimal), so the interpreter's cap on
+    # int <-> str conversion is lifted while the command runs, and restored
+    # for an in-process caller
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         _check_output(args)
         return args.run(args)
+    except SystemExit as exc:  # from argparse: --help, --version or a usage error
+        return int(exc.code or 0)
     except BrokenPipeError:
         return 0
     # Ctrl-C: the child processes are stopped and an --output file is left
@@ -580,6 +580,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ArithmeticError, ChildProcessError) as exc:
         _error(str(exc))
         return 1
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 def entrypoint() -> None:

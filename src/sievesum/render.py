@@ -1,8 +1,8 @@
 """The text of the commands' rows, which cli's _emit writes: `%` templates
-of CSV and JSON rows; float rows printed with one `%` per run of rows, by
-forked workers too where a long output leaves a CPU spare; and exact
-integers as text through exact `decimal` arithmetic, whose str() is linear
-where str() of an int is quadratic.
+of CSV and JSON rows; float rows printed with one `%` per chunk of rows, by
+forked workers too where a long output leaves a CPU spare; and the exact
+series rows, their fractions mirrored in exact `decimal` arithmetic, whose
+str() is linear where str() of an int is quadratic.
 
 Only the commands that write rows import this module, and it imports json
 and decimal only in the functions that use them, so that `primes` in CSV
@@ -23,7 +23,7 @@ from .sieve import _Child, _spare_cpus
 
 if TYPE_CHECKING:
     import argparse
-    from decimal import Context, Decimal
+    from decimal import Decimal
 
     from .engine import SeriesState
 
@@ -36,8 +36,6 @@ _CHUNK_ROWS = 1024
 _POOL_MIN_CHUNKS = 32
 _DRAWN_AHEAD = 12
 _TASK_CHUNKS = 4
-# Below this many bits, int -> Decimal is converted directly.
-_LEAF_BITS = 2048
 
 
 def _row_template(fmt: str, shape) -> str:
@@ -185,76 +183,24 @@ def _emit_float_rows(args: argparse.Namespace, meta: dict, keys: tuple[str, ...]
     """_emit the `n_rows` float records `rows` under "rows", rendered with
     `keys` and the --format and --digits of `args`.
 
-    Rows are drawn in this process, in order, and rendered by one
-    _float_renderer, so the text is the same either way: each row here as
-    it is drawn, or, from _POOL_MIN_CHUNKS chunks of _CHUNK_ROWS rows on,
-    where a CPU is spare, each chunk by this process or by one of the
-    forked workers that sieve._spare_cpus allows (see _pooled). A chunk is
-    one flat list of its rows' cells (which pickles several times faster
-    than ReportRows, and faster than tuples), printed whole in one `%`
-    where it passes the gate.
+    Rows are drawn in this process, in order, _CHUNK_ROWS at a time, as one
+    flat list of their cells (which pickles several times faster than
+    ReportRows, and faster than tuples), and each chunk is rendered by one
+    _float_renderer, printed whole in one `%` where it passes the gate. So
+    the text is the same whoever renders a chunk: this process, or, from
+    _POOL_MIN_CHUNKS chunks on, where a CPU is spare, this process or one
+    of the forked workers that sieve._spare_cpus allows (see _pooled).
     """
     render = _float_renderer(keys, args.format, args.digits)
+    rows = iter(rows)
+    flat = iter(lambda: list(chain.from_iterable(islice(rows, _CHUNK_ROWS))), [])
     workers = _spare_cpus()
     if n_rows < _POOL_MIN_CHUNKS * _CHUNK_ROWS or workers < 1:
-        chunks = (render(row) for row in rows)
+        chunks = (render(chunk) for chunk in flat)
     else:
-        flat = iter(lambda: list(chain.from_iterable(islice(rows, _CHUNK_ROWS))), [])
         chunks = _pooled(render, flat, workers)
     with contextlib.closing(chunks):
         _emit(args, {"meta": meta}, "rows", ",".join(keys) + "\n", chunks)
-
-
-def _exact_context() -> Context:
-    """Exact integer arithmetic in decimal: no operation may round, and one
-    that would raises (an inexact division at this precision runs out of
-    memory before it could round)."""
-    import decimal
-
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    exact.traps[decimal.Inexact] = exact.traps[decimal.Rounded] = True
-    return exact
-
-
-def _exact_decimals(*ns: int) -> list[Decimal]:
-    """Each n >= 0 of `ns` as an exact Decimal, in time below quadratic for
-    huge n (and str() of a Decimal costs only its length, str() of an int
-    its square).
-
-    n is split in halves by bits, recursively, and rebuilt as a Decimal,
-    whose multiplication is fast at this size, from the exact halves and
-    powers of two: hi * 2**w + lo. This is the algorithm of CPython 3.12's
-    _pylong.int_to_decimal_string. The powers of two are computed once for
-    all of `ns`: the numerator and the denominator of a fraction, of about
-    the same length, need nearly the same ones.
-    """
-    from decimal import Decimal, localcontext
-
-    two_powers: dict[int, Decimal] = {}
-
-    def two_to(w: int) -> Decimal:
-        power = two_powers.get(w)
-        if power is None:
-            if w <= _LEAF_BITS:
-                power = Decimal(2) ** w
-            elif w - 1 in two_powers:
-                power = two_powers[w - 1] * 2
-            else:
-                # smaller half first, so the larger one is often w - 1 above
-                half = w >> 1
-                power = two_to(half) * two_to(w - half)
-            two_powers[w] = power
-        return power
-
-    def convert(m: int, w: int) -> Decimal:
-        if w <= _LEAF_BITS:
-            return Decimal(m)
-        half = w >> 1
-        hi = m >> half
-        return convert(m - (hi << half), half) + convert(hi, w - half) * two_to(half)
-
-    with localcontext(_exact_context()):
-        return [convert(n, n.bit_length()) for n in ns]
 
 
 def _decimal_json_int(value: Decimal) -> int | str:
@@ -288,6 +234,8 @@ def _exact_cells(states: Iterable[SeriesState], a: int) -> Iterator[tuple[int, i
     g = a, S's denominator is R's, and its cell is R's.
     """
     from decimal import Decimal, localcontext
+
+    from .series import _exact_context
 
     exact = _exact_context()
     rn_int = rd_int = 1

@@ -2,14 +2,18 @@
 primorial/totient helpers, reciprocal sums over the twin sequence, and the
 floating companions used once exact denominators become impractical.
 
-The exact engine is imported only by the functions that build on it, so
-that `brun` and `mertens` run without it.
+Brun's sum comes out as an exact integer-valued Decimal numerator and
+denominator (see _reciprocal_sum), whose str() costs their length, where
+str() of an int costs its square.
+
+The exact engine is imported only by the functions that build on it, and
+decimal only where it computes, so that `brun` and `mertens` run without
+the engine and without fractions.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -22,6 +26,8 @@ from .sieve import (
 )
 
 if TYPE_CHECKING:
+    from decimal import Context, Decimal
+
     from .engine import ReportRow, SeriesDefinition
 
 #: Euler-Mascheroni constant, the double nearest to it (numpy's euler_gamma).
@@ -29,6 +35,11 @@ EULER_GAMMA = 0.5772156649015329
 # primes per window of mertens_rows; a window's ints, arrays and ratios are
 # held at once (windows of 2**16 held about 6 MiB more at 1e6 terms)
 _MERTENS_WINDOW = 1 << 14
+# Brun's tree merges ints until its denominators reach this many bits, and
+# Decimals above: int -> Decimal is quadratic, but only a few values this
+# small are converted, and Decimal products are faster than int products
+# from here on
+_LEAF_BITS = 2048
 
 
 class PrimorialValue(NamedTuple):
@@ -43,7 +54,8 @@ class TotientOfPrimorial(NamedTuple):
 
 class BrunPartial(NamedTuple):
     limit: int
-    sum: Fraction
+    num: Decimal
+    den: Decimal
     terms: int
 
 
@@ -107,31 +119,47 @@ def twin_prime_series(n_terms: int) -> list[ReportRow]:
 
 
 def brun_partial(limit: int) -> BrunPartial:
-    """Exact sum of 1/v over the flattened twin sequence up to `limit`.
+    """Exact sum of 1/v over the flattened twin sequence up to `limit`, as
+    its numerator and denominator in lowest terms, each an exact
+    integer-valued Decimal (0 and 1 for the empty sum).
 
     The shared member 5 contributes twice, matching the pairwise convention
     (1/3 + 1/5) + (1/5 + 1/7) + ... of the reciprocal twin sum. `terms` is
     the number of values summed.
     """
     values = twin_sequence_up_to(limit)
-    return BrunPartial(limit, _reciprocal_sum(values), len(values))
+    return BrunPartial(limit, *_reciprocal_sum(values), len(values))
 
 
-def _reciprocal_sum(values: list[int]) -> Fraction:
-    """sum(1/v) over ascending primes v > 2, each at most twice, as a
-    reduced Fraction.
+def _exact_context() -> Context:
+    """Exact integer arithmetic in decimal: no operation may round, and one
+    that would raises (an inexact division at this precision runs out of
+    memory before it could round)."""
+    import decimal
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    exact.traps[decimal.Inexact] = exact.traps[decimal.Rounded] = True
+    return exact
+
+
+def _reciprocal_sum(values: list[int]) -> tuple[Decimal, Decimal]:
+    """sum(1/v) over ascending primes v > 2, each at most twice, as its
+    reduced numerator and denominator, exact integer-valued Decimals.
 
     Equal neighbours merge into one leaf count/v. The leaves are merged
     pairwise up a balanced tree as unreduced fractions, held as a list of
     numerators and a list of denominators, by
     (p1*q2 + p2*q1, q1*q2) (binary splitting), so no step pays a gcd on the
-    growing sum. The root N/D needs no final gcd either: D is the product
-    of the distinct primes v, and for each of them N = count_v * D/v
-    (mod v), which is nonzero since count_v <= 2 < v and D/v is a product
-    of other primes. So gcd(N, D) = 1 by construction.
+    growing sum: as ints while the denominators are below _LEAF_BITS, then
+    as Decimals in one exact context. The root N/D needs no final gcd
+    either: D is the product of the distinct primes v, and for each of them
+    N = count_v * D/v (mod v), which is nonzero since count_v <= 2 < v and
+    D/v is a product of other primes. So gcd(N, D) = 1 by construction.
     """
-    nums: list[int] = []  # the counts
-    dens: list[int] = []  # the distinct values v
+    from decimal import Decimal, localcontext
+
+    nums: list = []  # the counts
+    dens: list = []  # the distinct values v
     for v in values:
         if dens and dens[-1] == v:
             nums[-1] += 1
@@ -139,23 +167,26 @@ def _reciprocal_sum(values: list[int]) -> Fraction:
             nums.append(1)
             dens.append(v)
     if not dens:
-        return Fraction(0)
-    while len(dens) > 1:
+        return Decimal(0), Decimal(1)
+
+    def merge(nums: list, dens: list) -> None:
+        """One level up the tree, in place, so that the level's numerators
+        are freed before its denominators are merged."""
         paired = len(dens) // 2 * 2  # an odd last leaf goes up as it is
-        nums = [
+        nums[:paired] = [
             p1 * q2 + p2 * q1
             for p1, q1, p2, q2 in zip(nums[0::2], dens[0::2], nums[1::2], dens[1::2])
-        ] + nums[paired:]
-        dens = [q1 * q2 for q1, q2 in zip(dens[0::2], dens[1::2])] + dens[paired:]
-    return _coprime_fraction(nums[0], dens[0])
+        ]
+        dens[:paired] = [q1 * q2 for q1, q2 in zip(dens[0::2], dens[1::2])]
 
-
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """Fraction(num, den) without the gcd, for num and den already coprime
-    with den > 0; the caller guarantees this, nothing checks it."""
-    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
-        return Fraction._from_coprime_ints(num, den)
-    return Fraction(num, den, _normalize=False)
+    # dens[-2] is a product of as many values as any and of nearly the largest
+    while len(dens) > 1 and dens[-2].bit_length() < _LEAF_BITS:
+        merge(nums, dens)
+    with localcontext(_exact_context()):
+        nums, dens = [Decimal(n) for n in nums], [Decimal(d) for d in dens]
+        while len(dens) > 1:
+            merge(nums, dens)
+    return nums[0], dens[0]
 
 
 def brun_dominance_check(n_terms: int) -> bool:

@@ -8,7 +8,6 @@ import io
 import itertools
 import json
 import math
-import random
 import re
 import shlex
 import signal
@@ -41,10 +40,11 @@ from sievesum.cli import (
     main,
     parse_limit,
 )
-from sievesum.render import _decimal_json_int, _exact_cells, _exact_decimals, _float_renderer
+from sievesum.render import _decimal_json_int, _exact_cells, _float_renderer
 from sievesum.engine import SeriesDefinition, float_rows, iter_states, report_rows
 from sievesum.kconst import _C2_CUTOFFS, estimate_K, partial_product
 from sievesum.series import (
+    brun_partial,
     mertens_residual,
     prime_definition,
     square_free_definition,
@@ -536,6 +536,53 @@ class TestIntegerFlags:
         with unlimited_int_str():
             assert (code, json.loads(out)["seed"]) == (0, seed)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sequence_values_of_more_than_4300_digits_are_printed(self, capsys, fmt):
+        nines = "9" * 5000
+        code, out, _ = run_cli(capsys, "series", "--kind", "custom", "--seq", f"4,{nines}",
+                               "--terms", "2", "--format", fmt)
+        assert code == 0
+        row = f"\n2,{nines}," if fmt == "csv" else f'"F_n": {nines},'
+        assert row in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "--kind", "custom", "--seq", f"4,{'9' * 5000}", "--terms", "2"),
+            ("brun", "--limit", "1e5"),
+            ("brun", "--limit", "-1"),  # a usage error
+            ("verify", "--seed", "1"),  # an error of the command
+            ("--version",),
+        ],
+        ids=["series", "brun", "usage-error", "command-error", "version"],
+    )
+    @pytest.mark.parametrize("cap", [640, 4300, 0])
+    def test_main_restores_the_int_str_cap(self, capsys, argv, cap):
+        """main lifts the interpreter's cap on int <-> str conversion only
+        while the command runs, whichever way it ends."""
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(cap)
+        try:
+            main(list(argv))
+            assert sys.get_int_max_str_digits() == cap
+        finally:
+            sys.set_int_max_str_digits(old)
+        capsys.readouterr()
+
+    def test_main_restores_the_int_str_cap_when_a_command_raises(self, monkeypatch):
+        def fail(limit):
+            raise RuntimeError("failed")
+
+        monkeypatch.setattr(sievesum.series, "brun_partial", fail)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(RuntimeError, match="^failed$"):
+                main(["brun", "--limit", "100"])
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_counts_accept_maxsize(self):
         parse = build_parser().parse_args
         assert parse(["primes", "--count", str(sys.maxsize)]).count == sys.maxsize
@@ -807,14 +854,6 @@ class TestSeriesCommand:
         assert target.read_text().startswith("n,F_n,")
 
 
-# n of exactly `bits` bits, random below the top bit
-WIDE_INTS = st.builds(
-    lambda bits, seed: random.Random(seed).getrandbits(bits) | 1 << (bits - 1),
-    st.integers(200, 300_000),
-    st.integers(0, 2**32),
-)
-
-
 class TestStreaming:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
@@ -826,6 +865,9 @@ class TestStreaming:
         ],
     )
     def test_each_row_is_written_before_the_next_is_drawn(self, monkeypatch, fmt, entry, argv):
+        """Float rows are drawn and written a chunk at a time; with chunks
+        of one row they stream as the exact rows do."""
+        monkeypatch.setattr(sievesum.render, "_CHUNK_ROWS", 1)
         stdout = io.StringIO()
         written = []  # the output so far, as each row is drawn
         compute = getattr(sievesum.engine, entry)
@@ -862,8 +904,12 @@ class TestStreaming:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
     @pytest.mark.parametrize("seq", ["3:2", "3,5,7,9"])
-    def test_custom_float_rows_stream(self, monkeypatch, seq):
+    def test_custom_float_rows_stream(self, monkeypatch, seq, chunk_rows):
+        """Each chunk of rows is written before the first row of the next
+        is drawn."""
+        monkeypatch.setattr(sievesum.render, "_CHUNK_ROWS", chunk_rows)
         stdout = io.StringIO()
         written = []  # the output so far, as each row is drawn
         compute = sievesum.engine.float_rows
@@ -878,7 +924,9 @@ class TestStreaming:
         argv = ["series", "--kind", "custom", "--a", "2", "--seq", seq, "--terms", "4",
                 "--mode", "float"]
         assert main(argv) == 0
-        assert [text.count("\n") for text in written] == [0, 2, 3, 4]
+        # the rows of the chunks before row i's, and the header once there are any
+        done = [i // chunk_rows * chunk_rows for i in range(4)]
+        assert [text.count("\n") for text in written] == [n and n + 1 for n in done]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     # the value on row 2: the huge one, or the rule's start plus its huge step
@@ -933,6 +981,7 @@ class TestStreaming:
         window = 64
         monkeypatch.setattr(sievesum.series, "iter_primes", watched)
         monkeypatch.setattr(sievesum.series, "_MERTENS_WINDOW", window)
+        monkeypatch.setattr(sievesum.render, "_CHUNK_ROWS", window)  # rows are written by chunks
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["mertens", "--terms", str(2 * window + 1), "--format", fmt]) == 0
         assert written[window - 1] == ""
@@ -1251,27 +1300,27 @@ class TestReadmeExamples:
         assert out
 
 
-class TestExactDecimal:
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.one_of(st.integers(0, 2**260), WIDE_INTS))
-    @example(n=0)
-    @example(n=2**128 - 1)
-    @example(n=2**128)
-    @example(n=2**128 + 1)
-    @example(n=2**2048 - 1)
-    @example(n=2**2048)
-    @example(n=2**2048 + 1)
-    @example(n=2**300_000 - 1)
-    def test_str_matches_str_of_the_int(self, n):
-        with unlimited_int_str():
-            assert str(*_exact_decimals(n)) == str(n)
+class TestBrunDecimals:
+    """brun_partial's Decimals print the digits of the reference's reduced
+    numerator and denominator."""
 
-    @settings(max_examples=20, deadline=None)
-    @given(ns=st.lists(st.one_of(st.integers(0, 2**5000), WIDE_INTS), max_size=4))
-    @example(ns=[2**300_000 - 1, 3**180_000, 2**4097 + 1, 0])
-    def test_values_sharing_the_powers_of_two_each_match(self, ns):
+    @staticmethod
+    def assert_texts_match_reference(limit, reference):
+        result = brun_partial(limit)
+        expected = reference(twin_sequence_up_to(limit))
+        num, den = expected.numerator, expected.denominator
+        assert math.gcd(num, den) == 1
         with unlimited_int_str():
-            assert list(map(str, _exact_decimals(*ns))) == list(map(str, ns))
+            assert (str(result.num), str(result.den)) == (str(num), str(den))
+
+    @settings(max_examples=100, deadline=None)
+    @given(limit=st.integers(0, 3000))
+    def test_texts_match_reference(self, normalising_reciprocal_sum, limit):
+        self.assert_texts_match_reference(limit, normalising_reciprocal_sum)
+
+    @pytest.mark.parametrize("limit", [10**5, 10**6])
+    def test_texts_match_reference_at(self, normalising_reciprocal_sum, limit):
+        self.assert_texts_match_reference(limit, normalising_reciprocal_sum)
 
 
 def json_int_cells(state):
@@ -1290,7 +1339,7 @@ class TestDecimalJsonInt:
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     def test_matches_reference_at_the_int64_edge(self, threshold, delta):
         n = threshold + delta
-        cell = _decimal_json_int(*_exact_decimals(n))
+        cell = _decimal_json_int(decimal.Decimal(n))
         assert cell == reference_json_int(n) and type(cell) is type(reference_json_int(n))
 
 

@@ -137,9 +137,9 @@ def test_cli_import_loads_only_the_package_beyond_its_top_level_imports():
 
 
 # Standard modules that some command runs without: `primes` in CSV needs
-# neither json nor decimal (nor fractions, which imports decimal), `kconst`
-# no fractions, `verify` without --random no random, and only an --output
-# file needs tempfile
+# neither json nor decimal (nor fractions, which imports decimal), `kconst`,
+# `brun` and `mertens` no fractions, `verify` without --random no random,
+# and only an --output file needs tempfile
 DEFERRED = ("decimal", "fractions", "json", "random", "tempfile")
 LOADED_DEFERRED = f"print(*[name for name in {DEFERRED!r} if name in sys.modules])"
 
@@ -174,7 +174,9 @@ print(code, *[name for name in {DEFERRED!r} if name in sys.modules and name not 
         (["series", "--kind", "prime", "--terms", "30"], ["decimal", "fractions"]),
         (["series", "--kind", "twin", "--terms", "200", "--mode", "float"],
          ["decimal", "fractions"]),
-        (["brun", "--limit", "10000", "--format", "csv"], ["decimal", "fractions"]),
+        # Brun's sum is exact integer arithmetic, finished in decimal
+        (["brun", "--limit", "10000", "--format", "csv"], ["decimal"]),
+        (["mertens", "--terms", "100"], []),
         (["verify", "--terms", "30"], ["decimal", "fractions", "json"]),
         (["verify", "--random", "2"], ["decimal", "fractions", "json", "random"]),
         (KCONST, ["decimal", "json"]),  # C2 is computed in decimal, with no fractions
@@ -184,6 +186,20 @@ print(code, *[name for name in {DEFERRED!r} if name in sys.modules and name not 
 def test_each_command_loads_only_the_deferred_modules_it_runs(bare, argv, loaded):
     code, *modules = run_python("-c", DEFERRED_PROBE, *argv).split()
     assert (code, modules) == ("0", [name for name in loaded if name not in bare])
+
+
+def test_brun_and_mertens_load_neither_fractions_nor_the_engine():
+    """Brun's exact sum (its tree past the switch from ints to decimal at
+    1e5) and the Mertens ratios run without fractions and without the exact
+    engine, which imports it."""
+    probe = (
+        "import contextlib, io, sys, sievesum.cli\n"
+        "for argv in (['brun', '--limit', '1e5'], ['mertens', '--terms', '100']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert sievesum.cli.main(argv) == 0\n"
+        "print(*[m for m in ('fractions', 'sievesum.engine') if m in sys.modules])"
+    )
+    assert run_python("-c", probe) == "\n"
 
 
 LOADED_PACKAGE = "print(*sorted(name for name in sys.modules if name.startswith('sievesum')))"
@@ -210,8 +226,9 @@ print(code, end=" ")
     [
         (KCONST, ("kconst", "sieve")),
         (["series", "--kind", "prime", "--terms", "30"], ("engine", "render", "series", "sieve")),
+        # the exact rows take their decimal context from the series module
         (["series", "--kind", "custom", "--seq", "2,3", "--terms", "2"],
-         ("engine", "render", "sieve")),
+         ("engine", "render", "series", "sieve")),
         (["series", "--kind", "twin", "--terms", "200", "--mode", "float"],
          ("engine", "render", "series", "sieve")),
         (["verify", "--terms", "30"], ("checks", "engine", "series", "sieve")),

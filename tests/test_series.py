@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +12,6 @@ import sievesum.series
 from sievesum.engine import report_rows
 from sievesum.series import (
     EULER_GAMMA,
-    _coprime_fraction,
     _reciprocal_sum,
     brun_dominance_check,
     brun_partial,
@@ -249,25 +249,32 @@ class TestTwinPrimeSeries:
 
 
 class TestBrunPartial:
+    @staticmethod
+    def value(limit):
+        result = brun_partial(limit)
+        return Fraction(int(result.num), int(result.den))
+
     def test_limit_7_repeats_one_fifth(self):
         expected = Fraction(1, 3) + Fraction(1, 5) + Fraction(1, 5) + Fraction(1, 7)
-        assert brun_partial(7).sum == expected == Fraction(92, 105)
+        assert self.value(7) == expected == Fraction(92, 105)
 
     def test_limit_4_is_zero(self):
-        assert brun_partial(4).sum == 0
+        result = brun_partial(4)
+        assert (result.num, result.den, result.terms) == (0, 1, 0)
+        assert self.value(4) == 0
 
     def test_limit_20(self):
         expected = sum((Fraction(1, v) for v in [3, 5, 5, 7, 11, 13, 17, 19]), Fraction(0))
-        assert brun_partial(20).sum == expected
+        assert self.value(20) == expected
 
     def test_nondecreasing_in_limit(self):
         limits = [0, 4, 5, 7, 12, 20, 100, 1000, 10**4]
-        sums = [brun_partial(limit).sum for limit in limits]
+        sums = [self.value(limit) for limit in limits]
         for a, b in zip(sums, sums[1:]):
             assert a <= b
 
     def test_five_contributes_twice(self):
-        assert brun_partial(7).sum - brun_partial(5).sum == Fraction(1, 5) + Fraction(1, 7)
+        assert self.value(7) - self.value(5) == Fraction(1, 5) + Fraction(1, 7)
 
     @staticmethod
     def naive(limit):
@@ -280,18 +287,16 @@ class TestBrunPartial:
     @settings(max_examples=100, deadline=None)
     @given(limit=st.integers(0, 3000))
     def test_matches_naive_loop(self, limit):
-        result = brun_partial(limit)
-        assert (result.sum, result.terms) == self.naive(limit)
+        assert (self.value(limit), brun_partial(limit).terms) == self.naive(limit)
 
     def test_matches_naive_loop_at_1e5(self):
-        result = brun_partial(10**5)
-        assert (result.sum, result.terms) == self.naive(10**5)
+        assert (self.value(10**5), brun_partial(10**5).terms) == self.naive(10**5)
 
     @staticmethod
     def assert_reduced_as_reference(limit, reference):
         result = brun_partial(limit)
         expected = reference(twin_sequence_up_to(limit))
-        num, den = result.sum.numerator, result.sum.denominator
+        num, den = int(result.num), int(result.den)
         assert (num, den) == (expected.numerator, expected.denominator)
         assert gcd(num, den) == 1
 
@@ -313,40 +318,21 @@ class TestBrunPartial:
 
     def test_repeated_value_merges_into_one_leaf(self):
         # one leaf per value would leave the root 460/525, gcd 5
-        for values, expected in [([3, 5, 5, 7], (92, 105)), ([5, 5], (2, 5))]:
-            total = _reciprocal_sum(values)
-            assert (total.numerator, total.denominator) == expected
+        for values, expected in [([3, 5, 5, 7], ("92", "105")), ([5, 5], ("2", "5"))]:
+            assert tuple(map(str, _reciprocal_sum(values))) == expected
 
-
-class TestCoprimeFraction:
-    CASES = [
-        (0, 1),
-        (1, 1),
-        (92, 105),
-        (-7, 3),
-        (2**521 - 1, 3**200),
-        (-(10**400 + 1), 2**1000),
-    ]
-
-    @pytest.mark.parametrize("num,den", CASES)
-    def test_equals_normalised_fraction(self, num, den):
-        assert gcd(num, den) == 1
-        x, y = _coprime_fraction(num, den), Fraction(num, den)
-        assert type(x) is Fraction
-        assert (x.numerator, x.denominator) == (num, den)
-        assert x == y and hash(x) == hash(y)
-
-    @pytest.mark.parametrize("num,den", CASES)
-    def test_arithmetic_and_rendering(self, decimal_division, num, den):
-        x, y = _coprime_fraction(num, den), Fraction(num, den)
-        third = Fraction(1, 3)
-        assert x + third == y + third
-        assert x * x == y * y
-        assert x - y == 0
-        assert (x < third) == (y < third)
-        assert {x: 1}[y] == 1
-        for digits in (1, 15, 40):
-            assert decimal_division(x, digits) == decimal_division(y, digits)
+    @pytest.mark.parametrize("leaf_bits", [0, 64, 2048, 10**9])
+    def test_the_sum_does_not_depend_on_where_decimal_takes_over(
+        self, monkeypatch, normalising_reciprocal_sum, leaf_bits
+    ):
+        # 0: Decimal leaves; 10**9: an int tree converted at its root
+        monkeypatch.setattr(sievesum.series, "_LEAF_BITS", leaf_bits)
+        values = twin_sequence_up_to(3 * 10**4)
+        for n in (1, 2, 3, 4, 5, 255, 256, 257, len(values)):
+            total = _reciprocal_sum(values[:n])
+            assert all(type(x) is Decimal and x.as_tuple().exponent == 0 for x in total)
+            expected = normalising_reciprocal_sum(values[:n])
+            assert tuple(map(str, total)) == (str(expected.numerator), str(expected.denominator))
 
 
 class TestBrunDominance:
